@@ -18,7 +18,7 @@ import mpmath as mp
 from .covariant import reduction_covariant
 from .equidist import (MEASURE_CAVEAT, component_histogram, density_trend,
                        sample_pencils, small_vector_frequency)
-from .errors import DomainError, NotFound
+from .errors import DomainError, NotFound, RangeError
 from .forms import DEFAULT_PRECISION, BinaryForm
 from .heights import (FamilyParams, prop_bound_check,
                       vector_length_bound_check)
@@ -248,6 +248,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.precision < 64:     # certified bounds say little below
+            raise RangeError("--precision must be at least 64 bits")
         return args.func(args)
     except DomainError as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},

@@ -4,7 +4,8 @@ Pencils are drawn with independent uniform entries in a box [-B, B]; this is
 a qualitative stand-in for ordering by invariant-form height, and every
 serialized output records that caveat.  Sampling is reproducible: item i of a
 batch with seed s is generated from its own random.Random stream seeded with
-splitmix64(s XOR golden*i), so parallel and serial evaluation agree.
+splitmix64(s XOR golden*i), so any item can be regenerated from (seed, index)
+alone, without drawing the items before it.
 """
 
 import random
@@ -12,14 +13,14 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .covariant import GramMatrix, gram_det_with_error, reduction_covariant
+from .covariant import gram_det_with_error, reduction_covariant
 from .errors import EmptyStatistics
 from .forms import (BinaryForm, height, mahler_measure_with_error,
                     real_root_count)
 from .heights import FamilyParams, family_membership
 from .pencil import Pencil, invariant_form, pencil_discriminant
 from .reduce import (iwasawa_coordinates, lll_gram, rationalize_gram,
-                     shortest_vector)
+                     rebase_gram, shortest_vector)
 
 MEASURE_CAVEAT = ("entries uniform in a box, not the height-ball measure; "
                   "qualitative analogue only")
@@ -117,13 +118,9 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
             mah, mah_err = mahler_measure_with_error(f, precision)
             ok = bool(abs(det_h - mah) <= det_err + mah_err
                       + mp.mpf(2) ** (-precision // 2) * max(mp.mpf(1), mah))
-        G = rationalize_gram(H, min(precision, 128))
-        U = lll_gram(G)
-        with mp.workprec(precision + 32):
-            Um = mp.matrix(U)
-            Hr = Um * H.as_mp() * Um.T
-            Hred = GramMatrix.from_mp(Hr, H.error_bound * n * n)
-            iw = iwasawa_coordinates(Hred, precision=precision)
+        U = lll_gram(rationalize_gram(H, min(precision, 128)))
+        iw = iwasawa_coordinates(rebase_gram(H, U, precision),
+                                 precision=precision)
         items.append(SampleItem(idx, p, int(ht), True, m2 // 2,
                                 ratio, iw.t, ok))
     return SampleBatch(n, B, count, seed, precision, tuple(items))

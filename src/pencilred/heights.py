@@ -78,8 +78,8 @@ def family_membership(f: BinaryForm, fp: FamilyParams,
     The comparison rounds outward: anything uncertain (including an unknown
     irreducibility verdict) is excluded.
     """
-    if height(f) > fp.X:
-        raise HeightExceedsCutoff("Ht(f) must be at most X")
+    if height(f) >= fp.X:
+        raise HeightExceedsCutoff("Ht(f) must be below X")
     if is_irreducible(f) is not True:
         return False
     d = abs(discriminant(f))

@@ -10,7 +10,7 @@ that makes a short lattice vector force t_1 large (the cusp test).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath as mp
 
@@ -54,77 +54,93 @@ def rationalize_gram(H: GramMatrix, bits):
     return out
 
 
-def _gso_from_gram(G):
-    """Gram-Schmidt data (mu, B*) from a Gram matrix, exact."""
+def _integral_gram(G):
+    """G scaled by the lcm of its denominators, as Python ints."""
+    G = [[Fraction(x) for x in row] for row in G]
+    s = lcm(*(x.denominator for row in G for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in G]
+
+
+def _integral_gso(G):
+    """Exact Gram-Schmidt data of a positive definite integer Gram.
+
+    Returns (d, lam) as in Cohen, GTM 138, Alg. 2.6.7: d[i] is the leading
+    i x i minor (d[0] = 1) and lam[i][j] = d[j+1] mu_ij for j < i, so that
+    B*_i = d[i+1] / d[i].  Every division is exact.
+    """
     n = len(G)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    Bs = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            c[i][j] = Fraction(G[i][j]) - sum(
-                mu[j][k] * c[i][k] for k in range(j))
+            u = G[i][j]
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
             if j < i:
-                mu[i][j] = c[i][j] / Bs[j]
-        Bs[i] = c[i][i]
-    return mu, Bs
+                lam[i][j] = u
+            elif u <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def lll_gram(G, delta=0.99):
-    """LLL on a positive definite Fraction Gram matrix.
+    """LLL on a positive definite rational Gram matrix.
 
     Returns an integer unimodular matrix U whose rows are the coordinates of
-    the reduced basis; the reduced Gram is U G U^T.
+    the reduced basis; the reduced Gram is U G U^T.  Integral LLL (Cohen,
+    GTM 138, Alg. 2.6.7) on G scaled to integers: each row is fully
+    size-reduced before its Lovasz test, and a swap updates the exact
+    Gram-Schmidt data in O(n) integer steps.
     """
     if not 0.25 < delta < 1:
         raise ValueError("delta must lie in (0.25, 1)")
-    deltaf = Fraction(delta)
+    delta = Fraction(delta)
     n = len(G)
-    G = [[Fraction(x) for x in row] for row in G]
+    d, lam = _integral_gso(_integral_gram(G))
     U = linalg.identity_matrix(n)
-
-    def row_op(k, j, q):
-        # b_k -= q * b_j
-        U[k] = [a - q * b for a, b in zip(U[k], U[j])]
-        new_row = [G[k][t] - q * G[j][t] for t in range(n)]
-        new_row[k] = G[k][k] - 2 * q * G[k][j] + q * q * G[j][j]
-        G[k] = new_row
-        for t in range(n):
-            G[t][k] = new_row[t]
-
-    mu, Bs = _gso_from_gram(G)
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                row_op(k, j, q)
-                for t in range(j):
-                    mu[k][t] -= q * mu[j][t]
-                mu[k][j] -= q
-        if Bs[k] >= (deltaf - mu[k][k - 1] ** 2) * Bs[k - 1]:
+            # |mu_kj| <= 1/2 rounds (half-even) to 0
+            if 2 * abs(lk[j]) <= d[j + 1]:
+                continue
+            q = round(Fraction(lk[j], d[j + 1]))
+            U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+            lj = lam[j]
+            for t in range(j):
+                lk[t] -= q * lj[t]
+            lk[j] -= q * d[j + 1]
+        lm = lk[k - 1]
+        if (delta.denominator * (d[k + 1] * d[k - 1] + lm * lm)
+                >= delta.numerator * d[k] * d[k]):
             k += 1
-        else:
-            U[k], U[k - 1] = U[k - 1], U[k]
-            G[k], G[k - 1] = G[k - 1], G[k]
-            for row in G:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            mu, Bs = _gso_from_gram(G)
-            k = max(k - 1, 1)
+            continue
+        U[k], U[k - 1] = U[k - 1], U[k]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
     return U
 
 
 def is_lll_reduced_gram(G, delta=0.99):
     """Exact check of size reduction and the Lovasz condition on a Gram."""
-    mu, Bs = _gso_from_gram([[Fraction(x) for x in row] for row in G])
-    n = len(G)
-    for i in range(n):
-        for j in range(i):
-            if abs(mu[i][j]) > Fraction(1, 2):
-                return False
-    deltaf = Fraction(delta)
-    for k in range(1, n):
-        if Bs[k] < (deltaf - mu[k][k - 1] ** 2) * Bs[k - 1]:
+    d, lam = _integral_gso(_integral_gram(G))
+    delta = Fraction(delta)
+    for k in range(1, len(G)):
+        if any(2 * abs(lam[k][j]) > d[j + 1] for j in range(k)):
+            return False
+        lm = lam[k][k - 1]
+        if (delta.denominator * (d[k + 1] * d[k - 1] + lm * lm)
+                < delta.numerator * d[k] * d[k]):
             return False
     return True
 
@@ -148,47 +164,44 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))
     g = UnimodularMatrix(p.n, tuple(tuple(r) for r in g_entries))
     reduced = act(g, p)
+    return ReductionResult(g, reduced, rebase_gram(H, U, precision), g.det)
+
+
+def rebase_gram(H: GramMatrix, U, precision=DEFAULT_PRECISION) -> GramMatrix:
+    """The Gram U H U^T of the basis whose coordinates are the rows of U.
+
+    Each entry sums n^2 terms U_ia H_ab U_jb, so its error bound is
+    H.error_bound * n^2 * max(1, max |U_ij|)^2.
+    """
+    n = H.n
     with mp.workprec(precision + 32):
-        Hm = H.as_mp()
-        Um = mp.matrix(U)
-        Hr = Um * Hm * Um.T
-        scale = max(1, max(abs(x) for row in U for x in row)) ** 2 * p.n * p.n
-        gram_reduced = GramMatrix.from_mp(Hr, H.error_bound * scale)
-    return ReductionResult(g, reduced, gram_reduced, g.det)
-
-
-def _ldl_fraction(G):
-    """Exact LDL^T of a positive definite Fraction Gram: returns (L, D)."""
-    n = len(G)
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        d = Fraction(G[j][j]) - sum(L[j][k] ** 2 * D[k] for k in range(j))
-        if d <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        D[j] = d
-        for i in range(j + 1, n):
-            L[i][j] = (Fraction(G[i][j]) - sum(
-                L[i][k] * L[j][k] * D[k] for k in range(j))) / d
-    return L, D
+        Um = mp.matrix([list(r) for r in U])
+        Hr = Um * H.as_mp() * Um.T
+        size = max(1, max(abs(x) for row in U for x in row))
+        return GramMatrix.from_mp(Hr, H.error_bound * n * n * size ** 2)
 
 
 def _enumerate_minima(G):
-    """All nonzero minimizers of the exact rational form G, with the minimum.
+    """All nonzero minimizers of the exact rational form G.
 
-    Fincke-Pohst from the last coordinate down, with rational arithmetic
-    only; the radius starts at the smallest diagonal entry and shrinks as
-    better vectors appear.
+    Fincke-Pohst from the last coordinate down on G scaled to integers, with
+    rational arithmetic only; the LDL^T comes from the integral Gram-Schmidt
+    data as L_ij = lam_ij / d_{j+1} and D_i = d_{i+1} / d_i.  The radius
+    starts at the smallest diagonal entry and shrinks as better vectors
+    appear.
     """
+    G = _integral_gram(G)
     n = len(G)
-    L, D = _ldl_fraction(G)
-    best = min(Fraction(G[i][i]) for i in range(n))
+    d, lam = _integral_gso(G)
+    L = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
+    D = [Fraction(d[i + 1], d[i]) for i in range(n)]
+    best = min(G[i][i] for i in range(n))
     minima = []
 
     x = [0] * n
 
     def norm_of(vec):
-        return sum(Fraction(G[i][j]) * vec[i] * vec[j]
+        return sum(G[i][j] * vec[i] * vec[j]
                    for i in range(n) for j in range(n))
 
     def recurse(i, partial):
@@ -228,8 +241,7 @@ def _enumerate_minima(G):
 
     recurse(n - 1, Fraction(0))
     # best may have shrunk after a tied vector was recorded
-    minima = [v for v in minima if norm_of(v) == best]
-    return best, minima
+    return [v for v in minima if norm_of(v) == best]
 
 
 def _canonical_minimizer(vectors):
@@ -256,7 +268,7 @@ def shortest_vector(H: GramMatrix, precision=DEFAULT_PRECISION):
     G = rationalize_gram(H, bits)
     U = lll_gram(G)
     Gr = linalg.mat_mul(U, linalg.mat_mul(G, linalg.transpose(U)))
-    _, minima = _enumerate_minima(Gr)
+    minima = _enumerate_minima(Gr)
     candidates = [tuple(linalg.mat_vec(linalg.transpose(U), list(xv)))
                   for xv in minima]
     v = _canonical_minimizer(candidates)
@@ -265,17 +277,6 @@ def shortest_vector(H: GramMatrix, precision=DEFAULT_PRECISION):
         vec = mp.matrix(list(v))
         norm = (vec.T * Hm * vec)[0, 0]
     return v, norm
-
-
-def shortest_norm_exact(H: GramMatrix, bits=128):
-    """Exact minimum of the rationalized form, as a Fraction."""
-    if H.n > 12:
-        raise DimensionTooLarge("exact enumeration supports n <= 12")
-    G = rationalize_gram(H, bits)
-    U = lll_gram(G)
-    Gr = linalg.mat_mul(U, linalg.mat_mul(G, linalg.transpose(U)))
-    best, _ = _enumerate_minima(Gr)
-    return best
 
 
 def epsilon_small_test(H: GramMatrix, eps, precision=DEFAULT_PRECISION) -> bool:
@@ -343,12 +344,8 @@ def cusp_membership(H: GramMatrix, eps, c=SIEGEL_C,
     else:
         G = rationalize_gram(H, min(precision, 192))
         W = lll_gram(G)
+    iw = iwasawa_coordinates(rebase_gram(H, W, precision), c, precision)
     with mp.workprec(precision + 32):
-        Wm = mp.matrix([list(r) for r in W])
-        Hr = Wm * H.as_mp() * Wm.T
-        Hred = GramMatrix.from_mp(Hr, H.error_bound * n * n * max(
-            1, max(abs(x) for row in W for x in row)) ** 2)
-        iw = iwasawa_coordinates(Hred, c, precision)
         threshold = mp.mpf(c) ** (n - 1) / mp.mpf(eps)
         return bool(iw.t[0] > threshold)
 

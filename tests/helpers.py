@@ -220,6 +220,66 @@ def is_reduced_oracle(U, G0, delta=0.99):
     return True
 
 
+def _gso_fraction(G):
+    """Gram-Schmidt data (mu, B*) of a Fraction Gram, recomputed from G."""
+    n = len(G)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    Bs = [Fraction(0)] * n
+    c = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            c[i][j] = Fraction(G[i][j]) - sum(
+                mu[j][k] * c[i][k] for k in range(j))
+            if j < i:
+                mu[i][j] = c[i][j] / Bs[j]
+        Bs[i] = c[i][i]
+    return mu, Bs
+
+
+def lll_gram_reference(G, delta=0.99):
+    """Textbook Fraction LLL on a Gram matrix, the reference for lll_gram.
+
+    Same order of steps as the library (full size reduction of row k with
+    round-half-even, then the Lovasz test, k = max(k-1, 1) after a swap),
+    but the Gram is carried along and the whole Gram-Schmidt data is
+    recomputed after every swap.
+    """
+    deltaf = Fraction(delta)
+    n = len(G)
+    G = [[Fraction(x) for x in row] for row in G]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(k, j, q):
+        # b_k -= q * b_j
+        U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+        new_row = [G[k][t] - q * G[j][t] for t in range(n)]
+        new_row[k] = G[k][k] - 2 * q * G[k][j] + q * q * G[j][j]
+        G[k] = new_row
+        for t in range(n):
+            G[t][k] = new_row[t]
+
+    mu, Bs = _gso_fraction(G)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                row_op(k, j, q)
+                for t in range(j):
+                    mu[k][t] -= q * mu[j][t]
+                mu[k][j] -= q
+        if Bs[k] >= (deltaf - mu[k][k - 1] ** 2) * Bs[k - 1]:
+            k += 1
+        else:
+            U[k], U[k - 1] = U[k - 1], U[k]
+            G[k], G[k - 1] = G[k - 1], G[k]
+            for row in G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            mu, Bs = _gso_fraction(G)
+            k = max(k - 1, 1)
+    return U
+
+
 def mp_matrix_of(rows):
     return mp.matrix([[mp.mpf(x) if not isinstance(x, Fraction)
                        else mp.mpf(x.numerator) / mp.mpf(x.denominator)

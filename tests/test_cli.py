@@ -86,12 +86,22 @@ def test_norm_check():
 def test_height_check():
     payload = {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "3"]},
                "U": {"degree": 1, "coeffs": ["1", "-1"]}, "w": "2"}
-    res = run_cli("height-check", "--cutoff-X", "3", "--delta", "0.5",
+    res = run_cli("height-check", "--cutoff-X", "4", "--delta", "0.5",
                   payload=payload)
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert out["prop_bound"]["holds"] is True
     assert out["vector_length_bound"]["holds"] is True
+
+
+def test_precision_floor():
+    for bits in ("-8", "0", "4"):
+        res = run_cli("--precision", bits, "covariant", payload=WORKED_PENCIL)
+        assert res.returncode == 2
+        assert json.loads(res.stdout)["error"]["type"] == "RangeError"
+    res = run_cli("--precision", "64", "covariant", payload=WORKED_PENCIL)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["n"] == 4
 
 
 def test_covariant_schema():

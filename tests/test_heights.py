@@ -46,8 +46,8 @@ def test_point_height_random():
 
 
 def test_family_membership():
-    fp = pr.FamilyParams(3, 0.5)
-    assert pr.family_membership(X4_3Y4, fp)           # 6912 >= 3^5.5
+    fp = pr.FamilyParams(4, 0.5)
+    assert pr.family_membership(X4_3Y4, fp)           # 6912 >= 4^5.5
     red = pr.form_from_linear_factors([(1, 0), (1, 1), (1, -1), (1, 2)])
     assert not pr.family_membership(red, pr.FamilyParams(3, 0.5))
     # tiny discriminant vs large cutoff
@@ -55,6 +55,9 @@ def test_family_membership():
     assert not pr.family_membership(small, pr.FamilyParams(50, 0.1))
     with pytest.raises(pr.HeightExceedsCutoff):
         pr.family_membership(X4_3Y4, pr.FamilyParams(2, 0.5))
+    # the family needs Ht(f) < X, so Ht(f) == X is outside it
+    with pytest.raises(pr.HeightExceedsCutoff, match="below X"):
+        pr.family_membership(X4_3Y4, pr.FamilyParams(3, 0.5))
 
 
 def test_kappa_constant():
@@ -70,7 +73,7 @@ def test_kappa_constant():
 
 
 def test_prop_bound_example():
-    fp = pr.FamilyParams(3, 0.5)
+    fp = pr.FamilyParams(4, 0.5)
     chk = pr.prop_bound_check(X4_3Y4, pr.BinaryForm(1, (1, -1)), fp, 128)
     assert chk.holds
 
@@ -83,7 +86,7 @@ def test_prop_bound_requires_family():
 
 
 def test_vector_length_bound_example():
-    fp = pr.FamilyParams(3, 0.5)
+    fp = pr.FamilyParams(4, 0.5)
     ds = pr.DivisorSpec(X4_3Y4, pr.BinaryForm(1, (1, -1)), Fraction(2))
     chk = pr.vector_length_bound_check(ds, fp, 128)
     assert chk.holds
@@ -114,7 +117,7 @@ def test_inequalities_random_family():
 
 
 def test_bound_check_json():
-    fp = pr.FamilyParams(3, 0.5)
+    fp = pr.FamilyParams(4, 0.5)
     chk = pr.prop_bound_check(X4_3Y4, pr.BinaryForm(1, (1, -1)), fp, 128)
     d = chk.to_json_dict()
     assert set(d) == {"lhs", "rhs", "holds", "flags"}

@@ -7,9 +7,10 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from pencilred.reduce import is_lll_reduced_gram, lll_gram, rationalize_gram
-from helpers import (is_reduced_oracle, planted_gram, rand_pencil,
-                     rand_unimodular)
+from pencilred.reduce import (is_lll_reduced_gram, lll_gram,
+                              rationalize_gram, rebase_gram)
+from helpers import (is_reduced_oracle, lll_gram_reference, planted_gram,
+                     rand_pencil, rand_unimodular)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -104,6 +105,63 @@ def test_lll_gram_against_oracle():
         Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(G, pr.linalg.transpose(U)))
         assert is_lll_reduced_gram(Gr)
         assert is_reduced_oracle(U, G)
+        for delta in (0.99, 0.75, 0.51):
+            assert lll_gram(G, delta) == lll_gram_reference(G, delta)
+
+
+def _gram_from_ldl(halves, bstar):
+    """G = L diag(bstar) L^T, L unit lower triangular, L_ij = halves[i][j]/2."""
+    n = len(bstar)
+    L = [[Fraction(halves[i][j], 2) if j < i else Fraction(int(i == j))
+          for j in range(n)] for i in range(n)]
+    return [[sum(L[i][t] * bstar[t] * L[j][t] for t in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def test_lll_gram_matches_reference_on_covariants():
+    """Same U, bit for bit, as the Fraction LLL that recomputes the whole
+    Gram-Schmidt data after every swap."""
+    rng = random.Random(50)
+    cases = [(n, bits) for n in (4, 6, 8) for bits in (96, 256)]
+    cases.append((10, 256))
+    for n, bits in cases:
+        p = pr.act(rand_unimodular(rng, n, ops=12), rand_pencil(rng, n, 3))
+        G = rationalize_gram(pr.reduction_covariant(p, bits), bits)
+        for delta in (0.99, 0.75, 0.51) if n <= 6 else (0.99,):
+            assert lll_gram(G, delta) == lll_gram_reference(G, delta)
+
+
+def test_lll_gram_rounding_ties():
+    # mu exactly +-1/2, 3/2, 5/2, -3/2: round-half-even picks 0, 2, 2, -2
+    grams = [_gram_from_ldl([[], [1], [3, -1]], [4, 4, 4]),
+             _gram_from_ldl([[], [-1], [5, 3]], [4, 3, 5]),
+             _gram_from_ldl([[], [-3], [1, 5], [3, -1, -5]], [8, 8, 8, 8])]
+    for G in grams:
+        for delta in (0.99, 0.75, 0.51):
+            U = lll_gram(G, delta)
+            assert U == lll_gram_reference(G, delta)
+            Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(
+                G, pr.linalg.transpose(U)))
+            assert is_lll_reduced_gram(Gr, delta)
+
+
+def test_lll_gram_rejects_bad_input():
+    with pytest.raises(ValueError):
+        lll_gram([[1, 0], [0, 1]], delta=0.25)
+    with pytest.raises(ValueError):
+        lll_gram([[1, 2], [2, 1]])
+
+
+def test_rebase_gram_error_bound():
+    H = pr.GramMatrix(2, ((mp.mpf(2), mp.mpf(1)), (mp.mpf(1), mp.mpf(3))),
+                      mp.mpf(2) ** -100)
+    for size in (1, 3, 10, 1000):
+        U = [[1, size], [0, 1]]
+        Hr = rebase_gram(H, U, 128)
+        assert Hr.error_bound == H.error_bound * 4 * size ** 2
+        with mp.workprec(160):
+            assert Hr.entries[0][0] == 2 + 2 * size + 3 * size ** 2
+            assert Hr.entries[0][1] == 1 + 3 * size
 
 
 def test_shortest_vector_examples():
