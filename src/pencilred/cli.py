@@ -26,15 +26,23 @@ from .orbits import (DivisorSpec, OrbitDatum, datum_from_divisor, integralize,
                      norm_of_one_formula, pencil_from_datum)
 from .pencil import Pencil, invariant_form
 from .reduce import lll_reduce
+from .roots import to_mpf
 
 
-def _read_input(args):
+def _read_input(args, parse):
+    """parse(input JSON).  A wrong shape (TypeError) or a zero denominator
+    (ZeroDivisionError) in the input is an input error like any other."""
     if getattr(args, "input_json", None):
-        return json.loads(args.input_json)
-    if getattr(args, "input", None):
+        data = json.loads(args.input_json)
+    elif getattr(args, "input", None):
         with open(args.input) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
+    try:
+        return parse(data)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError("malformed input: %s" % exc) from exc
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None, csv_meta=None):
@@ -57,21 +65,21 @@ def _emit(args, payload, csv_rows=None, csv_header=None, csv_meta=None):
 
 
 def cmd_invariant(args):
-    p = Pencil.from_json_dict(_read_input(args))
+    p = _read_input(args, Pencil.from_json_dict)
     f = invariant_form(p)
     _emit(args, {"form": f.to_json_dict()})
     return 0
 
 
 def cmd_covariant(args):
-    p = Pencil.from_json_dict(_read_input(args))
+    p = _read_input(args, Pencil.from_json_dict)
     H = reduction_covariant(p, args.precision)
     _emit(args, H.to_json_dict())
     return 0
 
 
 def cmd_reduce(args):
-    p = Pencil.from_json_dict(_read_input(args))
+    p = _read_input(args, Pencil.from_json_dict)
     res = lll_reduce(p, delta=args.delta_lll, precision=args.precision,
                      sl_normalize=args.sl_normalize)
     _emit(args, {"g": [list(r) for r in res.g.entries],
@@ -82,7 +90,7 @@ def cmd_reduce(args):
 
 
 def cmd_orbit(args):
-    d = OrbitDatum.from_json_dict(_read_input(args))
+    d = _read_input(args, OrbitDatum.from_json_dict)
     p, one_bar = pencil_from_datum(d)
     _emit(args, {"pencil": p.to_json_dict(),
                  "one_bar": [str(x) for x in one_bar]})
@@ -90,7 +98,7 @@ def cmd_orbit(args):
 
 
 def cmd_divisor_orbit(args):
-    ds = DivisorSpec.from_json_dict(_read_input(args))
+    ds = _read_input(args, DivisorSpec.from_json_dict)
     d = datum_from_divisor(ds)
     p, one_bar = pencil_from_datum(d)
     out = {"datum": d.to_json_dict(),
@@ -108,13 +116,12 @@ def cmd_divisor_orbit(args):
 
 
 def cmd_norm_check(args):
-    ds = DivisorSpec.from_json_dict(_read_input(args))
+    ds = _read_input(args, DivisorSpec.from_json_dict)
     d = datum_from_divisor(ds)
     p, one_bar = pencil_from_datum(d)
     H = reduction_covariant(p, args.precision)
     with mp.workprec(args.precision + 32):
-        v = mp.matrix([mp.mpf(x.numerator) / mp.mpf(x.denominator)
-                       for x in one_bar])
+        v = mp.matrix([to_mpf(x) for x in one_bar])
         quad = (v.T * H.as_mp() * v)[0, 0]
         formula = norm_of_one_formula(ds, args.precision)
         agree = bool(abs(quad - formula) <=
@@ -126,14 +133,14 @@ def cmd_norm_check(args):
 
 
 def cmd_height_check(args):
-    data = _read_input(args)
-    f = BinaryForm.from_json_dict(data["f"])
-    U = BinaryForm.from_json_dict(data["U"])
+    f, U, w = _read_input(args, lambda d: (
+        BinaryForm.from_json_dict(d["f"]), BinaryForm.from_json_dict(d["U"]),
+        Fraction(str(d["w"])) if "w" in d else None))
     fp = FamilyParams(args.cutoff_x, args.delta)
     prop = prop_bound_check(f, U, fp, args.precision)
     out = {"prop_bound": prop.to_json_dict()}
-    if "w" in data:
-        ds = DivisorSpec(f, U, Fraction(str(data["w"])))
+    if w is not None:
+        ds = DivisorSpec(f, U, w)
         vec = vector_length_bound_check(ds, fp, args.precision)
         out["vector_length_bound"] = vec.to_json_dict()
     _emit(args, out)

@@ -5,17 +5,25 @@ the entrywise-maximum construction: in a basis b_1..b_n diagonalizing both
 forms, (b_i, b_i)_H = max(|(b_i,b_i)_A|, |(b_i,b_i)_B|) and off-diagonals
 vanish.  H is real, positive definite, independent of the basis scaling, and
 transforms like the pencil under the unimodular action.
+
+With P = [v_1 .. v_n] and P^T M P = diag(d_i) for M = A and M = B, row i of
+P^-1 is (M v_i)^T / d_i, so H = P^-H diag P^-1 is the rank-one sum
+
+    H = sum_i diag_i / |d_i|^2 * conj(w_i) w_i^T,   w_i = M_i v_i,
+
+where M_i is whichever of A, B gives the larger |d_i|.  No matrix is
+inverted, and H is Hermitian term by term.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
-from .forms import DEFAULT_PRECISION, mahler_measure_with_error
+from .forms import (DEFAULT_PRECISION, complex_roots,
+                    mahler_measure_with_error)
 from .pencil import Pencil, invariant_form, pencil_discriminant
-from .roots import certified_roots
+from .roots import to_mpf
 
 _MAX_ESCALATIONS = 4
 
@@ -51,25 +59,9 @@ class DiagonalizingBasis:
     dA: tuple               # (b_i, b_i)_A
     dB: tuple               # (b_i, b_i)_B
 
-    def matrix(self):
-        P = mp.matrix(self.n)
-        for j, col in enumerate(self.columns):
-            for i, x in enumerate(col):
-                P[i, j] = x
-        return P
-
 
 def _mat_to_mp(rows):
-    n = len(rows)
-    M = mp.matrix(n)
-    for i in range(n):
-        for j in range(n):
-            x = rows[i][j]
-            if isinstance(x, Fraction):
-                M[i, j] = mp.mpf(x.numerator) / mp.mpf(x.denominator)
-            else:
-                M[i, j] = mp.mpf(x)
-    return M
+    return mp.matrix([[to_mpf(x) for x in row] for row in rows])
 
 
 def _nullvector(M, n):
@@ -174,47 +166,52 @@ def simultaneous_diagonalize(p: Pencil, precision=DEFAULT_PRECISION,
 
 
 def _projective_roots(f, precision):
-    """Projective roots (x0 : y0) of f, |x0|^2 + |y0|^2 = 1, conjugate-closed."""
-    coeffs = list(f.coeffs)
-    n_inf = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        n_inf += 1
-    pairs = certified_roots(coeffs, precision) if len(coeffs) > 1 else []
+    """Projective roots (x0 : y0) of f, |x0|^2 + |y0|^2 = 1, conjugate-closed.
+
+    Read off the certified root set of f: infinity is (1 : 0) and a finite
+    root z is (z : 1) / sqrt(1 + |z|^2).
+    """
     out = []
-    for z, _ in pairs:
-        s = mp.sqrt(1 + abs(z) ** 2)
-        out.append((z / s, 1 / s))
-    for _ in range(n_inf):
-        out.append((mp.mpc(1), mp.mpc(0)))
+    for e in complex_roots(f, precision).entries:
+        if e.at_infinity:
+            out.append((mp.mpc(1), mp.mpc(0)))
+        else:
+            s = mp.sqrt(1 + abs(e.value) ** 2)
+            out.append((e.value / s, 1 / s))
     return out
 
 
-def _assemble_gram(db: DiagonalizingBasis, diag, precision):
-    """H = P^-H diag P^-1, Hermitian by construction; returns (H_real, err)."""
+def _assemble_gram(p: Pencil, db: DiagonalizingBasis, diag, precision):
+    """H = sum_i diag_i / |d_i|^2 * conj(w_i) w_i^T with w_i = M_i v_i.
+
+    This is P^-H diag(diag) P^-1 without the inverse: since P^T M P is
+    diagonal for M = A and M = B, row i of P^-1 is w_i^T / d_i, where M_i is
+    whichever of A, B has the larger |d_i| = |v_i^T M_i v_i|.  Each term is
+    Hermitian, so only the imaginary part of the sum is checked.  Returns the
+    real GramMatrix, or None when the imaginary part is not negligible.
+    """
     n = db.n
-    P = db.matrix()
-    S = P ** -1
-    H = mp.matrix(n)
-    for i in range(n):
-        for j in range(n):
-            acc = mp.mpc(0)
-            for k in range(n):
-                acc += mp.conj(S[k, i]) * diag[k] * S[k, j]
-            H[i, j] = acc
-    scale = max(abs(H[i, j]) for i in range(n) for j in range(n))
-    imag_max = max(abs(mp.im(H[i, j])) for i in range(n) for j in range(n))
-    asym = max(abs(H[i, j] - mp.conj(H[j, i]))
-               for i in range(n) for j in range(n))
+    Amp = _mat_to_mp(p.A)
+    Bmp = _mat_to_mp(p.B)
+    H = [[mp.mpc(0)] * n for _ in range(n)]
+    for v, a, b, t in zip(db.columns, db.dA, db.dB, diag):
+        M, d = (Amp, a) if abs(a) >= abs(b) else (Bmp, b)
+        w = [sum(M[i, j] * v[j] for j in range(n)) for i in range(n)]
+        c = t / abs(d) ** 2
+        u = [c * mp.conj(x) for x in w]
+        for i in range(n):
+            for j in range(i, n):
+                H[i][j] += u[i] * w[j]
+    scale = max(abs(H[i][j]) for i in range(n) for j in range(i, n))
+    imag_max = max(abs(mp.im(H[i][j]))
+                   for i in range(n) for j in range(i, n))
     tol = n * mp.mpf(2) ** (-precision // 2) * max(scale, mp.mpf(1))
-    if imag_max > tol or asym > tol:
-        return None, None
-    R = mp.matrix(n)
-    for i in range(n):
-        for j in range(n):
-            R[i, j] = (mp.re(H[i, j]) + mp.re(H[j, i])) / 2
-    err = imag_max + asym + max(scale, mp.mpf(1)) * mp.mpf(2) ** (-precision // 2)
-    return R, err
+    if imag_max > tol:
+        return None
+    entries = tuple(tuple(mp.re(H[min(i, j)][max(i, j)]) for j in range(n))
+                    for i in range(n))
+    err = imag_max + max(scale, mp.mpf(1)) * mp.mpf(2) ** (-precision // 2)
+    return GramMatrix(n, entries, err)
 
 
 def reduction_covariant(p: Pencil, precision=DEFAULT_PRECISION) -> GramMatrix:
@@ -224,9 +221,9 @@ def reduction_covariant(p: Pencil, precision=DEFAULT_PRECISION) -> GramMatrix:
         db = simultaneous_diagonalize(p, prec)
         with mp.workprec(prec + 2 * p.n + 32):
             diag = [max(abs(a), abs(b)) for a, b in zip(db.dA, db.dB)]
-            R, err = _assemble_gram(db, diag, prec)
-            if R is not None:
-                return GramMatrix.from_mp(R, err)
+            H = _assemble_gram(p, db, diag, prec)
+            if H is not None:
+                return H
         prec *= 2
     raise PrecisionExhausted("covariant assembly did not certify")
 
@@ -248,10 +245,10 @@ def covariant_variant(p: Pencil, which: str,
         diag = [abs(v) for v in vals]
         if min(diag) <= tol:
             raise SingularVariant("%s has a zero diagonal value" % which)
-        R, err = _assemble_gram(db, diag, precision)
-        if R is None:
+        H = _assemble_gram(p, db, diag, precision)
+        if H is None:
             raise PrecisionExhausted("variant assembly did not certify")
-        return GramMatrix.from_mp(R, err)
+        return H
 
 
 def gram_det_with_error(H: GramMatrix):

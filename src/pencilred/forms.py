@@ -19,7 +19,7 @@ import mpmath as mp
 
 from . import polys
 from .errors import DegenerateForm
-from .roots import certified_roots
+from .roots import certified_roots, to_mpf
 
 DEFAULT_PRECISION = 256
 
@@ -48,10 +48,6 @@ class BinaryForm:
         for i, c in enumerate(self.coeffs):
             acc += c * x ** (n - i) * y ** i
         return acc
-
-    def dehomogenized(self):
-        """Coefficients of f(X,1), descending, leading zeros kept."""
-        return list(self.coeffs)
 
     def partial_x(self):
         n = self.degree
@@ -118,15 +114,12 @@ class RootEntry:
 @dataclass(frozen=True)
 class RootSet:
     degree: int
-    leading: object      # f0 of the input form
+    leading: object      # leading coefficient of f(X,1): the first nonzero f_i
     entries: tuple
     boundary_tol: object
 
     def inside(self):
         return [e for e in self.entries if not e.outside]
-
-    def outside_entries(self):
-        return [e for e in self.entries if e.outside]
 
 
 def height(f: BinaryForm):
@@ -212,13 +205,7 @@ def complex_roots(f: BinaryForm, precision=DEFAULT_PRECISION) -> RootSet:
             entries.append(RootEntry(z, r, bool(mag > 1), bool(boundary)))
         for _ in range(n_inf):
             entries.append(RootEntry(None, mp.mpf(0), True, False))
-        return RootSet(f.degree, f.coeffs[0], tuple(entries), tol)
-
-
-def _to_mpf(c):
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    return mp.mpf(c)
+        return RootSet(f.degree, coeffs[0], tuple(entries), tol)
 
 
 def mahler_measure_with_error(f: BinaryForm, precision=DEFAULT_PRECISION):
@@ -231,10 +218,7 @@ def mahler_measure_with_error(f: BinaryForm, precision=DEFAULT_PRECISION):
     """
     rs = complex_roots(f, precision)
     with mp.workprec(precision + 16):
-        i = 0
-        while f.coeffs[i] == 0:
-            i += 1
-        lead = abs(_to_mpf(f.coeffs[i]))
+        lead = abs(to_mpf(rs.leading))
         lo = hi = mp.mpf(1)
         for e in rs.entries:
             if e.at_infinity or not e.outside:
@@ -271,7 +255,7 @@ def leading_coefficient_bound_check(f: BinaryForm,
     value, err = mahler_measure_with_error(f, precision)
     bound = f.degree * sum(Fraction(c) ** 2 for c in f.coeffs)
     with mp.workprec(precision + 16):
-        return bool((value - err) ** 2 <= _to_mpf(Fraction(bound)) + err)
+        return bool((value - err) ** 2 <= to_mpf(bound) + err)
 
 
 # ----------------------------------------------------------------------------

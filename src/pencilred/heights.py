@@ -19,6 +19,7 @@ from .forms import (DEFAULT_PRECISION, BinaryForm, discriminant, height,
                     is_irreducible, mahler_measure_with_error)
 from .orbits import (DivisorSpec, datum_from_divisor, integralize,
                      norm_of_one_formula, pencil_from_datum)
+from .roots import to_mpf
 
 INEQ_TOLERANCE = 1e-9
 
@@ -151,7 +152,7 @@ def vector_length_bound_check(ds: DivisorSpec, fp: FamilyParams,
     H = reduction_covariant(p_used, precision)
     with mp.workprec(precision + 32):
         Hm = H.as_mp()
-        v = mp.matrix([_fr_to_mp(x) for x in vec])
+        v = mp.matrix([to_mpf(x) for x in vec])
         q = (v.T * Hm * v)[0, 0]
         det_h, _ = gram_det_with_error(H)
         lhs = n * mp.log(q) - mp.log(det_h)
@@ -161,8 +162,3 @@ def vector_length_bound_check(ds: DivisorSpec, fp: FamilyParams,
                + n * mp.mpf(fp.delta) * logX + kappa_n)
         holds = bool(lhs <= rhs + INEQ_TOLERANCE + n * H.error_bound)
     return BoundCheck(lhs, rhs, holds, tuple(flags))
-
-
-def _fr_to_mp(x):
-    x = Fraction(x)
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)

@@ -7,13 +7,11 @@ Fractions.  Everything here is exact; multiprecision floats live elsewhere.
 from fractions import Fraction
 from math import gcd
 
+from . import polys
+
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(r, c):
-    return [[0] * c for _ in range(r)]
 
 
 def transpose(M):
@@ -29,10 +27,6 @@ def mat_mul(A, B):
 
 def mat_vec(M, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in M]
-
-
-def mat_scale(M, s):
-    return [[s * x for x in row] for row in M]
 
 
 def is_symmetric(M):
@@ -171,18 +165,6 @@ def column_hnf_transform(M):
     return H, V
 
 
-def kernel_int(M):
-    """Basis (list of integer vectors) of the integer kernel of M."""
-    r = len(M)
-    k = len(M[0]) if r else 0
-    H, V = column_hnf_transform(M)
-    basis = []
-    for j in range(k):
-        if all(H[i][j] == 0 for i in range(r)):
-            basis.append([V[i][j] for i in range(k)])
-    return basis
-
-
 def fp_nullspace(M, p):
     """Nullspace basis of M over F_p (rows are vectors)."""
     rows = [[x % p for x in row] for row in M]
@@ -212,26 +194,6 @@ def fp_nullspace(M, p):
     return basis
 
 
-def _factor_smooth(m, bound=10 ** 6):
-    out = {}
-    d = 2
-    while d * d <= m and d <= bound:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        if m > bound * bound and not _looks_prime(m):
-            raise ValueError("modulus has an intractable composite factor")
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def _looks_prime(n):
-    from .polys import is_probable_prime
-    return is_probable_prime(n)
-
-
 def kernel_mod(M, m):
     """Row basis of the lattice {x in Z^k : M x == 0 (mod m)}.
 
@@ -244,7 +206,7 @@ def kernel_mod(M, m):
         return identity_matrix(k)
     K = None
     m_done = 1
-    for p, e in sorted(_factor_smooth(m).items()):
+    for p, e in sorted(polys.factor_trial(m).items()):
         q = p ** e
         B = identity_matrix(k)
         for j in range(1, e + 1):

@@ -22,6 +22,7 @@ from .errors import (DivisorMeetsWeierstrass, InconsistentW, InvalidDatum,
                      NotFound, NotPrimitive, PreconditionError)
 from .forms import DEFAULT_PRECISION, BinaryForm, complex_roots
 from .pencil import Pencil, invariant_form
+from .roots import to_mpf
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,6 @@ class AlgebraElement:
     def _check(self, other):
         if self.modulus != other.modulus:
             raise ValueError("elements of different algebras")
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
 
     def multiplication_matrix(self):
         """Matrix of multiplication by self on the power basis (columns are
@@ -229,11 +227,8 @@ class DivisorSpec:
 
     def affine_degree(self):
         """Degree k of U(X,1) and its leading coefficient u_k."""
-        cs = list(self.U.coeffs)
-        i = 0
-        while i < len(cs) - 1 and cs[i] == 0:
-            i += 1
-        return self.U.degree - i, cs[i]
+        cs = polys.ptrim(self.U.coeffs)
+        return len(cs) - 1, cs[0]
 
     def to_json_dict(self):
         return {"f": self.f.to_json_dict(), "U": self.U.to_json_dict(),
@@ -300,11 +295,7 @@ def _eval_mp(form: BinaryForm, x, y):
     x = mp.mpc(x)
     y = mp.mpc(y)
     for i, c in enumerate(form.coeffs):
-        if isinstance(c, Fraction):
-            cm = mp.mpf(c.numerator) / mp.mpf(c.denominator)
-        else:
-            cm = mp.mpf(c)
-        acc += cm * x ** (n - i) * y ** i
+        acc += to_mpf(c) * x ** (n - i) * y ** i
     return acc
 
 
@@ -411,36 +402,6 @@ def _fp_lines(basis, p, cap):
     return out
 
 
-def _solve_fp(rows_lhs, rhs, p):
-    """One solution of a small linear system over F_p, or None."""
-    m = len(rows_lhs)
-    ncols = len(rows_lhs[0])
-    aug = [[rows_lhs[i][j] % p for j in range(ncols)] + [rhs[i] % p]
-           for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if aug[i][c] % p), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][ncols]:
-            return None
-    sol = [0] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return sol
-
-
 def _grow_candidates(rows, A, B, p, cap=64):
     """Index-p overlattices L + (1/p)u keeping both forms integral.
 
@@ -468,9 +429,11 @@ def _grow_candidates(rows, A, B, p, cap=64):
             # (x + pw)^T G (x + pw) = q + 2p w.Gx mod p^2
             ga_x = linalg.mat_vec(GAi, x)
             gb_x = linalg.mat_vec(GBi, x)
-            lhs = [[2 * v % p for v in ga_x], [2 * v % p for v in gb_x]]
-            rhs = [(-(qa // p)) % p, (-(qb // p)) % p]
-            w = _solve_fp(lhs, rhs, p)
+            # w with 2 w.Gx = -q/p (mod p): null vectors (w, 1) of [2Gx, q/p]
+            aug = [[2 * v % p for v in ga_x] + [qa // p % p],
+                   [2 * v % p for v in gb_x] + [qb // p % p]]
+            w = next((v[:-1] for v in linalg.fp_nullspace(aug, p) if v[-1]),
+                     None)
             if w is not None:
                 xx = [a + p * b for a, b in zip(x, w)]
                 qa2 = sum(GAi[i][j] * xx[i] * xx[j]
@@ -494,10 +457,6 @@ def _sublattice_candidates(rows, p, cap=64):
         K = linalg.kernel_mod([lam], p)
         out.append(linalg.mat_mul(K, rows))
     return out
-
-
-def _prime_factors(m):
-    return polys._prime_divisors(m)
 
 
 def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
@@ -554,7 +513,7 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
 
     # seeds: the integral hull of Z^n and of its q-refinements
     push(_shrink_to_integral(linalg.identity_matrix(n), A, B))
-    for q in _prime_factors(den):
+    for q in polys.factor_trial(den):
         refined = [[Fraction(int(i == j), q) for j in range(n)]
                    for i in range(n)]
         push(_shrink_to_integral(refined, A, B))
@@ -567,7 +526,7 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         if c == 1:
             return _finish(p, rows, A, B)
         if c > 1:
-            for q in _prime_factors(c.numerator):
+            for q in polys.factor_trial(c.numerator):
                 for cand in _grow_candidates(rows, A, B, q):
                     GA = _gram(cand, A)
                     GB = _gram(cand, B)
@@ -575,7 +534,7 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
                             and _gram_denominator(GB) == 1):
                         push(cand)
         else:
-            for q in _prime_factors(c.denominator):
+            for q in polys.factor_trial(c.denominator):
                 for cand in _sublattice_candidates(rows, q):
                     push(cand)
     raise NotFound("no integral representative within the search budget")

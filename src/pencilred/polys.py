@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .linalg import det_bareiss
+from . import linalg
 
 
 def ptrim(p):
@@ -38,22 +38,6 @@ def padd(p, q):
 
 def pneg(p):
     return [-c for c in p]
-
-
-def pmul(p, q):
-    if pdeg(p) < 0 or pdeg(q) < 0:
-        return [0]
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return ptrim(out)
-
-
-def pscale(p, s):
-    return ptrim([s * c for c in p])
 
 
 def peval(p, x):
@@ -148,7 +132,7 @@ def sylvester_resultant(p, q):
         rows.append([0] * i + pi + [0] * (size - n - 1 - i))
     for i in range(n):
         rows.append([0] * i + qi + [0] * (size - m - 1 - i))
-    res = det_bareiss(rows)
+    res = linalg.det_bareiss(rows)
     if den == 1:
         return res
     return Fraction(res, den ** size)
@@ -256,20 +240,6 @@ def pm_powmod(base, e, mod, p):
     return result
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def pm_is_irreducible(f, p):
     """Rabin irreducibility test for f mod p (f squarefree mod p assumed not)."""
     f = pm_trim([c % p for c in f])
@@ -284,7 +254,7 @@ def pm_is_irreducible(f, p):
     xq = pm_powmod(x, p ** n, f, p)
     if pm_sub(xq, x, p) != [0]:
         return False
-    for q in _prime_divisors(n):
+    for q in factor_trial(n):
         xqk = pm_powmod(x, p ** (n // q), f, p)
         d = pm_sub(xqk, x, p)
         if pm_gcd(d, f, p) != [1]:
@@ -385,12 +355,26 @@ def next_prime(n):
     return n
 
 
-def small_primes(count, start=3):
-    out = []
-    p = start - 1
-    while len(out) < count:
-        p = next_prime(p)
-        out.append(p)
+_TRIAL_BOUND = 10 ** 6
+
+
+def factor_trial(m):
+    """{prime: exponent} of m >= 1 by trial division up to 10^6.
+
+    A cofactor left above 10^12 must pass the probable-prime test, else
+    ValueError: it would be a composite with no factor below 10^6.
+    """
+    out = {}
+    d = 2
+    while d * d <= m and d <= _TRIAL_BOUND:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        if m > _TRIAL_BOUND ** 2 and not is_probable_prime(m):
+            raise ValueError("composite factor with no prime below 10^6")
+        out[m] = out.get(m, 0) + 1
     return out
 
 

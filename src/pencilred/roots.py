@@ -18,14 +18,15 @@ from .errors import PrecisionExhausted
 _MAX_ESCALATIONS = 5
 
 
-def _to_mpc(c):
-    if isinstance(c, Fraction):
-        return mp.mpc(mp.mpf(c.numerator) / mp.mpf(c.denominator))
-    return mp.mpc(c)
+def to_mpf(x):
+    """An int or Fraction as an mpf at the working precision."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    return mp.mpf(x)
 
 
 def _poly_and_deriv(coeffs):
-    p = [_to_mpc(c) for c in coeffs]
+    p = [to_mpf(c) for c in coeffs]
     n = len(p) - 1
     dp = [c * (n - i) for i, c in enumerate(p[:-1])]
     return p, dp
@@ -42,7 +43,7 @@ def _initial_guesses(coeffs):
     """Durand-Kerner at ~60 bits gives adequate starting points."""
     with mp.workprec(60):
         try:
-            zs = mp.polyroots([_to_mpc(c) for c in coeffs], maxsteps=200,
+            zs = mp.polyroots([to_mpf(c) for c in coeffs], maxsteps=200,
                               extraprec=80)
             return [mp.mpc(z) for z in zs]
         except (mp.libmp.libhyper.NoConvergence, ZeroDivisionError):
@@ -50,8 +51,8 @@ def _initial_guesses(coeffs):
     n = len(coeffs) - 1
     # fallback: points on a circle of radius from the coefficient bound
     with mp.workprec(60):
-        lead = abs(_to_mpc(coeffs[0]))
-        r = 1 + max(abs(_to_mpc(c)) for c in coeffs[1:]) / lead if n else 1
+        lead = abs(to_mpf(coeffs[0]))
+        r = 1 + max(abs(to_mpf(c)) for c in coeffs[1:]) / lead if n else 1
         return [r * mp.exp(2j * mp.pi * (k + mp.mpf(1) / 3) / n)
                 for k in range(n)]
 
@@ -104,8 +105,8 @@ def _certified_roots_cached(coeffs, precision):
         return ()
     if n == 1:
         with mp.workprec(precision + 16):
-            a, b = _to_mpc(coeffs[0]), _to_mpc(coeffs[1])
-            z = -b / a
+            a, b = to_mpf(coeffs[0]), to_mpf(coeffs[1])
+            z = mp.mpc(-b / a)
             return ((z, mp.mpf(2) ** (-precision) * (1 + abs(z))),)
     zs = _initial_guesses(coeffs)
     wp = precision + 32

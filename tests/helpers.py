@@ -183,6 +183,40 @@ def disc_product_oracle(factors):
     return out
 
 
+def assemble_gram_reference(db, diag, precision):
+    """Reference covariant assembly: H = P^-H diag P^-1 through an explicit
+    inverse of P = [columns of db], then symmetrized.  Returns (H real as an
+    mp.matrix, err), or (None, None) when H is not numerically Hermitian.
+    Call it at the working precision of the library's own assembly."""
+    n = db.n
+    P = mp.matrix(n)
+    for j, col in enumerate(db.columns):
+        for i, x in enumerate(col):
+            P[i, j] = x
+    S = P ** -1
+    H = mp.matrix(n)
+    for i in range(n):
+        for j in range(n):
+            acc = mp.mpc(0)
+            for k in range(n):
+                acc += mp.conj(S[k, i]) * diag[k] * S[k, j]
+            H[i, j] = acc
+    scale = max(abs(H[i, j]) for i in range(n) for j in range(n))
+    imag_max = max(abs(mp.im(H[i, j])) for i in range(n) for j in range(n))
+    asym = max(abs(H[i, j] - mp.conj(H[j, i]))
+               for i in range(n) for j in range(n))
+    tol = n * mp.mpf(2) ** (-precision // 2) * max(scale, mp.mpf(1))
+    if imag_max > tol or asym > tol:
+        return None, None
+    R = mp.matrix(n)
+    for i in range(n):
+        for j in range(n):
+            R[i, j] = (mp.re(H[i, j]) + mp.re(H[j, i])) / 2
+    err = imag_max + asym + max(scale, mp.mpf(1)) * mp.mpf(2) ** (
+        -precision // 2)
+    return R, err
+
+
 def gram_of_basis(U, H):
     """U H U^T for integer rows U and GramMatrix H, in mp."""
     Um = mp.matrix([list(r) for r in U])

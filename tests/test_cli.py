@@ -141,6 +141,20 @@ def test_density_command():
 def test_parse_failure_exit1():
     res = run_cli("invariant", payload={"n": 4})
     assert res.returncode == 1
+    f = {"degree": 4, "coeffs": ["1", "0", "0", "0", "3"]}
+    U = {"degree": 1, "coeffs": ["1", "-1"]}
+    for args, payload in (
+            (("covariant",), {"n": 4, "A": 5, "B": 5}),
+            (("orbit",), {"f": f, "alpha": ["0", "1", "0", "0"],
+                          "z": "1/0"}),
+            (("norm-check",), {"f": f, "U": U, "w": "1/0"}),
+            (("height-check", "--cutoff-X", "4"), {"f": f, "U": U,
+                                                   "w": "1/0"}),
+            (("invariant",), [1, 2])):
+        res = run_cli(*args, payload=payload)
+        assert res.returncode == 1, (args, res.stderr)
+        assert res.stderr.startswith("input error:")
+        assert "Traceback" not in res.stderr
 
 
 def test_unknown_flag_rejected():

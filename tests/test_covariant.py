@@ -7,7 +7,10 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from helpers import mp_matrix_of, rand_pencil, rand_unimodular
+from helpers import (assemble_gram_reference, mp_matrix_of, rand_pencil,
+                     rand_unimodular)
+from pencilred.reduce import rationalize_gram
+from pencilred.roots import _certified_roots_cached
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -129,6 +132,63 @@ def test_covariant_scale_covariance():
             diff = max(abs(Hs.entries[i][j] - abs(lam) * H.entries[i][j])
                        for i in range(4) for j in range(4))
             assert diff < 1e-20
+
+
+def _pencil_with_zero_end(rng, end):
+    """A seeded nondegenerate n = 4 pencil with f0 = 0 (end=0: a root at
+    infinity) or fn = 0 (end=-1: a root at 0)."""
+    while True:
+        p = rand_pencil(rng, 4, 2)
+        if pr.invariant_form(p).coeffs[end] == 0:
+            return p
+
+
+def _assembly_cases():
+    rng = random.Random(36)
+    cases = [rand_pencil(rng, n, 3)
+             for n, count in ((2, 3), (4, 4), (6, 2), (8, 1), (10, 1))
+             for _ in range(count)]
+    return cases + [_pencil_with_zero_end(rng, 0),
+                    _pencil_with_zero_end(rng, -1)]
+
+
+@pytest.mark.parametrize("precision", (96, 256))
+def test_rank_one_assembly_matches_inverse_reference(precision):
+    """H from the rank-one sum lies within its error bound of P^-H D P^-1,
+    and the Gram handed to LLL (rationalized at `precision` bits, as
+    lll_reduce does) is the same bit for bit; also for the R1/R2 variants."""
+    for p in _assembly_cases():
+        db = pr.simultaneous_diagonalize(p, precision)
+        for which in (None, "R1", "R2"):
+            if which is None:
+                H = pr.reduction_covariant(p, precision)
+            else:
+                try:
+                    H = pr.covariant_variant(p, which, precision)
+                except pr.SingularVariant:
+                    continue
+            with mp.workprec(precision + 2 * p.n + 32):
+                diag = [abs(a) if which == "R1" else abs(b) if which == "R2"
+                        else max(abs(a), abs(b))
+                        for a, b in zip(db.dA, db.dB)]
+                R, _ = assemble_gram_reference(db, diag, precision)
+                ref = pr.GramMatrix.from_mp(R, H.error_bound)
+            diff = max(abs(H.entries[i][j] - R[i, j])
+                       for i in range(p.n) for j in range(p.n))
+            assert diff <= H.error_bound, (p, which)
+            assert (rationalize_gram(H, precision)
+                    == rationalize_gram(ref, precision)), (p, which)
+
+
+def test_root_at_zero_certified_once():
+    """With fn = 0 the covariant and the Mahler measure share one root
+    certificate of f(X,1) with its zero root split off."""
+    p = _pencil_with_zero_end(random.Random(37), -1)
+    f = pr.invariant_form(p)
+    _certified_roots_cached.cache_clear()
+    pr.reduction_covariant(p, 128)
+    pr.mahler_measure_with_error(f, 128)
+    assert _certified_roots_cached.cache_info().misses == 1
 
 
 def test_variant_r1_identity():

@@ -80,7 +80,8 @@ def test_complex_roots_unit_circle():
 def test_complex_roots_split_classes():
     rs = pr.complex_roots(SPLIT, 128)
     inside = sorted(round(float(mp.re(e.value))) for e in rs.inside())
-    outside = sorted(round(float(mp.re(e.value))) for e in rs.outside_entries())
+    outside = sorted(round(float(mp.re(e.value)))
+                     for e in rs.entries if e.outside)
     assert inside == [-1, 1]
     assert outside == [2, 3]
 

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from pencilred import linalg, polys
 
 
@@ -37,15 +39,6 @@ def test_column_hnf_transform_properties():
         H, V = linalg.column_hnf_transform(M)
         assert linalg.det_bareiss(V) in (1, -1)
         assert linalg.mat_mul(M, V) == H
-
-
-def test_kernel_int():
-    M = [[1, 2, 3], [2, 4, 6]]
-    ker = linalg.kernel_int(M)
-    assert len(ker) == 2
-    for v in ker:
-        assert all(sum(M[i][j] * v[j] for j in range(3)) == 0
-                   for i in range(2))
 
 
 def test_kernel_mod():
@@ -96,6 +89,12 @@ def test_primes():
     assert polys.next_prime(13) == 17
     assert polys.is_probable_prime(2 ** 61 - 1)
     assert not polys.is_probable_prime(2 ** 61 + 1)
+    assert polys.factor_trial(1) == {}
+    assert polys.factor_trial(360) == {2: 3, 3: 2, 5: 1}
+    assert polys.factor_trial(12 * (2 ** 61 - 1)) == {2: 2, 3: 1,
+                                                     2 ** 61 - 1: 1}
+    with pytest.raises(ValueError):     # no factor below 10^6, composite
+        polys.factor_trial(1000003 * 1000033)
 
 
 def test_row_hnf_lattice_invariance():
