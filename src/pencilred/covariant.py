@@ -46,9 +46,9 @@ class GramMatrix:
 
     @classmethod
     def from_mp(cls, M, error_bound, tag=""):
+        """Keeps the entries of M as they are, at their own precision."""
         n = M.rows
-        entries = tuple(tuple(mp.mpf(M[i, j]) for j in range(n))
-                        for i in range(n))
+        entries = tuple(tuple(M[i, j] for j in range(n)) for i in range(n))
         return cls(n, entries, mp.mpf(error_bound), tag)
 
 

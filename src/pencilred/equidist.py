@@ -19,8 +19,7 @@ from .forms import (BinaryForm, height, mahler_measure_with_error,
                     real_root_count)
 from .heights import FamilyParams, family_membership
 from .pencil import Pencil, invariant_form, pencil_discriminant
-from .reduce import (iwasawa_coordinates, lll_gram, rationalize_gram,
-                     rebase_gram, shortest_vector)
+from .reduce import Lattice, det_ratio, exact_gram, form_norm, lll_gram
 
 MEASURE_CAVEAT = ("entries uniform in a box, not the height-ball measure; "
                   "qualitative analogue only")
@@ -111,18 +110,17 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
             continue
         m2 = real_root_count(f)
         H = reduction_covariant(p, precision)
-        v, norm = shortest_vector(H, precision)
+        G = exact_gram(H, precision)
+        lattice = Lattice.of(G, lll_gram(G))
+        norm = form_norm(H, lattice.shortest_vector(), precision)
         with mp.workprec(precision + 32):
             det_h, det_err = gram_det_with_error(H)
-            ratio = mp.sqrt(norm) / det_h ** (mp.mpf(1) / (2 * n))
+            ratio = det_ratio(norm, det_h, n)
             mah, mah_err = mahler_measure_with_error(f, precision)
             ok = bool(abs(det_h - mah) <= det_err + mah_err
                       + mp.mpf(2) ** (-precision // 2) * max(mp.mpf(1), mah))
-        U = lll_gram(rationalize_gram(H, min(precision, 128)))
-        iw = iwasawa_coordinates(rebase_gram(H, U, precision),
-                                 precision=precision)
-        items.append(SampleItem(idx, p, int(ht), True, m2 // 2,
-                                ratio, iw.t, ok))
+        items.append(SampleItem(idx, p, int(ht), True, m2 // 2, ratio,
+                                lattice.iwasawa(precision=precision).t, ok))
     return SampleBatch(n, B, count, seed, precision, tuple(items))
 
 

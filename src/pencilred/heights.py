@@ -8,6 +8,7 @@ is assembled from two elementary estimates: a product bound on the root
 differences and a bound keeping the roots near the unit circle.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +31,8 @@ class FamilyParams:
     delta: float
 
     def __post_init__(self):
-        if not self.X > 0:
-            raise ValueError("X must be positive")
+        if not 0 < self.X < math.inf:
+            raise ValueError("X must be positive and finite")
         if not 0 <= self.delta < 1:
             raise ValueError("delta must lie in [0, 1)")
 

@@ -116,55 +116,6 @@ def inverse_unimodular(M):
     return out
 
 
-def column_hnf_transform(M):
-    """Column echelon form by unimodular column operations.
-
-    Returns (H, V) with H = M * V, V integer unimodular.  Zero columns of H
-    are pushed to the right, so the rightmost columns of V spanning them are
-    a basis of the integer kernel of M.
-    """
-    H = [list(row) for row in M]
-    r = len(H)
-    k = len(H[0]) if r else 0
-    V = identity_matrix(k)
-    pivot_col = 0
-    for row in range(r):
-        if pivot_col >= k:
-            break
-        # gcd-eliminate everything right of pivot_col in this row
-        while True:
-            nz = [j for j in range(pivot_col + 1, k) if H[row][j] != 0]
-            if not nz:
-                break
-            for j in nz:
-                a, b = H[row][pivot_col], H[row][j]
-                if a == 0:
-                    for i in range(r):
-                        H[i][pivot_col], H[i][j] = H[i][j], H[i][pivot_col]
-                    for i in range(k):
-                        V[i][pivot_col], V[i][j] = V[i][j], V[i][pivot_col]
-                    continue
-                q = b // a
-                if q:
-                    for i in range(r):
-                        H[i][j] -= q * H[i][pivot_col]
-                    for i in range(k):
-                        V[i][j] -= q * V[i][pivot_col]
-                if H[row][j] != 0:
-                    for i in range(r):
-                        H[i][pivot_col], H[i][j] = H[i][j], H[i][pivot_col]
-                    for i in range(k):
-                        V[i][pivot_col], V[i][j] = V[i][j], V[i][pivot_col]
-        if H[row][pivot_col] != 0:
-            if H[row][pivot_col] < 0:
-                for i in range(r):
-                    H[i][pivot_col] = -H[i][pivot_col]
-                for i in range(k):
-                    V[i][pivot_col] = -V[i][pivot_col]
-            pivot_col += 1
-    return H, V
-
-
 def fp_nullspace(M, p):
     """Nullspace basis of M over F_p (rows are vectors)."""
     rows = [[x % p for x in row] for row in M]
@@ -273,16 +224,3 @@ def row_hnf(rows):
                 out[r] = [a - q * b for a, b in zip(out[r], out[i])]
     return out
 
-
-def complete_primitive_vector(v):
-    """Integer matrix with det +-1 whose first row is the primitive vector v."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g != 1:
-        raise ValueError("vector is not primitive")
-    H, V = column_hnf_transform([list(v)])
-    W = inverse_unimodular(V)
-    if W[0] != list(v):
-        raise AssertionError("completion failed")
-    return W

@@ -2,15 +2,21 @@
 
 LLL runs exactly on a dyadic rationalization of the covariant Gram matrix;
 the unimodular change of basis is exact integers, so reducing a pencil never
-perturbs it.  Short vectors come from exact Fincke-Pohst enumeration on the
-rational Gram.  Iwasawa coordinates follow the convention H = (nt)^-T (nt)^-1
-with n unit upper triangular and t the positive diagonal, which is the one
-that makes a short lattice vector force t_1 large (the cusp test).
+perturbs it.  Every other lattice answer reads one `Lattice`: a basis of
+`exact_gram(H)` (H rationalized at precision bits, at most 192), its Gram
+scaled to integers and that Gram's integral Gram-Schmidt data (d, lam).
+Short vectors come from exact Fincke-Pohst enumeration on it.  Iwasawa
+coordinates follow the convention H = (nu t)^-T (nu t)^-1 with nu unit upper
+triangular and t positive diagonal of product 1 (H rescaled to det 1), read
+off as t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}) and nu = L^-T, with
+L_ij = lam_ij / d_{j+1}.  So t_1 = det(H)^(1/2n) / |b_1|_H, and with a
+shortest vector v first the cusp test t_1 > c^(n-1) / eps reads
+|v|_H / det(H)^(1/2n) < eps / c^(n-1).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import mpmath as mp
 
@@ -19,6 +25,7 @@ from .covariant import GramMatrix, reduction_covariant
 from .errors import DegeneratePencil, DimensionTooLarge, RangeError
 from .forms import DEFAULT_PRECISION
 from .pencil import Pencil, UnimodularMatrix, act, pencil_discriminant
+from .roots import to_mpf
 
 # Covering Siegel constant sqrt(3)/2; the cusp estimates need c < 1.
 SIEGEL_C = 0.86602540378443864676
@@ -181,18 +188,66 @@ def rebase_gram(H: GramMatrix, U, precision=DEFAULT_PRECISION) -> GramMatrix:
         return GramMatrix.from_mp(Hr, H.error_bound * n * n * size ** 2)
 
 
-def _enumerate_minima(G):
-    """All nonzero minimizers of the exact rational form G.
+def exact_gram(H: GramMatrix, precision=DEFAULT_PRECISION):
+    """H rationalized at precision bits, at most 192: the exact Gram behind
+    shortest vectors, Iwasawa coordinates, the cusp test and the sampler."""
+    return rationalize_gram(H, min(precision, 192))
 
-    Fincke-Pohst from the last coordinate down on G scaled to integers, with
-    rational arithmetic only; the LDL^T comes from the integral Gram-Schmidt
-    data as L_ij = lam_ij / d_{j+1} and D_i = d_{i+1} / d_i.  The radius
-    starts at the smallest diagonal entry and shrinks as better vectors
-    appear.
+
+@dataclass(frozen=True)
+class Lattice:
+    """The basis whose coordinates are the rows of U, under an exact Gram.
+
+    Gb = s U G U^T is its Gram scaled to integers by the lcm s of the
+    denominators of G, and (d, lam) is the integral Gram-Schmidt data of Gb.
     """
-    G = _integral_gram(G)
+    U: list
+    Gb: list
+    d: list
+    lam: list
+
+    @classmethod
+    def of(cls, G, U):
+        Gb = linalg.mat_mul(U, linalg.mat_mul(_integral_gram(G),
+                                              linalg.transpose(U)))
+        return cls(U, Gb, *_integral_gso(Gb))
+
+    def shortest_vector(self):
+        """The canonical shortest nonzero vector, in the coordinates of G."""
+        Ut = linalg.transpose(self.U)
+        return _canonical_minimizer(
+            tuple(linalg.mat_vec(Ut, list(x)))
+            for x in _enumerate_minima(self.Gb, self.d, self.lam))
+
+    def iwasawa(self, c=SIEGEL_C, precision=DEFAULT_PRECISION):
+        """Iwasawa coordinates of this basis's Gram rescaled to det 1, as in
+        the module docstring; L^-1 comes from exact forward substitution."""
+        d, lam = self.d, self.lam
+        n = len(self.U)
+        Linv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i):
+                Linv[i][j] = -sum(Fraction(lam[i][k], d[k + 1]) * Linv[k][j]
+                                  for k in range(j, i))
+        with mp.workprec(precision + 32):
+            root = to_mpf(d[n]) ** (mp.mpf(1) / (2 * n))
+            t = tuple(root * mp.sqrt(to_mpf(Fraction(d[i], d[i + 1])))
+                      for i in range(n))
+            nu = tuple(tuple(to_mpf(Linv[j][i]) for j in range(i + 1, n))
+                       for i in range(n))
+            ok = all(t[i] / t[i + 1] > c for i in range(n - 1))
+        return IwasawaCoordinates(t, nu, bool(ok), float(c))
+
+
+def _enumerate_minima(G, d, lam):
+    """All nonzero minimizers of the positive definite integer form G.
+
+    Fincke-Pohst from the last coordinate down, with rational arithmetic
+    only; the LDL^T comes from the integral Gram-Schmidt data (d, lam) of G
+    as L_ij = lam_ij / d_{j+1} and D_i = d_{i+1} / d_i.  The radius starts at
+    the smallest diagonal entry and shrinks as better vectors appear.
+    """
     n = len(G)
-    d, lam = _integral_gso(G)
     L = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
     D = [Fraction(d[i + 1], d[i]) for i in range(n)]
     best = min(G[i][i] for i in range(n))
@@ -255,99 +310,67 @@ def _canonical_minimizer(vectors):
     return min(normed, key=lambda v: tuple(reversed(v)))
 
 
+def form_norm(H: GramMatrix, v, precision=DEFAULT_PRECISION):
+    """v^T H v for an integer vector v."""
+    with mp.workprec(precision + 32):
+        vec = mp.matrix(list(v))
+        return (vec.T * H.as_mp() * vec)[0, 0]
+
+
+def det_ratio(norm, det, n):
+    """|v|_H / det(H)^(1/2n) for norm = v^T H v and det = det(H): invariant
+    under scaling H and under a change of basis."""
+    return mp.sqrt(norm) / det ** (mp.mpf(1) / (2 * n))
+
+
 def shortest_vector(H: GramMatrix, precision=DEFAULT_PRECISION):
     """Exact shortest nonzero vector of Z^n under the form H (n <= 12).
 
-    Enumeration runs on the dyadic rationalization of H; ties are broken by
-    sign normalization followed by colexicographic order, so the result is
-    deterministic.  Returns (v, norm) with the norm evaluated against H.
+    Enumeration runs on the LLL-reduced `exact_gram` of H; ties are broken
+    by sign normalization followed by colexicographic order, so the result
+    is deterministic.  Returns (v, norm) with the norm evaluated against H.
     """
     if H.n > 12:
         raise DimensionTooLarge("exact enumeration supports n <= 12")
-    bits = min(precision, 192)
-    G = rationalize_gram(H, bits)
-    U = lll_gram(G)
-    Gr = linalg.mat_mul(U, linalg.mat_mul(G, linalg.transpose(U)))
-    minima = _enumerate_minima(Gr)
-    candidates = [tuple(linalg.mat_vec(linalg.transpose(U), list(xv)))
-                  for xv in minima]
-    v = _canonical_minimizer(candidates)
-    with mp.workprec(precision + 32):
-        Hm = H.as_mp()
-        vec = mp.matrix(list(v))
-        norm = (vec.T * Hm * vec)[0, 0]
-    return v, norm
+    G = exact_gram(H, precision)
+    v = Lattice.of(G, lll_gram(G)).shortest_vector()
+    return v, form_norm(H, v, precision)
 
 
 def epsilon_small_test(H: GramMatrix, eps, precision=DEFAULT_PRECISION) -> bool:
     """True iff the shortest vector satisfies (v,v)^(1/2) < eps*det(H)^(1/2n)."""
-    v, norm = shortest_vector(H, precision)
+    _, norm = shortest_vector(H, precision)
     with mp.workprec(precision + 32):
-        d = mp.det(H.as_mp())
-        return bool(mp.sqrt(norm) < mp.mpf(eps) * d ** (mp.mpf(1) / (2 * H.n)))
-
-
-def _ldl_mp(M, n):
-    L = mp.eye(n)
-    D = [mp.mpf(0)] * n
-    for j in range(n):
-        d = M[j, j] - mp.fsum(L[j, k] ** 2 * D[k] for k in range(j))
-        D[j] = d
-        for i in range(j + 1, n):
-            L[i, j] = (M[i, j] - mp.fsum(
-                L[i, k] * L[j, k] * D[k] for k in range(j))) / d
-    return L, D
+        return bool(det_ratio(norm, mp.det(H.as_mp()), H.n) < mp.mpf(eps))
 
 
 def iwasawa_coordinates(H: GramMatrix, c=SIEGEL_C,
                         precision=DEFAULT_PRECISION) -> IwasawaCoordinates:
-    """Iwasawa coordinates of the det-1 rescaling of H.
-
-    Writes H1 = (nu * t)^-T (nu * t)^-1 with nu unit upper triangular and t
-    positive diagonal with product 1; equivalently H1^-1 = nu t^2 nu^T, a
-    UDU^T factorization, computed as an order-reversed LDL^T.
-    """
-    n = H.n
-    with mp.workprec(precision + 32):
-        Hm = H.as_mp()
-        d = mp.det(Hm)
-        H1 = Hm / d ** (mp.mpf(1) / n)
-        C = H1 ** -1
-        Cf = mp.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                Cf[i, j] = C[n - 1 - i, n - 1 - j]
-        L, D = _ldl_mp(Cf, n)
-        t = tuple(mp.sqrt(D[n - 1 - i]) for i in range(n))
-        nu = tuple(tuple(L[n - 1 - i, n - 1 - j] for j in range(i + 1, n))
-                   for i in range(n))
-        ok = all(t[i] / t[i + 1] > c for i in range(n - 1))
-    return IwasawaCoordinates(t, nu, bool(ok), float(c))
+    """Iwasawa coordinates of the det-1 rescaling of H in the standard basis:
+    H1 = (nu * t)^-T (nu * t)^-1, nu unit upper triangular, t positive
+    diagonal with product 1."""
+    return Lattice.of(exact_gram(H, precision),
+                      linalg.identity_matrix(H.n)).iwasawa(c, precision)
 
 
 def cusp_membership(H: GramMatrix, eps, c=SIEGEL_C,
                     precision=DEFAULT_PRECISION) -> bool:
     """True iff t_1 of the reduced representative exceeds c^(n-1)/eps.
 
-    The lattice is first rebased so the exact shortest vector comes first
-    (falling back to plain LLL beyond n = 12); with c < 1 this makes the
-    small-vector implication of the cusp estimate hold verbatim.
+    The reduced representative starts with an exact shortest vector v (the
+    first LLL vector beyond n = 12), and t_1 = det(H)^(1/2n) / |v|_H; with
+    c < 1 this makes the small-vector implication of the cusp estimate hold
+    verbatim.
     """
     n = H.n
     if n <= 12:
-        v, _ = shortest_vector(H, precision)
-        g = 0
-        for xx in v:
-            g = gcd(g, xx)
-        v = tuple(xx // g for xx in v)
-        W = linalg.complete_primitive_vector(list(v))
+        _, norm = shortest_vector(H, precision)
     else:
-        G = rationalize_gram(H, min(precision, 192))
-        W = lll_gram(G)
-    iw = iwasawa_coordinates(rebase_gram(H, W, precision), c, precision)
+        G = exact_gram(H, precision)
+        norm = form_norm(H, lll_gram(G)[0], precision)
     with mp.workprec(precision + 32):
-        threshold = mp.mpf(c) ** (n - 1) / mp.mpf(eps)
-        return bool(iw.t[0] > threshold)
+        threshold = mp.mpf(eps) / mp.mpf(c) ** (n - 1)
+        return bool(det_ratio(norm, mp.det(H.as_mp()), n) < threshold)
 
 
 def stabilizer_order(m: int, n: int) -> int:

@@ -314,6 +314,33 @@ def lll_gram_reference(G, delta=0.99):
     return U
 
 
+def iwasawa_reference(H, precision):
+    """Iwasawa coordinates of H / det(H)^(1/n) in floating point, the
+    reference for reduce.iwasawa_coordinates: H1 = (nu t)^-T (nu t)^-1 means
+    H1^-1 = nu t^2 nu^T, a UDU^T factorization, computed here as the LDL^T
+    of the index-reversed inverse.  Returns (t, nu) as tuples of mpf, nu row
+    i holding the entries right of the diagonal."""
+    n = H.n
+    with mp.workprec(precision + 32):
+        Hm = H.as_mp()
+        C = (Hm / mp.det(Hm) ** (mp.mpf(1) / n)) ** -1
+        Cf = mp.matrix(n)
+        for i in range(n):
+            for j in range(n):
+                Cf[i, j] = C[n - 1 - i, n - 1 - j]
+        L = mp.eye(n)
+        D = [mp.mpf(0)] * n
+        for j in range(n):
+            D[j] = Cf[j, j] - mp.fsum(L[j, k] ** 2 * D[k] for k in range(j))
+            for i in range(j + 1, n):
+                L[i, j] = (Cf[i, j] - mp.fsum(
+                    L[i, k] * L[j, k] * D[k] for k in range(j))) / D[j]
+        t = tuple(mp.sqrt(D[n - 1 - i]) for i in range(n))
+        nu = tuple(tuple(L[n - 1 - i, n - 1 - j] for j in range(i + 1, n))
+                   for i in range(n))
+    return t, nu
+
+
 def mp_matrix_of(rows):
     return mp.matrix([[mp.mpf(x) if not isinstance(x, Fraction)
                        else mp.mpf(x.numerator) / mp.mpf(x.denominator)

@@ -150,7 +150,10 @@ def test_parse_failure_exit1():
             (("norm-check",), {"f": f, "U": U, "w": "1/0"}),
             (("height-check", "--cutoff-X", "4"), {"f": f, "U": U,
                                                    "w": "1/0"}),
-            (("invariant",), [1, 2])):
+            (("invariant",), [1, 2]),
+            (("height-check", "--cutoff-X", "inf"), {"f": f, "U": U}),
+            (("density", "--cutoff-X-list", "inf", "--count", "1"), None),
+            (("density", "--cutoff-X-list", "1e400", "--count", "1"), None)):
         res = run_cli(*args, payload=payload)
         assert res.returncode == 1, (args, res.stderr)
         assert res.stderr.startswith("input error:")

@@ -7,8 +7,8 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from helpers import (assemble_gram_reference, mp_matrix_of, rand_pencil,
-                     rand_unimodular)
+from helpers import (assemble_gram_reference, gram_of_basis, mp_matrix_of,
+                     rand_pencil, rand_unimodular)
 from pencilred.reduce import rationalize_gram
 from pencilred.roots import _certified_roots_cached
 
@@ -178,6 +178,22 @@ def test_rank_one_assembly_matches_inverse_reference(precision):
             assert diff <= H.error_bound, (p, which)
             assert (rationalize_gram(H, precision)
                     == rationalize_gram(ref, precision)), (p, which)
+
+
+def test_from_mp_keeps_entries():
+    """from_mp keeps the entries it is given: a Gram built at 136 bits
+    rationalizes the same whether from_mp runs inside or outside that
+    working precision."""
+    rng = random.Random(38)
+    for _ in range(10):
+        H = pr.reduction_covariant(rand_pencil(rng, 4, 3), 96)
+        g = rand_unimodular(rng, 4)
+        with mp.workprec(136):
+            M = gram_of_basis(g.entries, H)
+            inside = pr.GramMatrix.from_mp(M, H.error_bound)
+        outside = pr.GramMatrix.from_mp(M, H.error_bound)
+        assert outside.entries == inside.entries
+        assert rationalize_gram(outside, 96) == rationalize_gram(inside, 96)
 
 
 def test_root_at_zero_certified_once():

@@ -5,6 +5,8 @@ import json
 import pytest
 
 import pencilred as pr
+import pencilred.equidist
+import pencilred.reduce
 
 
 def small_batch():
@@ -84,3 +86,20 @@ def test_item_json_schema():
     assert d["metadata"]["measure"].startswith("entries uniform")
     for item in d["items"]:
         assert {"index", "pencil", "height", "nondegenerate"} <= set(item)
+
+
+def test_one_lll_per_item(monkeypatch):
+    """Each nondegenerate item reduces its covariant once; the shortest
+    vector and the Iwasawa t both read that one basis."""
+    calls = []
+    lll_gram = pencilred.reduce.lll_gram
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lll_gram(*args, **kwargs)
+
+    monkeypatch.setattr(pencilred.reduce, "lll_gram", counting)
+    monkeypatch.setattr(pencilred.equidist, "lll_gram", counting)
+    batch = pr.sample_pencils(4, 3, 12, seed=5, precision=96)
+    assert len(batch.nondegenerate_items()) > 0
+    assert len(calls) == len(batch.nondegenerate_items())

@@ -30,17 +30,6 @@ def test_inverse_unimodular_roundtrip():
         assert linalg.mat_mul(M, inv) == linalg.identity_matrix(n)
 
 
-def test_column_hnf_transform_properties():
-    rng = random.Random(3)
-    for _ in range(25):
-        r = rng.randint(1, 4)
-        k = rng.randint(1, 5)
-        M = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(r)]
-        H, V = linalg.column_hnf_transform(M)
-        assert linalg.det_bareiss(V) in (1, -1)
-        assert linalg.mat_mul(M, V) == H
-
-
 def test_kernel_mod():
     M = [[2, 0], [0, 3]]
     K = linalg.kernel_mod(M, 6)
@@ -48,23 +37,6 @@ def test_kernel_mod():
     assert sorted(abs(K[i][i]) for i in range(2)) == [2, 3]
     for v in K:
         assert (2 * v[0]) % 6 == 0 and (3 * v[1]) % 6 == 0
-
-
-def test_complete_primitive_vector():
-    rng = random.Random(4)
-    for _ in range(30):
-        n = rng.randint(2, 6)
-        while True:
-            v = [rng.randint(-8, 8) for _ in range(n)]
-            from math import gcd
-            g = 0
-            for x in v:
-                g = gcd(g, x)
-            if g == 1:
-                break
-        W = linalg.complete_primitive_vector(v)
-        assert W[0] == v
-        assert linalg.det_bareiss(W) in (1, -1)
 
 
 def test_resultant_and_sturm():

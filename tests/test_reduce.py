@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pencilred as pr
-from pencilred.reduce import (is_lll_reduced_gram, lll_gram,
+from pencilred.reduce import (det_ratio, is_lll_reduced_gram, lll_gram,
                               rationalize_gram, rebase_gram)
-from helpers import (is_reduced_oracle, lll_gram_reference, planted_gram,
-                     rand_pencil, rand_unimodular)
+from helpers import (gram_of_basis, is_reduced_oracle, iwasawa_reference,
+                     lll_gram_reference, planted_gram, rand_pencil,
+                     rand_unimodular)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -267,6 +269,44 @@ def test_iwasawa_roundtrip():
             assert diff < 1e-18
 
 
+def test_iwasawa_matches_reference():
+    """t and nu read from the exact Gram-Schmidt data lie within error_bound
+    of the floating-point LDL^T of the index-reversed inverse."""
+    rng = random.Random(51)
+    for bits in (96, 256):
+        for n in (4, 6, 8, 10):
+            p = pr.act(rand_unimodular(rng, n, ops=10), rand_pencil(rng, n, 3))
+            H = pr.reduction_covariant(p, bits)
+            iw = pr.iwasawa_coordinates(H, precision=bits)
+            t_ref, nu_ref = iwasawa_reference(H, bits)
+            with mp.workprec(bits + 32):
+                for x, y in zip(iw.t, t_ref):
+                    assert abs(x - y) <= H.error_bound * y, (n, bits)
+                for row, row_ref in zip(iw.nu, nu_ref):
+                    for x, y in zip(row, row_ref):
+                        assert abs(x - y) <= H.error_bound * max(1, abs(y))
+                assert iw.satisfies_siegel == all(
+                    t_ref[i] / t_ref[i + 1] > iw.c for i in range(n - 1))
+
+
+def test_reference_t1_is_det_over_first_norm():
+    """t_1 of the basis g is det(H)^(1/2n) / |g_1|_H for every unimodular g,
+    which lets the cusp test read t_1 from a shortest vector alone."""
+    rng = random.Random(52)
+    for n in (2, 4, 6, 8):
+        H = pr.reduction_covariant(rand_pencil(rng, n, 3), 128)
+        for _ in range(3):
+            g = rand_unimodular(rng, n, ops=10)
+            with mp.workprec(160):
+                Hg = pr.GramMatrix.from_mp(gram_of_basis(g.entries, H),
+                                           H.error_bound)
+            t, _ = iwasawa_reference(Hg, 128)
+            with mp.workprec(160):
+                t1 = mp.det(Hg.as_mp()) ** (mp.mpf(1) / (2 * n)) / mp.sqrt(
+                    Hg.entries[0][0])
+                assert abs(t[0] - t1) <= mp.mpf(10) ** -30 * t1
+
+
 def test_cusp_membership_examples():
     assert pr.cusp_membership(gram_identity(), 0.1) is False
     T = mp.mpf(100)
@@ -283,6 +323,44 @@ def test_cusp_implication_planted():
             eps = 4 * mp.mpf(s) ** Fraction(3, 4)
         if pr.epsilon_small_test(H, eps):
             assert pr.cusp_membership(H, eps) is True
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(n=st.sampled_from((2, 4, 6, 8)), seed=st.integers(0, 2 ** 32 - 1),
+       inv_s=st.integers(2, 400),
+       lam=st.sampled_from((Fraction(1, 7), Fraction(3), Fraction(1000))),
+       eps=st.floats(0.01, 1.0))
+def test_prop_shortest_norm_invariance(n, seed, inv_s, lam, eps):
+    """On a planted Gram H, its rebasing by a unimodular g and its multiple
+    lam*H: the shortest norm is invariant under g and scales by lam, within
+    the error bound of each Gram, and the eps-small and cusp verdicts agree."""
+    rng = random.Random(seed)
+    H = planted_gram(rng, n, mp.mpf(1) / inv_s)
+    g = rand_unimodular(rng, n, ops=6)
+    Hg = rebase_gram(H, g.entries, 192)
+    with mp.workprec(224):
+        lam_mp = mp.mpf(lam.numerator) / lam.denominator
+        Hs = pr.GramMatrix(n, tuple(tuple(lam_mp * x for x in row)
+                                    for row in H.entries),
+                           H.error_bound * lam_mp)
+    v, norm = pr.shortest_vector(H, 192)
+    vg, norm_g = pr.shortest_vector(Hg, 192)
+    vs, norm_s = pr.shortest_vector(Hs, 192)
+    with mp.workprec(224):
+        # v^T H v sums n^2 entries, each within error_bound
+        tol = H.error_bound * sum(map(abs, v)) ** 2
+        assert abs(norm_g - norm) <= \
+            tol + Hg.error_bound * sum(map(abs, vg)) ** 2
+        assert abs(norm_s - lam_mp * norm) <= \
+            lam_mp * tol + Hs.error_bound * sum(map(abs, vs)) ** 2
+        ratio = det_ratio(norm, mp.det(H.as_mp()), n)
+        cusp_threshold = mp.mpf(eps) / mp.mpf(pr.SIEGEL_C) ** (n - 1)
+        assume(abs(ratio - eps) > 1e-20)
+        assume(abs(ratio - cusp_threshold) > 1e-20)
+    for tested in (pr.epsilon_small_test, pr.cusp_membership):
+        verdict = tested(H, eps, precision=192)
+        assert tested(Hg, eps, precision=192) == verdict
+        assert tested(Hs, eps, precision=192) == verdict
 
 
 def test_stabilizer_order():
