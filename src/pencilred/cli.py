@@ -25,8 +25,7 @@ from .heights import (FamilyParams, prop_bound_check,
 from .orbits import (DivisorSpec, OrbitDatum, datum_from_divisor, integralize,
                      norm_of_one_formula, pencil_from_datum)
 from .pencil import Pencil, invariant_form
-from .reduce import lll_reduce
-from .roots import to_mpf
+from .reduce import form_norm, lll_reduce
 
 
 def _read_input(args, parse):
@@ -121,8 +120,7 @@ def cmd_norm_check(args):
     p, one_bar = pencil_from_datum(d)
     H = reduction_covariant(p, args.precision)
     with mp.workprec(args.precision + 32):
-        v = mp.matrix([to_mpf(x) for x in one_bar])
-        quad = (v.T * H.as_mp() * v)[0, 0]
+        quad = form_norm(H, one_bar, args.precision)
         formula = norm_of_one_formula(ds, args.precision)
         agree = bool(abs(quad - formula) <=
                      10 * (H.error_bound + mp.mpf(2) ** (-args.precision // 2)))

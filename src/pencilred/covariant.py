@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
-from .forms import (DEFAULT_PRECISION, complex_roots,
+from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     mahler_measure_with_error)
 from .pencil import Pencil, invariant_form, pencil_discriminant
 from .roots import to_mpf
@@ -111,28 +111,19 @@ def _bilinear_mp(M, u, v):
     return sum(u[i] * w[i] for i in range(n))
 
 
-def _validate_aux(p, f, aux):
-    if aux is None:
-        return
-    r, s = aux
-    if s * f(s, -r) == 0:
-        raise ValueError("auxiliary (r, s) with s*f(s,-r) = 0 is not valid")
-
-
-def simultaneous_diagonalize(p: Pencil, precision=DEFAULT_PRECISION,
-                             aux=None) -> DiagonalizingBasis:
+def simultaneous_diagonalize(p: Pencil,
+                             precision=DEFAULT_PRECISION) -> DiagonalizingBasis:
     """Common diagonalizing basis of a nondegenerate pencil over C.
 
     Columns are null vectors of x0*A - y0*B over the projective roots
     (x0 : y0) of the invariant form; these are exactly the eigenvectors of
     A_a^-1 B for any valid auxiliary form a (the result is provably
-    independent of that choice, so `aux` is only validated).  Residuals of
-    the two transformed Gram matrices certify the output.
+    independent of that choice).  Residuals of the two transformed Gram
+    matrices certify the output.
     """
     if pencil_discriminant(p) == 0:
         raise DegeneratePencil("pencil has zero discriminant")
     f = invariant_form(p)
-    _validate_aux(p, f, aux)
     n = p.n
     prec = precision
     for _ in range(_MAX_ESCALATIONS):
@@ -262,15 +253,21 @@ def gram_det_with_error(H: GramMatrix):
     return d, err
 
 
-def det_identity_check(p: Pencil, precision=DEFAULT_PRECISION):
-    """Compare det H_{A,B} with the Mahler-type leading constant |c| of the
-    invariant form.  Returns (det_h, mahler, agree)."""
-    H = reduction_covariant(p, precision)
+def det_identity(H: GramMatrix, f: BinaryForm, precision=DEFAULT_PRECISION):
+    """Compare det H with the Mahler-type leading constant |c| of f, within
+    both error bounds plus 2^(-precision/2).  Returns (det_h, mahler,
+    agree)."""
     with mp.workprec(precision + 32):
         det_h, det_err = gram_det_with_error(H)
-        f = invariant_form(p)
         m, m_err = mahler_measure_with_error(f, precision)
         combined = det_err + m_err + mp.mpf(2) ** (-precision // 2) * max(
             mp.mpf(1), m)
         agree = bool(abs(det_h - m) <= combined)
     return det_h, m, agree
+
+
+def det_identity_check(p: Pencil, precision=DEFAULT_PRECISION):
+    """det_identity of the reduction covariant of p and its invariant
+    form.  Returns (det_h, mahler, agree)."""
+    return det_identity(reduction_covariant(p, precision), invariant_form(p),
+                        precision)

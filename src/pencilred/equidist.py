@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .covariant import gram_det_with_error, reduction_covariant
+from .covariant import det_identity, reduction_covariant
 from .errors import EmptyStatistics
-from .forms import (BinaryForm, height, mahler_measure_with_error,
-                    real_root_count)
+from .forms import BinaryForm, height, real_root_count
 from .heights import FamilyParams, family_membership
 from .pencil import Pencil, invariant_form, pencil_discriminant
 from .reduce import Lattice, det_ratio, exact_gram, form_norm, lll_gram
@@ -113,12 +112,9 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
         G = exact_gram(H, precision)
         lattice = Lattice.of(G, lll_gram(G))
         norm = form_norm(H, lattice.shortest_vector(), precision)
+        det_h, _, ok = det_identity(H, f, precision)
         with mp.workprec(precision + 32):
-            det_h, det_err = gram_det_with_error(H)
             ratio = det_ratio(norm, det_h, n)
-            mah, mah_err = mahler_measure_with_error(f, precision)
-            ok = bool(abs(det_h - mah) <= det_err + mah_err
-                      + mp.mpf(2) ** (-precision // 2) * max(mp.mpf(1), mah))
         items.append(SampleItem(idx, p, int(ht), True, m2 // 2, ratio,
                                 lattice.iwasawa(precision=precision).t, ok))
     return SampleBatch(n, B, count, seed, precision, tuple(items))

@@ -20,7 +20,7 @@ from .forms import (DEFAULT_PRECISION, BinaryForm, discriminant, height,
                     is_irreducible, mahler_measure_with_error)
 from .orbits import (DivisorSpec, datum_from_divisor, integralize,
                      norm_of_one_formula, pencil_from_datum)
-from .roots import to_mpf
+from .reduce import form_norm
 
 INEQ_TOLERANCE = 1e-9
 
@@ -152,9 +152,7 @@ def vector_length_bound_check(ds: DivisorSpec, fp: FamilyParams,
         flags.append("rational_pencil")
     H = reduction_covariant(p_used, precision)
     with mp.workprec(precision + 32):
-        Hm = H.as_mp()
-        v = mp.matrix([to_mpf(x) for x in vec])
-        q = (v.T * Hm * v)[0, 0]
+        q = form_norm(H, vec, precision)
         det_h, _ = gram_det_with_error(H)
         lhs = n * mp.log(q) - mp.log(det_h)
         logX = mp.log(mp.mpf(fp.X))

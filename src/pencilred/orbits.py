@@ -314,59 +314,35 @@ class IntegralizeResult:
                                     [Fraction(v) for v in vec]))
 
 
-def _lattice_key(rows):
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in rows]
-    H = linalg.row_hnf(ints)
-    g = den
-    for row in H:
-        for x in row:
-            g = gcd(g, abs(x))
-    if g > 1:
-        den //= g
-        H = [[x // g for x in row] for row in H]
-    return den, tuple(tuple(row) for row in H)
+# most F_p-lines (projective points) tried per overlattice or sublattice step
+_LINE_CAP = 64
 
 
-def _rows_from_key(key):
-    den, H = key
-    return [[Fraction(x, den) for x in row] for row in H]
+def _lattice_key(d, M):
+    """The lattice spanned by the rows of M/d as (d, H): H the row HNF of
+    M, both divided by gcd(d, H) so that the pair is canonical."""
+    H = linalg.row_hnf(M)
+    g = gcd(d, *(x for row in H for x in row))
+    return d // g, tuple(tuple(x // g for x in row) for row in H)
 
 
-def _gram(rows, M):
-    RM = linalg.mat_mul(rows, [list(r) for r in M])
-    return linalg.mat_mul(RM, linalg.transpose(rows))
+def _grams(H, A, B):
+    """H·A·Hᵀ and H·B·Hᵀ for integer matrices."""
+    Ht = linalg.transpose(H)
+    return [linalg.mat_mul(linalg.mat_mul(H, M), Ht) for M in (A, B)]
 
 
-def _gram_denominator(G):
-    d = 1
-    for row in G:
-        for x in row:
-            f = Fraction(x)
-            d = d * f.denominator // gcd(d, f.denominator)
-    return d
+def _shrink_to_integral(grams, s):
+    """Largest sublattice on which both forms pair integrally with
+    everything, given the two Grams of a basis over the denominator s.
+    Returns its rows as integer combinations of that basis."""
+    t = gcd(s, *(x for G in grams for row in G for x in row))
+    D = s // t       # the lcm of the denominators of both Grams
+    M = [[x // t % D for x in row] for G in grams for row in G]
+    return linalg.kernel_mod(M, D)
 
 
-def _shrink_to_integral(rows, A, B):
-    """Largest sublattice on which both forms pair integrally with everything."""
-    GA = _gram(rows, A)
-    GB = _gram(rows, B)
-    D = max(_gram_denominator(GA), _gram_denominator(GB))
-    if D == 1:
-        return rows
-    n = len(rows)
-    M = []
-    for G in (GA, GB):
-        for i in range(n):
-            M.append([int(Fraction(G[i][j]) * D) % D for j in range(n)])
-    K = linalg.kernel_mod(M, D)
-    return linalg.mat_mul(K, rows)
-
-
-def _fp_lines(basis, p, cap):
+def _fp_lines(basis, p):
     """Representatives of the projective lines spanned by an F_p basis."""
     k = len(basis)
     out = []
@@ -375,7 +351,7 @@ def _fp_lines(basis, p, cap):
     coeff = [0] * k
 
     def rec(i, started):
-        if len(out) >= cap:
+        if len(out) >= _LINE_CAP:
             return
         if i == k:
             if started:
@@ -402,33 +378,30 @@ def _fp_lines(basis, p, cap):
     return out
 
 
-def _grow_candidates(rows, A, B, p, cap=64):
-    """Index-p overlattices L + (1/p)u keeping both forms integral.
+def _quad(G, x):
+    """x^T G x."""
+    return sum(a * b for a, b in zip(x, linalg.mat_vec(G, x)))
+
+
+def _grow_candidates(H, GA, GB, p):
+    """Index-p overlattices L + (1/p)u keeping both forms integral, for
+    L = (row span of H)/d with integral Grams GA, GB.  Each is returned as
+    integer rows M with L + (1/p)u = (row span of M)/(d p).
 
     u must pair into pZ with the whole lattice (kernel of the Grams mod p)
     and have both self-pairings divisible by p^2; for odd p the latter can be
     arranged by shifting u by p*w, which is a linear condition on w.
     """
-    GA = _gram(rows, A)
-    GB = _gram(rows, B)
-    if _gram_denominator(GA) != 1 or _gram_denominator(GB) != 1:
-        return []
-    n = len(rows)
-    GAi = [[int(x) for x in row] for row in GA]
-    GBi = [[int(x) for x in row] for row in GB]
-    M = [row[:] for row in GAi] + [row[:] for row in GBi]
-    lines = _fp_lines(linalg.fp_nullspace(M, p), p, cap)
     out = []
-    for x in lines:
-        qa = sum(GAi[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-        qb = sum(GBi[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+    for x in _fp_lines(linalg.fp_nullspace(GA + GB, p), p):
+        qa, qb = _quad(GA, x), _quad(GB, x)
         xx = None
         if qa % (p * p) == 0 and qb % (p * p) == 0:
             xx = list(x)
         elif p != 2:
             # (x + pw)^T G (x + pw) = q + 2p w.Gx mod p^2
-            ga_x = linalg.mat_vec(GAi, x)
-            gb_x = linalg.mat_vec(GBi, x)
+            ga_x = linalg.mat_vec(GA, x)
+            gb_x = linalg.mat_vec(GB, x)
             # w with 2 w.Gx = -q/p (mod p): null vectors (w, 1) of [2Gx, q/p]
             aug = [[2 * v % p for v in ga_x] + [qa // p % p],
                    [2 * v % p for v in gb_x] + [qb // p % p]]
@@ -436,27 +409,17 @@ def _grow_candidates(rows, A, B, p, cap=64):
                      None)
             if w is not None:
                 xx = [a + p * b for a, b in zip(x, w)]
-                qa2 = sum(GAi[i][j] * xx[i] * xx[j]
-                          for i in range(n) for j in range(n))
-                qb2 = sum(GBi[i][j] * xx[i] * xx[j]
-                          for i in range(n) for j in range(n))
-                if qa2 % (p * p) or qb2 % (p * p):
+                if _quad(GA, xx) % (p * p) or _quad(GB, xx) % (p * p):
                     xx = None
         if xx is not None:
-            u = linalg.mat_vec(linalg.transpose(rows), xx)
-            out.append([list(r) for r in rows] + [[Fraction(c, p) for c in u]])
+            u = linalg.mat_vec(linalg.transpose(H), xx)
+            out.append([[p * c for c in row] for row in H] + [u])
     return out
 
 
-def _sublattice_candidates(rows, p, cap=64):
-    n = len(rows)
-    out = []
-    lines = _fp_lines([[int(i == j) for j in range(n)] for i in range(n)],
-                      p, cap)
-    for lam in lines:
-        K = linalg.kernel_mod([lam], p)
-        out.append(linalg.mat_mul(K, rows))
-    return out
+def _sublattice_candidates(H, p):
+    return [linalg.mat_mul(linalg.kernel_mod([lam], p), H)
+            for lam in _fp_lines(linalg.identity_matrix(len(H)), p)]
 
 
 def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
@@ -464,93 +427,78 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
 
     Best-effort: a shrink-to-integral pass followed by a best-first search
     over index-p overlattices (and index-p sublattices when the covolume
-    drops below 1), all while keeping both forms integral.  Raises NotFound
-    once the state budget is exhausted; that is not a disproof.
+    drops below 1).  A state is a lattice (d, H), the row span of H/d with
+    H in row HNF, so its covolume is prod H_ii / d^n.  With the pencil
+    written as (A/a, B/a) over one common denominator a, the Grams of a
+    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2; each state's Grams are computed
+    once, when it is pushed.  Every lattice on the heap pairs integrally
+    under both forms: the seeds are shrunk to integral, an overlattice is
+    kept only if both forms stay integral and a sublattice inherits it.
+    Raises NotFound once the state budget is exhausted; that is not a
+    disproof.
     """
     f = invariant_form(p)
     if not f.is_integral:
         raise PreconditionError("invariant form of the pencil is not integral")
     n = p.n
-    A = [list(r) for r in p.A]
-    B = [list(r) for r in p.B]
     if p.is_integral:
         ident = tuple(tuple(Fraction(int(i == j)) for j in range(n))
                       for i in range(n))
         return IntegralizeResult(p, ident)
-
-    den = 1
-    for M in (A, B):
-        for row in M:
-            for x in row:
-                fx = Fraction(x)
-                den = den * fx.denominator // gcd(den, fx.denominator)
+    a = linalg._denominator_lcm(p.A + p.B)
+    A = [[int(x * a) for x in row] for row in p.A]
+    B = [[int(x * a) for x in row] for row in p.B]
 
     seen = set()
     heap = []
     counter = 0
 
-    def covol(rows):
-        return abs(Fraction(linalg.det_exact(rows)))
-
-    def push(rows):
+    def push(d, M):
         nonlocal counter
-        key = _lattice_key([[Fraction(x) for x in row] for row in rows])
+        key = _lattice_key(d, M)
         if key in seen:
             return
         seen.add(key)
-        canon = _rows_from_key(key)
-        c = covol(canon)
+        d, H = key
+        s = a * d * d
+        GA, GB = ([[x // s for x in row] for row in G]
+                  for G in _grams(H, A, B))
+        covol = Fraction(math.prod(H[i][i] for i in range(n)), d ** n)
         # prefer small covolume, then small Gram entries (more reduced states)
-        size = 1
-        for G in (_gram(canon, A), _gram(canon, B)):
-            for row in G:
-                for x in row:
-                    size = max(size, abs(Fraction(x).numerator))
-        score = (abs(math.log(c.numerator) - math.log(c.denominator)),
+        size = max(1, max(abs(x) for G in (GA, GB) for row in G for x in row))
+        score = (abs(math.log(covol.numerator) - math.log(covol.denominator)),
                  math.log(size))
-        heapq.heappush(heap, (score, counter, key))
+        heapq.heappush(heap, (score, counter, key, covol, GA, GB))
         counter += 1
 
     # seeds: the integral hull of Z^n and of its q-refinements
-    push(_shrink_to_integral(linalg.identity_matrix(n), A, B))
-    for q in polys.factor_trial(den):
-        refined = [[Fraction(int(i == j), q) for j in range(n)]
-                   for i in range(n)]
-        push(_shrink_to_integral(refined, A, B))
+    ident = linalg.identity_matrix(n)
+    for q in [1, *polys.factor_trial(a)]:
+        push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q))
     explored = 0
     while heap and explored < max_states:
-        _, _, key = heapq.heappop(heap)
+        _, _, (d, H), covol, GA, GB = heapq.heappop(heap)
         explored += 1
-        rows = _rows_from_key(key)
-        c = covol(rows)
-        if c == 1:
-            return _finish(p, rows, A, B)
-        if c > 1:
-            for q in polys.factor_trial(c.numerator):
-                for cand in _grow_candidates(rows, A, B, q):
-                    GA = _gram(cand, A)
-                    GB = _gram(cand, B)
-                    if (_gram_denominator(GA) == 1
-                            and _gram_denominator(GB) == 1):
-                        push(cand)
+        if covol == 1:
+            return _finish(p, d, H, GA, GB)
+        if covol > 1:
+            for q in polys.factor_trial(covol.numerator):
+                for M in _grow_candidates(H, GA, GB, q):
+                    push(d * q, M)
         else:
-            for q in polys.factor_trial(c.denominator):
-                for cand in _sublattice_candidates(rows, q):
-                    push(cand)
+            for q in polys.factor_trial(covol.denominator):
+                for M in _sublattice_candidates(H, q):
+                    push(d, M)
     raise NotFound("no integral representative within the search budget")
 
 
-def _finish(p, rows, A, B):
-    n = p.n
-    det = Fraction(linalg.det_exact(rows))
-    if det == -1:
-        rows = [[-x for x in rows[0]]] + [list(r) for r in rows[1:]]
-    GA = _gram(rows, A)
-    GB = _gram(rows, B)
-    out = Pencil(n,
-                 tuple(tuple(int(x) for x in row) for row in GA),
-                 tuple(tuple(int(x) for x in row) for row in GB))
+def _finish(p, d, H, GA, GB):
+    """The integral pencil (GA, GB) of the covolume-1 lattice H/d, and
+    g = (H/d)^-T, which carries p to it."""
+    out = Pencil(p.n, tuple(tuple(row) for row in GA),
+                 tuple(tuple(row) for row in GB))
     if invariant_form(out) != invariant_form(p):
         raise NotFound("search produced a pencil with the wrong form")
-    g = linalg.inverse_exact(linalg.transpose(rows))
-    return IntegralizeResult(out, tuple(tuple(x for x in row) for row in g))
+    g = linalg.inverse_exact(linalg.transpose(H))
+    return IntegralizeResult(out, tuple(tuple(d * x for x in row)
+                                        for row in g))

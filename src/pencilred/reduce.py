@@ -311,9 +311,9 @@ def _canonical_minimizer(vectors):
 
 
 def form_norm(H: GramMatrix, v, precision=DEFAULT_PRECISION):
-    """v^T H v for an integer vector v."""
+    """v^T H v for a vector v of ints or Fractions."""
     with mp.workprec(precision + 32):
-        vec = mp.matrix(list(v))
+        vec = mp.matrix([to_mpf(x) for x in v])
         return (vec.T * H.as_mp() * vec)[0, 0]
 
 

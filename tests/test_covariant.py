@@ -61,18 +61,6 @@ def test_diagonalize_rejects_degenerate():
         pr.simultaneous_diagonalize(pr.Pencil(4, I4, I4), 64)
 
 
-def test_diagonalize_aux_independence():
-    db1 = pr.simultaneous_diagonalize(DIAG_PENCIL, 128, aux=(0, 1))
-    db2 = pr.simultaneous_diagonalize(DIAG_PENCIL, 128, aux=(1, 2))
-    H1 = pr.reduction_covariant(DIAG_PENCIL, 128)
-    assert db1.n == db2.n
-    with pytest.raises(ValueError):
-        # (r, s) = (1, 0) has s = 0
-        pr.simultaneous_diagonalize(DIAG_PENCIL, 128, aux=(1, 0))
-    with mp.workprec(160):
-        assert abs(H1.entries[0][0] - 2) < 1e-25
-
-
 def test_covariant_diagonal_example():
     H = pr.reduction_covariant(DIAG_PENCIL, 128)
     with mp.workprec(160):

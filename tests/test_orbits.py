@@ -8,12 +8,19 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from pencilred import linalg
+from pencilred import linalg, orbits
 from helpers import (mp_matrix_of, rand_monic_form, rand_point_divisor,
                      rand_valid_datum)
 
 X4Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 1))
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
+
+# S·(A0, B0)·S with S = diag(1/6, 6, 1, 1): Gram denominators 4 and 9
+_S = [[Fraction(1, 6), 0, 0, 0], [0, 6, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+_A0 = [[9, 3, 0, 0], [3, 1, 1, 0], [0, 1, 2, 1], [0, 0, 1, 1]]
+_B0 = [[4, 2, 0, 2], [2, 3, 0, 1], [0, 0, 1, 0], [2, 1, 0, 5]]
+S_PENCIL = pr.Pencil(4, *(tuple(map(tuple, linalg.congruent(_S, M)))
+                          for M in (_A0, _B0)))
 
 # recomputed at 60 digits from the radical closed form of the roots of X^4+3
 NORM_ONE_X43_STR = "0.88807383397711526216076459641812180401171719019895"
@@ -190,6 +197,49 @@ def test_integralize_worked_divisor():
     for v in vec:
         g = gcd(g, int(v))
     assert g == 1     # saturated image of the distinguished vector
+    # pins the search order: the first covolume-1 state it reaches
+    assert res.pencil.A == ((-1, 0, 0, -2), (0, 1, -1, 0), (0, -1, 0, 0),
+                            (-2, 0, 0, -3))
+    assert res.pencil.B == ((-1, 0, -2, 0), (0, -1, 0, 0), (-2, 0, 0, -3),
+                            (0, 0, -3, 3))
+    h = Fraction(-1, 2)
+    assert res.transform == ((1, 0, 0, 0), (h, 1, 0, 0), (h, 0, 1, 0),
+                             (h, 0, 0, 1))
+
+
+def test_integralize_transform():
+    rng = random.Random(57)
+    ds0 = pr.DivisorSpec(X4_3Y4, pr.BinaryForm(1, (1, -1)), Fraction(2))
+    pencils = [S_PENCIL] + [
+        pr.pencil_from_datum(pr.datum_from_divisor(ds))[0]
+        for ds in [ds0] + [rand_point_divisor(rng) for _ in range(12)]]
+    for p in pencils:
+        res = pr.integralize(p)
+        R, g = res.pencil, [list(r) for r in res.transform]
+        assert R.is_integral
+        assert pr.invariant_form(R) == pr.invariant_form(p)
+        assert abs(linalg.det_exact(g)) == 1
+        # act(g, p) = (g^-T A g^-1, g^-T B g^-1) = R
+        assert linalg.congruent(g, [list(r) for r in R.A]) == \
+            [list(r) for r in p.A]
+        assert linalg.congruent(g, [list(r) for r in R.B]) == \
+            [list(r) for r in p.B]
+
+
+def test_shrink_seed_integral():
+    # the shrunk Z^4 must pair integrally under both forms; the Gram
+    # denominators are 4 and 9, so the shrink needs their lcm, not their max
+    a = 36
+    A, B = ([[int(a * x) for x in row] for row in M]
+            for M in (S_PENCIL.A, S_PENCIL.B))
+    ident = linalg.identity_matrix(4)
+    K = orbits._shrink_to_integral(orbits._grams(ident, A, B), a)
+    for M in (S_PENCIL.A, S_PENCIL.B):
+        G = linalg.congruent(linalg.transpose(K), [list(r) for r in M])
+        assert all(Fraction(x).denominator == 1 for row in G for x in row)
+    # from the integral seed the search reaches covolume 1 in 5 states
+    res = pr.integralize(S_PENCIL, max_states=5)
+    assert res.pencil.A == tuple(map(tuple, _A0))
 
 
 def test_integralize_precondition():
