@@ -21,8 +21,8 @@ import mpmath as mp
 
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
-                    mahler_measure_with_error)
-from .pencil import Pencil, invariant_form, pencil_discriminant
+                    discriminant, mahler_measure_with_error)
+from .pencil import Pencil, adjugate_pencil, invariant_form
 from .roots import to_mpf
 
 _MAX_ESCALATIONS = 4
@@ -55,60 +55,38 @@ class GramMatrix:
 @dataclass(frozen=True)
 class DiagonalizingBasis:
     n: int
-    columns: tuple          # n columns, each a tuple of mpc
+    columns: tuple          # n columns, each a tuple of mpc (mpf: real root)
     dA: tuple               # (b_i, b_i)_A
     dB: tuple               # (b_i, b_i)_B
 
 
-def _mat_to_mp(rows):
-    return mp.matrix([[to_mpf(x) for x in row] for row in rows])
+def _mp_rows(rows):
+    return [[to_mpf(x) for x in row] for row in rows]
 
 
-def _nullvector(M, n):
-    """Unit null vector of a numerically rank-(n-1) complex matrix.
+def _adjugate_column(C, n, z):
+    """Unit null vector of M = x0·A - y0·B at the root (x0 : y0) = (z : 1),
+    or (1 : 0) for z None.
 
-    Gaussian elimination with full pivoting; the free column after n-1 steps
-    carries the solution.
+    M is symmetric of corank 1, so adj M = κ·v vᵀ and every nonzero column
+    of adj M is a multiple of v; the column j with the largest |(adj M)_jj|
+    is taken.  C[i][j] lists the coefficients of x^k y^(n-1-k) in entry
+    (i, j) of the adjugate pencil (of a positive multiple of (A, B), which
+    scales adj M alone), evaluated at x0^k y0^(n-1-k), max(|x0|, |y0|) = 1.
     """
-    a = [[mp.mpc(M[i, j]) for j in range(n)] for i in range(n)]
-    col_perm = list(range(n))
-    for step in range(n - 1):
-        # full pivot on the remaining block
-        best, bi, bj = mp.mpf(-1), step, step
-        for i in range(step, n):
-            for j in range(step, n):
-                m = abs(a[i][j])
-                if m > best:
-                    best, bi, bj = m, i, j
-        if best == 0:
-            break
-        a[step], a[bi] = a[bi], a[step]
-        if bj != step:
-            for row in a:
-                row[step], row[bj] = row[bj], row[step]
-            col_perm[step], col_perm[bj] = col_perm[bj], col_perm[step]
-        piv = a[step][step]
-        for i in range(step + 1, n):
-            f = a[i][step] / piv
-            if f != 0:
-                for j in range(step, n):
-                    a[i][j] -= f * a[step][j]
-    x = [mp.mpc(0)] * n
-    x[n - 1] = mp.mpc(1)
-    for i in range(n - 2, -1, -1):
-        s = sum(a[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = -s / a[i][i]
-    v = [mp.mpc(0)] * n
-    for pos, orig in enumerate(col_perm):
-        v[orig] = x[pos]
-    norm = mp.sqrt(sum(abs(c) ** 2 for c in v))
-    return [c / norm for c in v]
-
-
-def _bilinear_mp(M, u, v):
-    n = M.rows
-    w = M * mp.matrix(list(v))
-    return sum(u[i] * w[i] for i in range(n))
+    if z is None:
+        t = [0] * (n - 1) + [1]
+    else:
+        w = z if abs(z) <= 1 else 1 / z
+        t = [mp.mpf(1)]
+        for _ in range(n - 1):
+            t.append(t[-1] * w)
+        if w is not z:
+            t.reverse()
+    j = max(range(n), key=lambda j: abs(mp.fdot(C[j][j], t)))
+    col = [mp.fdot(C[i][j], t) for i in range(n)]
+    norm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in col))
+    return tuple(x / norm for x in col)
 
 
 def simultaneous_diagonalize(p: Pencil,
@@ -116,60 +94,51 @@ def simultaneous_diagonalize(p: Pencil,
     """Common diagonalizing basis of a nondegenerate pencil over C.
 
     Columns are null vectors of x0*A - y0*B over the projective roots
-    (x0 : y0) of the invariant form; these are exactly the eigenvectors of
-    A_a^-1 B for any valid auxiliary form a (the result is provably
-    independent of that choice).  Residuals of the two transformed Gram
-    matrices certify the output.
+    (x0 : y0) of the invariant form, read off the exact adjugate pencil
+    adj(xA - yB) = sum_k x^k y^(n-1-k) D_k: in real arithmetic at a real
+    root, and as the conjugate of its partner's for the second root of a
+    conjugate pair.  With Av_i and Bv_i formed once per column, the
+    off-diagonal residuals of the two transformed Gram matrices certify the
+    output.
     """
-    if pencil_discriminant(p) == 0:
+    f, D = adjugate_pencil(p)
+    if discriminant(f) == 0:
         raise DegeneratePencil("pencil has zero discriminant")
-    f = invariant_form(p)
     n = p.n
+    C = [[[Dk[i * n + j] for Dk in D] for j in range(n)] for i in range(n)]
     prec = precision
     for _ in range(_MAX_ESCALATIONS):
         with mp.workprec(prec + 2 * n + 32):
-            Amp = _mat_to_mp(p.A)
-            Bmp = _mat_to_mp(p.B)
-            rs = _projective_roots(f, prec)
-            cols, dA, dB = [], [], []
-            for (x0, y0) in rs:
-                M = mp.matrix(n)
-                for i in range(n):
-                    for j in range(n):
-                        M[i, j] = x0 * Amp[i, j] - y0 * Bmp[i, j]
-                v = _nullvector(M, n)
-                cols.append(tuple(v))
-                dA.append(_bilinear_mp(Amp, v, v))
-                dB.append(_bilinear_mp(Bmp, v, v))
+            Amp, Bmp = _mp_rows(p.A), _mp_rows(p.B)
+            cols, Av, Bv = [], [], []
+            prev = None
+            for e in complex_roots(f, prec).entries:
+                z = e.value
+                if z is not None and not mp.im(z):
+                    z = mp.re(z)
+                # complex_roots lists a conjugate pair as consecutive roots
+                if isinstance(z, mp.mpc) and prev == mp.conj(z):
+                    v, a, b = (tuple(mp.conj(x) for x in y)
+                               for y in (cols[-1], Av[-1], Bv[-1]))
+                else:
+                    v = _adjugate_column(C, n, z)
+                    a = tuple(mp.fdot(row, v) for row in Amp)
+                    b = tuple(mp.fdot(row, v) for row in Bmp)
+                cols.append(v)
+                Av.append(a)
+                Bv.append(b)
+                prev = z
+            dA = [mp.fdot(v, a) for v, a in zip(cols, Av)]
+            dB = [mp.fdot(v, b) for v, b in zip(cols, Bv)]
             scale = max(max(abs(a), abs(b)) for a, b in zip(dA, dB))
             tol = mp.mpf(2) ** (-prec // 2) * max(scale, mp.mpf(1)) * n
-            resid = mp.mpf(0)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    resid = max(resid,
-                                abs(_bilinear_mp(Amp, cols[i], cols[j])),
-                                abs(_bilinear_mp(Bmp, cols[i], cols[j])))
+            resid = max(abs(mp.fdot(cols[i], W[j])) for W in (Av, Bv)
+                        for i in range(n) for j in range(i + 1, n))
             if resid <= tol and min(
                     max(abs(a), abs(b)) for a, b in zip(dA, dB)) > tol:
                 return DiagonalizingBasis(n, tuple(cols), tuple(dA), tuple(dB))
         prec *= 2
     raise PrecisionExhausted("simultaneous diagonalization did not certify")
-
-
-def _projective_roots(f, precision):
-    """Projective roots (x0 : y0) of f, |x0|^2 + |y0|^2 = 1, conjugate-closed.
-
-    Read off the certified root set of f: infinity is (1 : 0) and a finite
-    root z is (z : 1) / sqrt(1 + |z|^2).
-    """
-    out = []
-    for e in complex_roots(f, precision).entries:
-        if e.at_infinity:
-            out.append((mp.mpc(1), mp.mpc(0)))
-        else:
-            s = mp.sqrt(1 + abs(e.value) ** 2)
-            out.append((e.value / s, 1 / s))
-    return out
 
 
 def _assemble_gram(p: Pencil, db: DiagonalizingBasis, diag, precision):
@@ -182,12 +151,11 @@ def _assemble_gram(p: Pencil, db: DiagonalizingBasis, diag, precision):
     real GramMatrix, or None when the imaginary part is not negligible.
     """
     n = db.n
-    Amp = _mat_to_mp(p.A)
-    Bmp = _mat_to_mp(p.B)
+    Amp, Bmp = _mp_rows(p.A), _mp_rows(p.B)
     H = [[mp.mpc(0)] * n for _ in range(n)]
     for v, a, b, t in zip(db.columns, db.dA, db.dB, diag):
         M, d = (Amp, a) if abs(a) >= abs(b) else (Bmp, b)
-        w = [sum(M[i, j] * v[j] for j in range(n)) for i in range(n)]
+        w = [mp.fdot(row, v) for row in M]
         c = t / abs(d) ** 2
         u = [c * mp.conj(x) for x in w]
         for i in range(n):

@@ -83,37 +83,41 @@ def det_exact(M):
     return Fraction(det_bareiss(scaled), d ** n)
 
 
-def inverse_exact(M):
-    """Exact inverse as a Fraction matrix (Gauss-Jordan)."""
+def det_adj(M):
+    """(det M, adj M) of a square integer matrix by fraction-free
+    Gauss-Jordan elimination on [M | I] (Bareiss; Cohen, GTM 138, 2.2).
+
+    Every intermediate entry is a minor of the row-permuted [M | I], so each
+    division is exact; at the end the left block is det(PM)·I and the right
+    block det(PM)·M^-1.  adj is None when M is singular.
+    """
     n = len(M)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    a = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                c = a[i][k]
+                a[i] = [(pk * x - c * y) // prev for x, y in zip(a[i], rk)]
+        prev = pk
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def inverse_unimodular(M):
     """Exact inverse of an integer matrix with det = +-1, as integers."""
-    inv = inverse_exact(M)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            r.append(int(x))
-        out.append(r)
-    return out
+    d, adj = det_adj(M)
+    if d not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [[d * x for x in row] for row in adj]
 
 
 def fp_nullspace(M, p):

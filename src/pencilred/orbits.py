@@ -370,12 +370,23 @@ def _fp_lines(basis, p):
             rec(i + 1, False)
         else:
             for v in range(p):
+                if len(out) >= _LINE_CAP:
+                    break
                 coeff[i] = v
                 rec(i + 1, True)
             coeff[i] = 0
 
     rec(0, False)
     return out
+
+
+def _primes(m):
+    """The prime factors of m, or NotFound when trial division cannot find
+    them (a composite with no prime below 10^6)."""
+    try:
+        return polys.factor_trial(m)
+    except ValueError as exc:
+        raise NotFound(str(exc)) from exc
 
 
 def _quad(G, x):
@@ -434,8 +445,9 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     once, when it is pushed.  Every lattice on the heap pairs integrally
     under both forms: the seeds are shrunk to integral, an overlattice is
     kept only if both forms stay integral and a sublattice inherits it.
-    Raises NotFound once the state budget is exhausted; that is not a
-    disproof.
+    Raises NotFound once the state budget is exhausted, or when a
+    denominator or covolume cannot be factored by trial division; that is
+    not a disproof.
     """
     f = invariant_form(p)
     if not f.is_integral:
@@ -473,7 +485,7 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
 
     # seeds: the integral hull of Z^n and of its q-refinements
     ident = linalg.identity_matrix(n)
-    for q in [1, *polys.factor_trial(a)]:
+    for q in [1, *_primes(a)]:
         push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q))
     explored = 0
     while heap and explored < max_states:
@@ -482,11 +494,11 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         if covol == 1:
             return _finish(p, d, H, GA, GB)
         if covol > 1:
-            for q in polys.factor_trial(covol.numerator):
+            for q in _primes(covol.numerator):
                 for M in _grow_candidates(H, GA, GB, q):
                     push(d * q, M)
         else:
-            for q in polys.factor_trial(covol.denominator):
+            for q in _primes(covol.denominator):
                 for M in _sublattice_candidates(H, q):
                     push(d, M)
     raise NotFound("no integral representative within the search budget")
@@ -499,6 +511,6 @@ def _finish(p, d, H, GA, GB):
                  tuple(tuple(row) for row in GB))
     if invariant_form(out) != invariant_form(p):
         raise NotFound("search produced a pencil with the wrong form")
-    g = linalg.inverse_exact(linalg.transpose(H))
-    return IntegralizeResult(out, tuple(tuple(d * x for x in row)
-                                        for row in g))
+    det, adj = linalg.det_adj(linalg.transpose(H))
+    return IntegralizeResult(out, tuple(tuple(Fraction(d * x, det)
+                                              for x in row) for row in adj))

@@ -1,8 +1,8 @@
 """Pairs of symmetric matrices, the unimodular action, and the invariant form.
 
 The group acts by g . (A, B) = (g^-T A g^-1, g^-T B g^-1); the invariant
-binary form is f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By), computed exactly
-by interpolation of integer (or rational) determinants.
+binary form is f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By); it and the
+adjugate pencil adj(Ax - By) come from one fraction-free integer pass.
 """
 
 from dataclasses import dataclass
@@ -96,48 +96,72 @@ def _disc_sign(n):
     return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
-@lru_cache(maxsize=4096)
-def invariant_form(p: Pencil) -> BinaryForm:
-    """f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By), by exact interpolation.
+def _newton(nodes, values):
+    """Ascending coefficients of the polynomial of degree < len(nodes)
+    through (nodes[i], values[i]), entrywise for integer vectors.
 
-    det(kA - B) is evaluated at n+1 integer nodes and the degree-n polynomial
-    in k is recovered by Lagrange interpolation; coefficient of k^j becomes
-    the coefficient of x^j y^(n-j).
+    The divided differences of an integer polynomial at integer nodes are
+    integers, so every division is exact.
+    """
+    m = len(nodes)
+    c = [list(v) for v in values]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            h = nodes[i] - nodes[i - j]
+            c[i] = [(x - y) // h for x, y in zip(c[i], c[i - 1])]
+    coeffs = [c[m - 1]]
+    for i in range(m - 2, -1, -1):
+        # coeffs <- coeffs·(X - nodes[i]) + c[i]
+        up = [c[i]] + coeffs
+        coeffs = [[x - nodes[i] * y for x, y in zip(u, v)]
+                  for u, v in zip(up, coeffs)] + [up[-1]]
+    return coeffs
+
+
+def adjugate_pencil(p: Pencil):
+    """(f, D): the invariant form and the adjugate pencil, in one exact pass.
+
+    With a the common denominator of the entries, (aA, aB) is integral, and
+    det(k·aA - aB) and adj(k·aA - aB) come from one fraction-free
+    Gauss-Jordan pass (linalg.det_adj) at each integer node k = 0, 1, -1,
+    2, ...  Newton interpolation of the determinants at n + 1 nodes gives f,
+    divided back by a^n; of the adjugates at n nodes where k·aA - aB is
+    nonsingular (all but at most n of them when f != 0), the integer n x n
+    matrices D_0..D_{n-1} (as row-major lists) with
+    adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.
     """
     n = p.n
-    nodes = []
+    a = linalg._denominator_lcm(p.A + p.B)
+    A = [[int(x * a) for x in row] for row in p.A]
+    B = [[int(x * a) for x in row] for row in p.B]
+    det_nodes, dets, adj_nodes, adjs = [], [], [], []
     k = 0
-    while len(nodes) < n + 1:
-        nodes.append(k)
+    # n + 1 determinants for f, then n adjugates for D unless f = 0
+    while len(dets) <= n or (len(adjs) < n and any(dets)):
+        d, adj = linalg.det_adj([[k * x - y for x, y in zip(ra, rb)]
+                                 for ra, rb in zip(A, B)])
+        if len(dets) <= n:
+            det_nodes.append(k)
+            dets.append(d)
+        if adj is not None:
+            adj_nodes.append(k)
+            adjs.append([x for row in adj for x in row])
         k = -k if k > 0 else -k + 1
-    values = []
-    for k in nodes:
-        M = [[Fraction(p.A[i][j]) * k - Fraction(p.B[i][j]) for j in range(n)]
-             for i in range(n)]
-        values.append(linalg.det_exact(M))
-    # Lagrange interpolation, exact
-    coeffs = [Fraction(0)] * (n + 1)   # descending in k
-    for idx, k0 in enumerate(nodes):
-        # basis polynomial prod (k - kj)/(k0 - kj)
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, kj in enumerate(nodes):
-            if j == idx:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for t, c in enumerate(num):
-                new[t] += c
-                new[t + 1] += c * (-kj)
-            num = new
-            den *= (k0 - kj)
-        w = Fraction(values[idx]) / den
-        off = n + 1 - len(num)
-        for t, c in enumerate(num):
-            coeffs[off + t] += c * w
-    sign = _disc_sign(n)
-    # coeffs[i] is the coefficient of k^(n-i); x^(n-i) y^i matches position i
-    out = [sign * c for c in coeffs]
-    return BinaryForm(n, tuple(out))
+    coeffs = [c for c, in _newton(det_nodes, [[d] for d in dets])]
+    sign, scale = _disc_sign(n), a ** n
+    # the coefficient of k^j is the coefficient of x^j y^(n-j)
+    f = BinaryForm(n, tuple(Fraction(sign * c, scale)
+                            for c in reversed(coeffs)))
+    if not any(dets):
+        return f, None
+    return f, _newton(adj_nodes[:n], adjs[:n])
+
+
+@lru_cache(maxsize=4096)
+def invariant_form(p: Pencil) -> BinaryForm:
+    """f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By), exact: the f half of
+    adjugate_pencil."""
+    return adjugate_pencil(p)[0]
 
 
 def pencil_discriminant(p: Pencil):

@@ -22,9 +22,9 @@ import mpmath as mp
 
 from . import linalg
 from .covariant import GramMatrix, reduction_covariant
-from .errors import DegeneratePencil, DimensionTooLarge, RangeError
+from .errors import DimensionTooLarge, RangeError
 from .forms import DEFAULT_PRECISION
-from .pencil import Pencil, UnimodularMatrix, act, pencil_discriminant
+from .pencil import Pencil, UnimodularMatrix, act
 from .roots import to_mpf
 
 # Covering Siegel constant sqrt(3)/2; the cusp estimates need c < 1.
@@ -138,20 +138,6 @@ def lll_gram(G, delta=0.99):
     return U
 
 
-def is_lll_reduced_gram(G, delta=0.99):
-    """Exact check of size reduction and the Lovasz condition on a Gram."""
-    d, lam = _integral_gso(_integral_gram(G))
-    delta = Fraction(delta)
-    for k in range(1, len(G)):
-        if any(2 * abs(lam[k][j]) > d[j + 1] for j in range(k)):
-            return False
-        lm = lam[k][k - 1]
-        if (delta.denominator * (d[k + 1] * d[k - 1] + lm * lm)
-                < delta.numerator * d[k] * d[k]):
-            return False
-    return True
-
-
 def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
                sl_normalize=False) -> ReductionResult:
     """Reduce a nondegenerate integral pencil via LLL on its covariant.
@@ -159,10 +145,9 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     The returned g satisfies reduced = act(g, p) exactly; gram_reduced is the
     covariant Gram in the new basis, LLL-reduced by construction.  With
     sl_normalize the sign of the first basis vector is flipped if needed to
-    force det(g) = +1 (this preserves LLL-reducedness).
+    force det(g) = +1 (this preserves LLL-reducedness).  A degenerate pencil
+    raises DegeneratePencil from reduction_covariant.
     """
-    if pencil_discriminant(p) == 0:
-        raise DegeneratePencil("pencil has zero discriminant")
     H = reduction_covariant(p, precision)
     G = rationalize_gram(H, precision)
     U = lll_gram(G, delta)
@@ -178,14 +163,20 @@ def rebase_gram(H: GramMatrix, U, precision=DEFAULT_PRECISION) -> GramMatrix:
     """The Gram U H U^T of the basis whose coordinates are the rows of U.
 
     Each entry sums n^2 terms U_ia H_ab U_jb, so its error bound is
-    H.error_bound * n^2 * max(1, max |U_ij|)^2.
+    H.error_bound * n^2 * max(1, max |U_ij|)^2.  The upper triangle is
+    computed and mirrored: the result is exactly symmetric and holds
+    n(n+1)/2 distinct entries.
     """
     n = H.n
     with mp.workprec(precision + 32):
-        Um = mp.matrix([list(r) for r in U])
-        Hr = Um * H.as_mp() * Um.T
+        UH = [[mp.fdot(u, col) for col in zip(*H.entries)] for u in U]
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = mp.fdot(UH[i], U[j])
         size = max(1, max(abs(x) for row in U for x in row))
-        return GramMatrix.from_mp(Hr, H.error_bound * n * n * size ** 2)
+        return GramMatrix(n, tuple(map(tuple, rows)),
+                          H.error_bound * n * n * size ** 2)
 
 
 def exact_gram(H: GramMatrix, precision=DEFAULT_PRECISION):

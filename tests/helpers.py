@@ -14,7 +14,21 @@ import pencilred as pr
 
 
 # ---------------------------------------------------------------------------
-# random objects
+# fixed and random objects
+
+# an integral pencil whose rescalings S·(A0, B0)·S are rational
+A0 = ((9, 3, 0, 0), (3, 1, 1, 0), (0, 1, 2, 1), (0, 0, 1, 1))
+B0 = ((4, 2, 0, 2), (2, 3, 0, 1), (0, 0, 1, 0), (2, 1, 0, 5))
+
+
+def scaled_pencil(p, s):
+    """S·(A, B)·S with S = diag(1/s, s, 1, ..., 1), exact."""
+    S = [Fraction(1, s), Fraction(s)] + [1] * (p.n - 2)
+    return pr.Pencil(p.n, *(tuple(tuple(S[i] * x * S[j]
+                                        for j, x in enumerate(row))
+                                  for i, row in enumerate(M))
+                            for M in (p.A, p.B)))
+
 
 def rand_unimodular(rng, n, ops=8, coeff=3):
     """Product of integer shears and swaps; exact determinant +-1."""
@@ -215,6 +229,45 @@ def assemble_gram_reference(db, diag, precision):
     err = imag_max + asym + max(scale, mp.mpf(1)) * mp.mpf(2) ** (
         -precision // 2)
     return R, err
+
+
+def nullvector_reference(M, n):
+    """Unit null vector of a numerically rank-(n-1) complex mp.matrix, by
+    Gaussian elimination with full pivoting; the free column after n-1
+    steps carries the solution.  The reference for the adjugate columns of
+    covariant.simultaneous_diagonalize."""
+    a = [[mp.mpc(M[i, j]) for j in range(n)] for i in range(n)]
+    col_perm = list(range(n))
+    for step in range(n - 1):
+        best, bi, bj = mp.mpf(-1), step, step
+        for i in range(step, n):
+            for j in range(step, n):
+                m = abs(a[i][j])
+                if m > best:
+                    best, bi, bj = m, i, j
+        if best == 0:
+            break
+        a[step], a[bi] = a[bi], a[step]
+        if bj != step:
+            for row in a:
+                row[step], row[bj] = row[bj], row[step]
+            col_perm[step], col_perm[bj] = col_perm[bj], col_perm[step]
+        piv = a[step][step]
+        for i in range(step + 1, n):
+            f = a[i][step] / piv
+            if f != 0:
+                for j in range(step, n):
+                    a[i][j] -= f * a[step][j]
+    x = [mp.mpc(0)] * n
+    x[n - 1] = mp.mpc(1)
+    for i in range(n - 2, -1, -1):
+        s = sum(a[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = -s / a[i][i]
+    v = [mp.mpc(0)] * n
+    for pos, orig in enumerate(col_perm):
+        v[orig] = x[pos]
+    norm = mp.sqrt(sum(abs(c) ** 2 for c in v))
+    return [c / norm for c in v]
 
 
 def gram_of_basis(U, H):

@@ -7,8 +7,9 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from helpers import (assemble_gram_reference, gram_of_basis, mp_matrix_of,
-                     rand_pencil, rand_unimodular)
+from helpers import (A0, B0, assemble_gram_reference, gram_of_basis,
+                     mp_matrix_of, nullvector_reference, rand_pencil,
+                     rand_unimodular, scaled_pencil)
 from pencilred.reduce import rationalize_gram
 from pencilred.roots import _certified_roots_cached
 
@@ -166,6 +167,42 @@ def test_rank_one_assembly_matches_inverse_reference(precision):
             assert diff <= H.error_bound, (p, which)
             assert (rationalize_gram(H, precision)
                     == rationalize_gram(ref, precision)), (p, which)
+
+
+@pytest.mark.parametrize("precision", (96, 256))
+def test_adjugate_columns_match_elimination_reference(precision):
+    """Each column read off the adjugate pencil is the null vector that
+    full-pivot elimination of x0*A - y0*B finds at the same root, up to a
+    unit phase, within 2^(-precision/2)."""
+    for p in _assembly_cases():
+        db = pr.simultaneous_diagonalize(p, precision)
+        n = p.n
+        with mp.workprec(precision + 2 * n + 32):
+            A, B = mp_matrix_of(p.A), mp_matrix_of(p.B)
+            roots = pr.complex_roots(pr.invariant_form(p), precision).entries
+            for e, v in zip(roots, db.columns):
+                x0, y0 = (1, 0) if e.at_infinity else (e.value, 1)
+                u = nullvector_reference(x0 * A - y0 * B, n)
+                phase = mp.fsum(mp.conj(a) * b for a, b in zip(u, v))
+                assert abs(abs(phase) - 1) <= mp.mpf(2) ** (-precision // 2)
+                assert max(abs(b - phase * a) for a, b in zip(u, v)) \
+                    <= mp.mpf(2) ** (-precision // 2), (p, e.value)
+
+
+def test_covariant_of_rational_rescaling():
+    """H of S·p·S is S·H·S for S = diag(1/6, 6, 1, 1), within both error
+    bounds: the rational path end to end."""
+    p = pr.Pencil(4, A0, B0)
+    for precision in (96, 256):
+        H = pr.reduction_covariant(p, precision)
+        HS = pr.reduction_covariant(scaled_pencil(p, 6), precision)
+        with mp.workprec(precision + 64):
+            S = (mp.mpf(1) / 6, 6, 1, 1)
+            for i in range(4):
+                for j in range(4):
+                    expected = S[i] * H.entries[i][j] * S[j]
+                    bound = HS.error_bound + S[i] * S[j] * H.error_bound
+                    assert abs(HS.entries[i][j] - expected) <= bound
 
 
 def test_from_mp_keeps_entries():

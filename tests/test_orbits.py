@@ -2,25 +2,24 @@
 divisor data, integralization, the norm-of-one formula."""
 
 import random
+import time
 from fractions import Fraction
+from itertools import islice, product
 
 import mpmath as mp
 import pytest
 
 import pencilred as pr
 from pencilred import linalg, orbits
-from helpers import (mp_matrix_of, rand_monic_form, rand_point_divisor,
-                     rand_valid_datum)
+from helpers import (A0, B0, mp_matrix_of, rand_monic_form,
+                     rand_point_divisor, rand_valid_datum, scaled_pencil)
 
 X4Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 1))
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
 
 # S·(A0, B0)·S with S = diag(1/6, 6, 1, 1): Gram denominators 4 and 9
-_S = [[Fraction(1, 6), 0, 0, 0], [0, 6, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-_A0 = [[9, 3, 0, 0], [3, 1, 1, 0], [0, 1, 2, 1], [0, 0, 1, 1]]
-_B0 = [[4, 2, 0, 2], [2, 3, 0, 1], [0, 0, 1, 0], [2, 1, 0, 5]]
-S_PENCIL = pr.Pencil(4, *(tuple(map(tuple, linalg.congruent(_S, M)))
-                          for M in (_A0, _B0)))
+P0 = pr.Pencil(4, A0, B0)
+S_PENCIL = scaled_pencil(P0, 6)
 
 # recomputed at 60 digits from the radical closed form of the roots of X^4+3
 NORM_ONE_X43_STR = "0.88807383397711526216076459641812180401171719019895"
@@ -239,7 +238,35 @@ def test_shrink_seed_integral():
         assert all(Fraction(x).denominator == 1 for row in G for x in row)
     # from the integral seed the search reaches covolume 1 in 5 states
     res = pr.integralize(S_PENCIL, max_states=5)
-    assert res.pencil.A == tuple(map(tuple, _A0))
+    assert res.pencil.A == A0
+
+
+def test_fp_lines_stop_at_cap():
+    """The first _LINE_CAP projective points in enumeration order (leading
+    1 first, the tail in lexicographic order), returned at once even for a
+    prime near 10^8."""
+    def lines(k, p):
+        for lead in range(k):
+            for tail in product(range(p), repeat=k - lead - 1):
+                yield [0] * lead + [1] + list(tail)
+
+    for k, p in ((4, 3), (2, 7), (4, 999983), (4, 10 ** 8 + 7)):
+        start = time.perf_counter()
+        out = orbits._fp_lines(linalg.identity_matrix(k), p)
+        assert time.perf_counter() - start < 0.5
+        assert out == list(islice(lines(k, p), orbits._LINE_CAP))
+
+
+def test_integralize_prime_denominator():
+    # a = 999983^2, a prime below 10^6: the search grows back to (A0, B0)
+    res = pr.integralize(scaled_pencil(P0, 999983))
+    assert (res.pencil.A, res.pencil.B) == (A0, B0)
+
+
+def test_integralize_unfactorable_denominator():
+    # a = 1000003^2 has no prime below 10^6: NotFound, not a ValueError
+    with pytest.raises(pr.NotFound):
+        pr.integralize(scaled_pencil(P0, 1000003))
 
 
 def test_integralize_precondition():

@@ -6,7 +6,9 @@ import pytest
 
 import pencilred as pr
 from pencilred import linalg
-from helpers import invariant_form_oracle, rand_pencil, rand_unimodular
+from pencilred.pencil import adjugate_pencil
+from helpers import (A0, B0, invariant_form_oracle, rand_pencil,
+                     rand_symmetric, rand_unimodular, scaled_pencil)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -122,3 +124,53 @@ def test_invariant_form_n6():
 
 def test_pencil_json_roundtrip():
     assert pr.Pencil.from_json_dict(WORKED.to_json_dict()) == WORKED
+
+
+def _with_zero_ends(rng, n):
+    """A pencil with f0 = fn = 0: A has a zero last row and column, B a zero
+    first row and column, so the node k = 0 is singular; f != 0."""
+    while True:
+        A, B = ([list(r) for r in rand_symmetric(rng, n, 3)] for _ in "AB")
+        for i in range(n):
+            A[i][n - 1] = A[n - 1][i] = B[i][0] = B[0][i] = 0
+        p = pr.Pencil(n, tuple(map(tuple, A)), tuple(map(tuple, B)))
+        if any(pr.invariant_form(p).coeffs):
+            return p
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+def test_adjugate_pencil_exact(n):
+    """(kA' - B') sum_t k^t D_t = det(kA' - B') I for (A', B') = a(A, B), at
+    integers k that are not interpolation nodes, on integral, rational and
+    f0 = fn = 0 pencils; f agrees with the cofactor oracle for n <= 6."""
+    rng = random.Random(27 + n)
+    p = rand_pencil(rng, n, 3)
+    pencils = [p, scaled_pencil(p, 6), _with_zero_ends(rng, n)]
+    if n == 4:
+        pencils.append(scaled_pencil(pr.Pencil(4, A0, B0), 6))
+    for q in pencils:
+        f, D = adjugate_pencil(q)
+        assert f == pr.invariant_form(q)
+        if n <= 6:
+            assert f == invariant_form_oracle(q)
+        a = linalg._denominator_lcm(q.A + q.B)
+        for k in (n + 2, n + 3, n + 4, -n - 2, -n - 3, -n - 4):
+            M = [[int(a * (k * x - y)) for x, y in zip(ra, rb)]
+                 for ra, rb in zip(q.A, q.B)]
+            adj = [[sum(k ** t * Dt[i * n + j] for t, Dt in enumerate(D))
+                    for j in range(n)] for i in range(n)]
+            d = linalg.det_bareiss(M)
+            assert linalg.mat_mul(M, adj) == [[d * (i == j) for j in range(n)]
+                                              for i in range(n)]
+    assert pr.invariant_form(pencils[2]).coeffs[::n] == (0, 0)
+
+
+def test_invariant_form_identically_zero():
+    """A common kernel vector makes f = 0; the pass stops after n + 1
+    singular nodes and has no adjugate pencil."""
+    A = tuple(tuple(int(i == j < 3) for j in range(4)) for i in range(4))
+    p = pr.Pencil(4, A, DIAG_B[:3] + ((0, 0, 0, 0),))
+    f, D = adjugate_pencil(p)
+    assert f == invariant_form_oracle(p) == pr.BinaryForm(4, (0,) * 5)
+    assert D is None
+    assert pr.invariant_form(p) == f

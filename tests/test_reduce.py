@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pencilred as pr
-from pencilred.reduce import (det_ratio, is_lll_reduced_gram, lll_gram,
-                              rationalize_gram, rebase_gram)
+from pencilred.reduce import (det_ratio, lll_gram, rationalize_gram,
+                              rebase_gram)
 from helpers import (gram_of_basis, is_reduced_oracle, iwasawa_reference,
                      lll_gram_reference, planted_gram, rand_pencil,
                      rand_unimodular)
@@ -78,6 +78,14 @@ def test_lll_reduce_sl_normalize():
         assert res.reduced == pr.act(res.g, p)
 
 
+def test_lll_reduce_rejects_degenerate():
+    # zero discriminant with f != 0, and f = 0 (a common kernel vector)
+    Z = I4[:3] + ((0, 0, 0, 0),)
+    for p in (pr.Pencil(4, I4, I4), pr.Pencil(4, Z, DIAG_B[:3] + Z[3:])):
+        with pytest.raises(pr.DegeneratePencil):
+            pr.lll_reduce(p)
+
+
 def test_lll_quality_after_big_transform():
     rng = random.Random(43)
     for _ in range(5):
@@ -105,7 +113,7 @@ def test_lll_gram_against_oracle():
         U = lll_gram(G)
         assert pr.linalg.det_bareiss(U) in (1, -1)
         Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(G, pr.linalg.transpose(U)))
-        assert is_lll_reduced_gram(Gr)
+        assert is_reduced_oracle(pr.linalg.identity_matrix(n), Gr)
         assert is_reduced_oracle(U, G)
         for delta in (0.99, 0.75, 0.51):
             assert lll_gram(G, delta) == lll_gram_reference(G, delta)
@@ -144,7 +152,8 @@ def test_lll_gram_rounding_ties():
             assert U == lll_gram_reference(G, delta)
             Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(
                 G, pr.linalg.transpose(U)))
-            assert is_lll_reduced_gram(Gr, delta)
+            assert is_reduced_oracle(pr.linalg.identity_matrix(len(G)), Gr,
+                                     delta)
 
 
 def test_lll_gram_rejects_bad_input():
@@ -164,6 +173,7 @@ def test_rebase_gram_error_bound():
         with mp.workprec(160):
             assert Hr.entries[0][0] == 2 + 2 * size + 3 * size ** 2
             assert Hr.entries[0][1] == 1 + 3 * size
+        assert Hr.entries[1][0] is Hr.entries[0][1]
 
 
 def test_shortest_vector_examples():
