@@ -102,7 +102,7 @@ def form_from_linear_factors(factors):
 @dataclass(frozen=True)
 class RootEntry:
     value: object        # mpc, or None for the root at infinity
-    radius: object       # mpf error radius (0-width not claimed; certified)
+    radius: object       # mpf certified error radius; 0 at an exact root
     outside: bool        # assigned to the {|rho| > 1} class
     boundary: bool       # | |rho| - 1 | below the boundary tolerance
 

@@ -332,14 +332,15 @@ def _grams(H, A, B):
     return [linalg.mat_mul(linalg.mat_mul(H, M), Ht) for M in (A, B)]
 
 
-def _shrink_to_integral(grams, s):
+def _shrink_to_integral(grams, s, factored=None):
     """Largest sublattice on which both forms pair integrally with
     everything, given the two Grams of a basis over the denominator s.
     Returns its rows as integer combinations of that basis."""
     t = gcd(s, *(x for G in grams for row in G for x in row))
     D = s // t       # the lcm of the denominators of both Grams
     M = [[x // t % D for x in row] for G in grams for row in G]
-    return linalg.kernel_mod(M, D)
+    return linalg.kernel_mod(M, D, _primes(D, {} if factored is None
+                                           else factored))
 
 
 def _fp_lines(basis, p):
@@ -380,13 +381,16 @@ def _fp_lines(basis, p):
     return out
 
 
-def _primes(m):
-    """The prime factors of m, or NotFound when trial division cannot find
-    them (a composite with no prime below 10^6)."""
-    try:
-        return polys.factor_trial(m)
-    except ValueError as exc:
-        raise NotFound(str(exc)) from exc
+def _primes(m, factored):
+    """{prime: exponent} of m, or NotFound when trial division cannot find
+    them (a composite with no prime below 10^6).  factored memoizes the
+    factorizations of one search, so each modulus is factored once."""
+    if m not in factored:
+        try:
+            factored[m] = polys.factor_trial(m)
+        except ValueError as exc:
+            raise NotFound(str(exc)) from exc
+    return factored[m]
 
 
 def _quad(G, x):
@@ -429,7 +433,7 @@ def _grow_candidates(H, GA, GB, p):
 
 
 def _sublattice_candidates(H, p):
-    return [linalg.mat_mul(linalg.kernel_mod([lam], p), H)
+    return [linalg.mat_mul(linalg.kernel_mod([lam], p, {p: 1}), H)
             for lam in _fp_lines(linalg.identity_matrix(len(H)), p)]
 
 
@@ -462,6 +466,7 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     B = [[int(x * a) for x in row] for row in p.B]
 
     seen = set()
+    factored = {}
     heap = []
     counter = 0
 
@@ -485,8 +490,9 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
 
     # seeds: the integral hull of Z^n and of its q-refinements
     ident = linalg.identity_matrix(n)
-    for q in [1, *_primes(a)]:
-        push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q))
+    for q in [1, *_primes(a, factored)]:
+        push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q,
+                                    factored))
     explored = 0
     while heap and explored < max_states:
         _, _, (d, H), covol, GA, GB = heapq.heappop(heap)
@@ -494,11 +500,11 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         if covol == 1:
             return _finish(p, d, H, GA, GB)
         if covol > 1:
-            for q in _primes(covol.numerator):
+            for q in _primes(covol.numerator, factored):
                 for M in _grow_candidates(H, GA, GB, q):
                     push(d * q, M)
         else:
-            for q in _primes(covol.denominator):
+            for q in _primes(covol.denominator, factored):
                 for M in _sublattice_candidates(H, q):
                     push(d, M)
     raise NotFound("no integral representative within the search budget")

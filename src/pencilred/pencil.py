@@ -1,8 +1,9 @@
 """Pairs of symmetric matrices, the unimodular action, and the invariant form.
 
 The group acts by g . (A, B) = (g^-T A g^-1, g^-T B g^-1); the invariant
-binary form is f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By); it and the
-adjugate pencil adj(Ax - By) come from one fraction-free integer pass.
+binary form is f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By).  Both it and
+the adjugate pencil adj(Ax - By) are interpolated from fraction-free integer
+eliminations at integer nodes.
 """
 
 from dataclasses import dataclass
@@ -118,50 +119,71 @@ def _newton(nodes, values):
     return coeffs
 
 
-def adjugate_pencil(p: Pencil):
-    """(f, D): the invariant form and the adjugate pencil, in one exact pass.
-
-    With a the common denominator of the entries, (aA, aB) is integral, and
-    det(k·aA - aB) and adj(k·aA - aB) come from one fraction-free
-    Gauss-Jordan pass (linalg.det_adj) at each integer node k = 0, 1, -1,
-    2, ...  Newton interpolation of the determinants at n + 1 nodes gives f,
-    divided back by a^n; of the adjugates at n nodes where k·aA - aB is
-    nonsingular (all but at most n of them when f != 0), the integer n x n
-    matrices D_0..D_{n-1} (as row-major lists) with
-    adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.
-    """
-    n = p.n
+def _integral(p: Pencil):
+    """(a, aA, aB) with a the common denominator of the entries."""
     a = linalg._denominator_lcm(p.A + p.B)
-    A = [[int(x * a) for x in row] for row in p.A]
-    B = [[int(x * a) for x in row] for row in p.B]
-    det_nodes, dets, adj_nodes, adjs = [], [], [], []
-    k = 0
-    # n + 1 determinants for f, then n adjugates for D unless f = 0
-    while len(dets) <= n or (len(adjs) < n and any(dets)):
-        d, adj = linalg.det_adj([[k * x - y for x, y in zip(ra, rb)]
-                                 for ra, rb in zip(A, B)])
-        if len(dets) <= n:
-            det_nodes.append(k)
-            dets.append(d)
-        if adj is not None:
-            adj_nodes.append(k)
-            adjs.append([x for row in adj for x in row])
-        k = -k if k > 0 else -k + 1
-    coeffs = [c for c, in _newton(det_nodes, [[d] for d in dets])]
+    return a, *([[int(x * a) for x in row] for row in M] for M in (p.A, p.B))
+
+
+def _node(i):
+    """The i-th of the integer nodes 0, 1, -1, 2, -2, ..."""
+    return (i + 1) // 2 * (1 if i % 2 else -1)
+
+
+def _at(A, B, k):
+    """k·A - B."""
+    return [[k * x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _form(n, a, nodes, dets):
+    """f from det(k·aA - aB) at n + 1 integer nodes k, divided by a^n."""
+    coeffs = [c for c, in _newton(nodes, [[d] for d in dets])]
     sign, scale = _disc_sign(n), a ** n
     # the coefficient of k^j is the coefficient of x^j y^(n-j)
-    f = BinaryForm(n, tuple(Fraction(sign * c, scale)
-                            for c in reversed(coeffs)))
-    if not any(dets):
-        return f, None
-    return f, _newton(adj_nodes[:n], adjs[:n])
+    return BinaryForm(n, tuple(Fraction(sign * c, scale)
+                               for c in reversed(coeffs)))
 
 
 @lru_cache(maxsize=4096)
 def invariant_form(p: Pencil) -> BinaryForm:
-    """f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By), exact: the f half of
-    adjugate_pencil."""
-    return adjugate_pencil(p)[0]
+    """f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By), exact.
+
+    With a the common denominator of the entries, (aA, aB) is integral, and
+    f interpolates the fraction-free determinants det(k·aA - aB)
+    (linalg.det_bareiss) at the n + 1 integer nodes k = 0, 1, -1, 2, ...
+    """
+    a, A, B = _integral(p)
+    nodes = [_node(i) for i in range(p.n + 1)]
+    return _form(p.n, a, nodes, [linalg.det_bareiss(_at(A, B, k))
+                                 for k in nodes])
+
+
+def adjugate_pencil(p: Pencil):
+    """(f, D): the invariant form and the adjugate pencil.
+
+    det(k·aA - aB) and adj(k·aA - aB) come from one fraction-free
+    Gauss-Jordan pass (linalg.det_adj) at each integer node k = 0, 1, -1,
+    2, ... until n nodes are nonsingular (all but at most n of them are
+    when f != 0); one more determinant (linalg.det_bareiss) completes the
+    n + 1 that give f.  Newton interpolation of the n adjugates gives the
+    integer n x n matrices D_0..D_{n-1} (as row-major lists) with
+    adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.
+    """
+    n = p.n
+    a, A, B = _integral(p)
+    nodes, dets, adj_nodes, adjs = [], [], [], []
+    while len(nodes) <= n or (len(adjs) < n and any(dets)):
+        k = _node(len(nodes))
+        M = _at(A, B, k)
+        d, adj = ((linalg.det_bareiss(M), None) if len(adjs) == n
+                  else linalg.det_adj(M))
+        nodes.append(k)
+        dets.append(d)
+        if adj is not None:
+            adj_nodes.append(k)
+            adjs.append([x for row in adj for x in row])
+    f = _form(n, a, nodes[:n + 1], dets[:n + 1])
+    return f, (_newton(adj_nodes, adjs) if adjs else None)
 
 
 def pencil_discriminant(p: Pencil):

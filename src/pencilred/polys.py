@@ -361,16 +361,18 @@ _TRIAL_BOUND = 10 ** 6
 def factor_trial(m):
     """{prime: exponent} of m >= 1 by trial division up to 10^6.
 
-    A cofactor left above 10^12 must pass the probable-prime test, else
-    ValueError: it would be a composite with no factor below 10^6.
+    The trial divisors are 2, 3 and the 6k +- 1 wheel.  A cofactor left
+    above 10^12 must pass the probable-prime test, else ValueError: it would
+    be a composite with no factor below 10^6.
     """
     out = {}
-    d = 2
+    d, step = 2, 1
     while d * d <= m and d <= _TRIAL_BOUND:
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
-        d += 1
+        d += step
+        step = 6 - step if d > 5 else 2
     if m > 1:
         if m > _TRIAL_BOUND ** 2 and not is_probable_prime(m):
             raise ValueError("composite factor with no prime below 10^6")

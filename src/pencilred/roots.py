@@ -1,21 +1,28 @@
-"""Certified complex roots of squarefree polynomials.
-
-Strategy: cheap simultaneous iteration at low precision for starting points,
-then Aberth-Ehrlich polishing at the working precision, then a Newton step
-and a residual certificate.  The certificate is Henrici's: the disk around z
-of radius deg * |p(z)/p'(z)| contains a root, and if the disks for all
-approximations are pairwise disjoint then each contains exactly one, so every
-approximation is within its radius of a true root.
+"""Certified complex roots of squarefree polynomials, after MPSolve (Bini
+and Robol, JCAM 2014), on ints and floats.  Seeds: Aberth on builtin complex
+numbers from the circles of the Newton polygon, the coefficients shifted to
+at most 60 bits so that no float overflows.  Polish: Gauss-Seidel Aberth in
+fixed point, z = (x + iy)/2^s with int x, y and s doubling from 52 up to
+wp = precision + 32.  Certificate: near-real roots are snapped to the real
+axis and conjugate pairs made exact; p and p' are evaluated exactly at each
+dyadic point (Gaussian-integer Horner), so Henrici's radius n|p(z)/p'(z)|,
+rounded up to a dyadic, has no rounding error: each disk holds a root, and
+n pairwise disjoint disks hold one each.  Smallness and disjointness are
+decided in integers; wp doubles when either fails.
 """
 
+import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionExhausted
 
 _MAX_ESCALATIONS = 5
+_SWEEPS = 64            # most Aberth sweeps per precision level
 
 
 def to_mpf(x):
@@ -25,158 +32,151 @@ def to_mpf(x):
     return mp.mpf(x)
 
 
-def _poly_and_deriv(coeffs):
-    p = [to_mpf(c) for c in coeffs]
-    n = len(p) - 1
-    dp = [c * (n - i) for i, c in enumerate(p[:-1])]
-    return p, dp
-
-
-def _horner(p, z):
-    acc = mp.mpc(0)
-    for c in p:
-        acc = acc * z + c
-    return acc
-
-
-def _initial_guesses(coeffs):
-    """Durand-Kerner at ~60 bits gives adequate starting points."""
-    with mp.workprec(60):
-        try:
-            zs = mp.polyroots([to_mpf(c) for c in coeffs], maxsteps=200,
-                              extraprec=80)
-            return [mp.mpc(z) for z in zs]
-        except (mp.libmp.libhyper.NoConvergence, ZeroDivisionError):
-            pass
-    n = len(coeffs) - 1
-    # fallback: points on a circle of radius from the coefficient bound
-    with mp.workprec(60):
-        lead = abs(to_mpf(coeffs[0]))
-        r = 1 + max(abs(to_mpf(c)) for c in coeffs[1:]) / lead if n else 1
-        return [r * mp.exp(2j * mp.pi * (k + mp.mpf(1) / 3) / n)
-                for k in range(n)]
-
-
-def _aberth_polish(p, dp, zs, wp):
-    n = len(zs)
-    tol = mp.mpf(2) ** (-wp + 8)
-    for _ in range(60):
-        moved = mp.mpf(0)
-        new = list(zs)
-        for i in range(n):
-            pz = _horner(p, zs[i])
-            dpz = _horner(dp, zs[i])
-            if dpz == 0:
-                continue
-            newton = pz / dpz
-            s = mp.mpc(0)
-            for j in range(n):
-                if j != i:
-                    d = zs[i] - zs[j]
-                    if d != 0:
-                        s += 1 / d
-            denom = 1 - newton * s
-            delta = newton / denom if denom != 0 else newton
-            new[i] = zs[i] - delta
-            scale = 1 + abs(zs[i])
-            moved = max(moved, abs(delta) / scale)
-        zs = new
-        if moved < tol:
-            break
-    return zs
-
-
 def certified_roots(coeffs, precision):
     """Roots of a squarefree polynomial with per-root certified radii.
 
     coeffs: descending int/Fraction coefficients, nonzero leading coefficient.
-    Returns a list of (root: mpc, radius: mpf) at `precision` bits.  Conjugate
-    closure is enforced exactly for real input.  Raises PrecisionExhausted if
-    the Henrici disks cannot be certified pairwise disjoint.
+    Returns exact dyadic (root: mpc, radius: mpf), radius <= 2^-precision
+    (1 + |root|); a real root has imaginary part 0, a non-real one is followed
+    by its exact conjugate.  PrecisionExhausted if the disks do not certify.
     """
     return list(_certified_roots_cached(tuple(coeffs), precision))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def _certified_roots_cached(coeffs, precision):
-    coeffs = list(coeffs)
-    n = len(coeffs) - 1
-    if n <= 0:
+    if len(coeffs) <= 1:
         return ()
-    if n == 1:
-        with mp.workprec(precision + 16):
-            a, b = to_mpf(coeffs[0]), to_mpf(coeffs[1])
-            z = mp.mpc(-b / a)
-            return ((z, mp.mpf(2) ** (-precision) * (1 + abs(z))),)
-    zs = _initial_guesses(coeffs)
-    wp = precision + 32
+    den = math.lcm(*(Fraction(x).denominator for x in coeffs))
+    c = [int(x * den) for x in coeffs]
+    zs, s, wp = _polish(c, _seeds(c), 52), 52, precision + 32
     for _ in range(_MAX_ESCALATIONS):
-        with mp.workprec(wp):
-            p, dp = _poly_and_deriv(coeffs)
-            zs = _aberth_polish(p, dp, [mp.mpc(z) for z in zs], wp)
-            # one Newton step, then exact conjugate closure, then radii
-            polished = []
-            for z in zs:
-                dpz = _horner(dp, z)
-                if dpz != 0:
-                    z = z - _horner(p, z) / dpz
-                polished.append(z)
-            zs = _enforce_conjugates(coeffs, polished, wp)
-            roots, radii, ok = [], [], True
-            for z in zs:
-                pz = _horner(p, z)
-                dpz = _horner(dp, z)
-                if dpz == 0:
-                    ok = False
-                    roots.append(z)
-                    radii.append(mp.mpf("inf"))
-                    continue
-                roots.append(z)
-                radii.append(n * abs(pz / dpz) + mp.mpf(2) ** (-wp) * (1 + abs(z)))
-            if ok:
-                target = mp.mpf(2) ** (-precision)
-                small = all(r <= target * (1 + abs(z))
-                            for z, r in zip(roots, radii))
-                disjoint = all(abs(roots[i] - roots[j]) > radii[i] + radii[j]
-                               for i in range(n) for j in range(i + 1, n))
-                if small and disjoint:
-                    return tuple(zip(roots, radii))
+        while s < wp:
+            t = min(2 * s, wp)
+            zs, s = _polish(c, [(x << t - s, y << t - s) for x, y in zs], t), t
+        out = _certify(c, zs, s, precision)
+        if out is not None:
+            return out
         wp *= 2
-    raise PrecisionExhausted(
-        "root certification failed at %d bits" % wp)
+    raise PrecisionExhausted("root certification failed at %d bits" % s)
 
 
-def _enforce_conjugates(coeffs, zs, wp):
-    """Snap conjugate pairs (and near-real roots) exactly, for real input."""
-    if any(isinstance(c, complex) or (hasattr(c, "imag") and c.imag != 0)
-           for c in coeffs):
-        return zs
-    snap = mp.mpf(2) ** (-wp // 2)
+def _seeds(c):
+    """Float Aberth approximations of the roots of c at the fixed point
+    2^52, started on the circles of the upper convex hull of the points
+    (k, log|coefficient of z^k|); a non-finite or huge one keeps its start."""
+    n = len(c) - 1
+    shift = max(0, max(abs(x).bit_length() for x in c) - 60)
+    a = [x / (1 << shift) for x in c]
+    pts = [(n - k, math.log(abs(x))) for k, x in enumerate(c) if x][::-1]
+    hull = pts[:1]
+    while hull[-1][0] < n:          # gift wrapping: the steepest next point
+        e0, h0 = hull[-1]
+        hull.append(max((q for q in pts if q[0] > e0), key=lambda q: (
+            (q[1] - h0) / (q[0] - e0), q[0])))
+    starts = [0j] * hull[0][0]      # a vanishing constant term: root 0
+    for (e1, h1), (e2, h2) in zip(hull, hull[1:]):
+        r = math.exp(max(-300.0, min(300.0, (h1 - h2) / (e2 - e1))))
+        starts += [r * cmath.exp(1j * (2 * math.pi * j / (e2 - e1) + 0.7
+                                       + len(starts))) for j in range(e2 - e1)]
+    zs = list(starts)
+    for _ in range(_SWEEPS):
+        moved = 0.0
+        for i, z in enumerate(zs):
+            p = d = 0j
+            for x in a:
+                p, d = p * z + x, d * z + p
+            if d:
+                newton = p / d
+                q = 1 - newton * sum(1 / (z - w) for w in zs if w != z)
+                zs[i] = z - (newton / q if q else newton)
+                moved = max(moved, abs(zs[i] - z) / (1 + abs(z)))
+        if not moved > 1e-14:       # converged, or not finite
+            break
     out = []
-    used = [False] * len(zs)
-    order = sorted(range(len(zs)), key=lambda i: (-abs(mp.im(zs[i]))))
-    for i in order:
-        if used[i]:
-            continue
-        z = zs[i]
-        scale = 1 + abs(z)
-        if abs(mp.im(z)) <= snap * scale:
-            used[i] = True
-            out.append(mp.mpc(mp.re(z), 0))
-            continue
-        # find the best conjugate partner
-        best, bestd = None, None
-        for j in range(len(zs)):
-            if j == i or used[j]:
-                continue
-            d = abs(zs[j] - mp.conj(z))
-            if bestd is None or d < bestd:
-                best, bestd = j, d
-        if best is not None and bestd is not None and bestd <= snap * scale:
-            used[i] = used[best] = True
-            out.append(z)
-            out.append(mp.conj(z))
-        else:
-            used[i] = True
-            out.append(z)
+    for i, (z, z0) in enumerate(zip(zs, starts)):
+        z = 2 ** 52 * (z if cmath.isfinite(z) and abs(z) < 1e200 else z0)
+        # distinct offsets of relative size 2^-40 keep the points apart and
+        # break symmetries Aberth keeps (points on a symmetry line of p)
+        u = (abs(z.real) + abs(z.imag) + 2 ** 52) / 2 ** 40
+        out.append((int(z.real + (i + 1) * u), int(z.imag + (2 * i + 1) * u)))
     return out
+
+
+def _horner(c, x, y, s, exact=False):
+    """(p, p') at z = (x + iy)/2^s as Gaussian integers (re, im, re, im),
+    exact and scaled by 2^(sn), 2^(s(n-1)), or truncated at the point 2^s."""
+    t = 0 if exact else s
+    pr, pi, dr, di = c[0] << t, 0, 0, 0
+    for k, ck in enumerate(c[1:], 1):
+        dr, di = ((dr * x - di * y) >> t) + pr, ((dr * y + di * x) >> t) + pi
+        pr, pi = (((pr * x - pi * y) >> t) + (ck << (t or s * k)),
+                  (pr * y + pi * x) >> t)
+    return pr, pi, dr, di
+
+
+def _gdiv(ar, ai, br, bi, s):
+    """(a / b)·2^s for Gaussian integers a and b != 0, floored."""
+    m = br * br + bi * bi
+    return ((ar * br + ai * bi) << s) // m, ((ai * br - ar * bi) << s) // m
+
+
+def _polish(c, zs, s):
+    """Gauss-Seidel Aberth sweeps at the fixed point 2^s, until every
+    correction is below 2^(-s/2)(1 + |z|) or after _SWEEPS sweeps."""
+    zs, one = list(zs), 1 << s
+    for _ in range(_SWEEPS):
+        done = True
+        for i, (x, y) in enumerate(zs):
+            pr, pi, dr, di = _horner(c, x, y, s)
+            if not (dr or di):
+                continue
+            nr, ni = _gdiv(pr, pi, dr, di, s)            # p / p'
+            sr = si = 0                                  # sum 1/(z - w)
+            for u, v in zs:
+                if u != x or v != y:
+                    qr, qi = _gdiv(one, 0, x - u, y - v, s)
+                    sr, si = sr + qr, si + qi
+            qr = one - ((nr * sr - ni * si) >> s)
+            qi = -((nr * si + ni * sr) >> s)
+            if qr or qi:
+                nr, ni = _gdiv(nr, ni, qr, qi, s)
+            zs[i] = (x - nr, y - ni)
+            done &= (abs(nr) + abs(ni)) << (s // 2) <= one + abs(x) + abs(y)
+        if done:
+            break
+    return zs
+
+
+def _certify(c, zs, s, precision):
+    """The certified (mpc, mpf) pairs of the points zs at the fixed point
+    2^s, or None when the snapped points do not certify."""
+    n, one = len(c) - 1, 1 << s
+    real, upper = [], []
+    for x, y in zs:
+        # at most s bits of mantissa, as the pair test of the covariant needs
+        k = max(0, max(abs(x), abs(y)).bit_length() - s)
+        x, y = x >> k << k, y >> k << k
+        if abs(y) << (s // 2) <= one + abs(x):
+            real.append((x, 0))
+        elif y > 0:
+            upper.append((x, y))
+    if len(real) + 2 * len(upper) != n:
+        return None
+    pts = []
+    for x, y in sorted(upper, key=lambda z: -z[1]) + real:
+        pr, pi, dr, di = _horner(c, x, y, s, exact=True)
+        if not (dr or di):
+            return None
+        q = -(-n * n * (pr * pr + pi * pi) // (dr * dr + di * di))
+        r = math.isqrt(q)
+        r += r * r < q              # r >= n|p(z)/p'(z)|·2^s
+        e = (r << precision) - one
+        if e > 0 and e * e > x * x + y * y:
+            return None             # r/2^s > 2^-precision (1 + |z|)
+        pts += [(x, y, r), (x, -y, r)] if y else [(x, 0, r)]
+    if any((x - u) ** 2 + (y - v) ** 2 <= (r + t) ** 2
+           for i, (x, y, r) in enumerate(pts) for u, v, t in pts[i + 1:]):
+        return None
+    return tuple((mp.make_mpc((from_man_exp(x, -s), from_man_exp(y, -s))),
+                  mp.make_mpf(from_man_exp(r, -s))) for x, y, r in pts)

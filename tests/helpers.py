@@ -120,6 +120,22 @@ def rand_family_instance(rng, X, delta, max_tries=4000):
     raise AssertionError("family instance sampling failed")
 
 
+def rand_squarefree_poly(rng, n, bound=128):
+    """Descending integer coefficients of a squarefree degree-n polynomial
+    with nonzero constant term: up to three rational linear factors
+    (b x - a), whose roots a/b often lie close together, times random
+    coefficients in [-bound, bound]."""
+    while True:
+        k = rng.randint(0, min(n, 3))
+        c = [rng.randint(-bound, bound) for _ in range(n - k + 1)]
+        for _ in range(k):
+            b, a = rng.randint(1, 40), rng.randint(-40, 40)
+            c = [x * b for x in c + [0]]
+            c[1:] = [x - a * y for x, y in zip(c[1:], c)]
+        if c[0] and c[-1] and pr.discriminant(pr.BinaryForm(n, tuple(c))):
+            return c
+
+
 def planted_gram(rng, n, s, precision=192):
     """H = g^-T diag(s^2, 1, ..., 1) g^-1 for a random unimodular g."""
     g = rand_unimodular(rng, n, ops=6)
@@ -195,6 +211,25 @@ def disc_product_oracle(factors):
             aj, bj = factors[j]
             out *= (ai * bj - aj * bi) ** 2
     return out
+
+
+def reference_roots(coeffs, precision):
+    """Roots of an integer polynomial from mp.polyroots at 4·precision bits,
+    each with a radius: Henrici's n|p(z)/p'(z)| from mpmath's polyval at
+    that precision, widened by a bound on its rounding error.  The caller
+    checks that the radii are small and the disks pairwise disjoint, which
+    makes each disk hold exactly one root."""
+    wp = 4 * precision
+    with mp.workprec(wp):
+        c = [mp.mpf(x) for x in coeffs]
+        n = len(c) - 1
+        out = []
+        for z in mp.polyroots(c, maxsteps=400, extraprec=wp):
+            p, dp = mp.polyval(c, z, derivative=True)
+            err = mp.mpf(2) ** (8 - wp) * n * mp.fsum(
+                abs(x) for x in c) * max(1, abs(z)) ** n
+            out.append((z, n * (abs(p) + err) / (abs(dp) - n * err)))
+        return out
 
 
 def assemble_gram_reference(db, diag, precision):

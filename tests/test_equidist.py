@@ -6,6 +6,7 @@ import pytest
 
 import pencilred as pr
 import pencilred.equidist
+import pencilred.linalg
 import pencilred.reduce
 
 
@@ -103,3 +104,22 @@ def test_one_lll_per_item(monkeypatch):
     batch = pr.sample_pencils(4, 3, 12, seed=5, precision=96)
     assert len(batch.nondegenerate_items()) > 0
     assert len(calls) == len(batch.nondegenerate_items())
+
+
+def test_one_adjugate_pass_per_item(monkeypatch):
+    """The invariant form comes from determinants alone, so each matrix
+    k·A - B is eliminated by linalg.det_adj at most once per item, and a
+    nondegenerate item needs n nonsingular ones for its null vectors."""
+    calls = []
+    det_adj = pencilred.linalg.det_adj
+
+    def counting(M):
+        d, adj = det_adj(M)
+        calls.append((tuple(map(tuple, M)), adj is not None))
+        return d, adj
+
+    monkeypatch.setattr(pencilred.linalg, "det_adj", counting)
+    batch = pr.sample_pencils(4, 3, 12, seed=5, precision=96)
+    assert len(batch.nondegenerate_items()) > 0
+    assert len(calls) == len(set(calls))
+    assert sum(ok for _, ok in calls) == 4 * len(batch.nondegenerate_items())

@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from pencilred import linalg, orbits
+from pencilred import linalg, orbits, polys
 from helpers import (A0, B0, mp_matrix_of, rand_monic_form,
                      rand_point_divisor, rand_valid_datum, scaled_pencil)
 
@@ -261,6 +261,25 @@ def test_integralize_prime_denominator():
     # a = 999983^2, a prime below 10^6: the search grows back to (A0, B0)
     res = pr.integralize(scaled_pencil(P0, 999983))
     assert (res.pencil.A, res.pencil.B) == (A0, B0)
+
+
+def test_integralize_factors_each_modulus_once(monkeypatch):
+    """One search factors each distinct denominator and covolume once; the
+    index-p sublattices reuse the prime they come from."""
+    calls = []
+    factor_trial = polys.factor_trial
+
+    def counting(m):
+        calls.append(m)
+        return factor_trial(m)
+
+    monkeypatch.setattr(polys, "factor_trial", counting)
+    res = pr.integralize(scaled_pencil(P0, 999983))
+    assert (res.pencil.A, res.pencil.B) == (A0, B0)
+    S = [Fraction(1, 999983), Fraction(999983), 1, 1]
+    assert res.transform == tuple(tuple(S[i] if i == j else 0
+                                        for j in range(4)) for i in range(4))
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_integralize_unfactorable_denominator():
