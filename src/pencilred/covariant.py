@@ -33,7 +33,6 @@ class GramMatrix:
     n: int
     entries: tuple          # n x n of mpf
     error_bound: object     # mpf, entrywise absolute error estimate
-    scale_class_tag: str = ""
 
     def as_mp(self):
         return mp.matrix([list(row) for row in self.entries])
@@ -45,11 +44,11 @@ class GramMatrix:
                 "error_bound": mp.nstr(self.error_bound, 8)}
 
     @classmethod
-    def from_mp(cls, M, error_bound, tag=""):
+    def from_mp(cls, M, error_bound):
         """Keeps the entries of M as they are, at their own precision."""
         n = M.rows
         entries = tuple(tuple(M[i, j] for j in range(n)) for i in range(n))
-        return cls(n, entries, mp.mpf(error_bound), tag)
+        return cls(n, entries, mp.mpf(error_bound))
 
 
 @dataclass(frozen=True)

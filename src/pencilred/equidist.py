@@ -18,7 +18,7 @@ from .errors import EmptyStatistics
 from .forms import BinaryForm, height, real_root_count
 from .heights import FamilyParams, family_membership
 from .pencil import Pencil, invariant_form, pencil_discriminant
-from .reduce import Lattice, det_ratio, exact_gram, form_norm, lll_gram
+from .reduce import exact_gram, lll_gram
 
 MEASURE_CAVEAT = ("entries uniform in a box, not the height-ball measure; "
                   "qualitative analogue only")
@@ -109,13 +109,10 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
             continue
         m2 = real_root_count(f)
         H = reduction_covariant(p, precision)
-        G = exact_gram(H, precision)
-        lattice = Lattice.of(G, lll_gram(G))
-        norm = form_norm(H, lattice.shortest_vector(), precision)
-        det_h, _, ok = det_identity(H, f, precision)
-        with mp.workprec(precision + 32):
-            ratio = det_ratio(norm, det_h, n)
-        items.append(SampleItem(idx, p, int(ht), True, m2 // 2, ratio,
+        lattice = lll_gram(exact_gram(H, precision))
+        _, _, ok = det_identity(H, f, precision)
+        items.append(SampleItem(idx, p, int(ht), True, m2 // 2,
+                                lattice.ratio(lattice.shortest()[1], precision),
                                 lattice.iwasawa(precision=precision).t, ok))
     return SampleBatch(n, B, count, seed, precision, tuple(items))
 

@@ -7,7 +7,6 @@ Fractions.  Everything here is exact; multiprecision floats live elsewhere.
 from fractions import Fraction
 from math import gcd
 
-from . import polys
 
 
 def identity_matrix(n):
@@ -149,19 +148,17 @@ def fp_nullspace(M, p):
     return basis
 
 
-def kernel_mod(M, m, factors=None):
+def kernel_mod(M, m, factors):
     """Row basis of the lattice {x in Z^k : M x == 0 (mod m)}.
 
     Contains m*Z^k, so the result is k x k of full rank, returned in row HNF.
     Computed one prime power at a time (F_p nullspaces lifted through p^e),
     then combined by CRT; entries stay bounded by the modulus throughout.
-    factors is {prime: exponent} of m when the caller has it.
+    factors is {prime: exponent} of m.
     """
     k = len(M[0])
     if m == 1:
         return identity_matrix(k)
-    if factors is None:
-        factors = polys.factor_trial(m)
     K = None
     m_done = 1
     for p, e in sorted(factors.items()):

@@ -332,15 +332,15 @@ def _grams(H, A, B):
     return [linalg.mat_mul(linalg.mat_mul(H, M), Ht) for M in (A, B)]
 
 
-def _shrink_to_integral(grams, s, factored=None):
+def _shrink_to_integral(grams, s, known):
     """Largest sublattice on which both forms pair integrally with
     everything, given the two Grams of a basis over the denominator s.
-    Returns its rows as integer combinations of that basis."""
+    Returns its rows as integer combinations of that basis; known is the
+    set of primes found so far (see `_primes`)."""
     t = gcd(s, *(x for G in grams for row in G for x in row))
     D = s // t       # the lcm of the denominators of both Grams
     M = [[x // t % D for x in row] for G in grams for row in G]
-    return linalg.kernel_mod(M, D, _primes(D, {} if factored is None
-                                           else factored))
+    return linalg.kernel_mod(M, D, _primes(D, known))
 
 
 def _fp_lines(basis, p):
@@ -381,16 +381,23 @@ def _fp_lines(basis, p):
     return out
 
 
-def _primes(m, factored):
-    """{prime: exponent} of m, or NotFound when trial division cannot find
-    them (a composite with no prime below 10^6).  factored memoizes the
-    factorizations of one search, so each modulus is factored once."""
-    if m not in factored:
+def _primes(m, known):
+    """{prime: exponent} of m in increasing order, or NotFound when trial
+    division cannot find them (a composite with no prime below 10^6).
+    known is the set of primes one search has found so far: they are
+    divided out first, and only the cofactor left is trial-divided."""
+    out = {}
+    for p in known:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    if m > 1:
         try:
-            factored[m] = polys.factor_trial(m)
+            out.update(polys.factor_trial(m))
         except ValueError as exc:
             raise NotFound(str(exc)) from exc
-    return factored[m]
+        known.update(out)
+    return dict(sorted(out.items()))
 
 
 def _quad(G, x):
@@ -466,7 +473,7 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     B = [[int(x * a) for x in row] for row in p.B]
 
     seen = set()
-    factored = {}
+    known = set()
     heap = []
     counter = 0
 
@@ -490,9 +497,8 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
 
     # seeds: the integral hull of Z^n and of its q-refinements
     ident = linalg.identity_matrix(n)
-    for q in [1, *_primes(a, factored)]:
-        push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q,
-                                    factored))
+    for q in [1, *_primes(a, known)]:
+        push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q, known))
     explored = 0
     while heap and explored < max_states:
         _, _, (d, H), covol, GA, GB = heapq.heappop(heap)
@@ -500,11 +506,11 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         if covol == 1:
             return _finish(p, d, H, GA, GB)
         if covol > 1:
-            for q in _primes(covol.numerator, factored):
+            for q in _primes(covol.numerator, known):
                 for M in _grow_candidates(H, GA, GB, q):
                     push(d * q, M)
         else:
-            for q in _primes(covol.denominator, factored):
+            for q in _primes(covol.denominator, known):
                 for M in _sublattice_candidates(H, q):
                     push(d, M)
     raise NotFound("no integral representative within the search budget")

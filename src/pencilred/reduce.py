@@ -2,16 +2,17 @@
 
 LLL runs exactly on a dyadic rationalization of the covariant Gram matrix;
 the unimodular change of basis is exact integers, so reducing a pencil never
-perturbs it.  Every other lattice answer reads one `Lattice`: a basis of
-`exact_gram(H)` (H rationalized at precision bits, at most 192), its Gram
-scaled to integers and that Gram's integral Gram-Schmidt data (d, lam).
-Short vectors come from exact Fincke-Pohst enumeration on it.  Iwasawa
+perturbs it.  Every other lattice answer reads one `Lattice`, the state LLL
+ends in on `exact_gram(H)` (H rationalized at precision bits, at most 192):
+the basis U, the lcm s of the denominators of that Gram and the integral
+Gram-Schmidt data (d, lam) of s U G U^T, so det G = d_n / s^n.  Short
+vectors come from exact Fincke-Pohst enumeration on (d, lam).  Iwasawa
 coordinates follow the convention H = (nu t)^-T (nu t)^-1 with nu unit upper
 triangular and t positive diagonal of product 1 (H rescaled to det 1), read
 off as t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}) and nu = L^-T, with
 L_ij = lam_ij / d_{j+1}.  So t_1 = det(H)^(1/2n) / |b_1|_H, and with a
 shortest vector v first the cusp test t_1 > c^(n-1) / eps reads
-|v|_H / det(H)^(1/2n) < eps / c^(n-1).
+|v|_H / det(H)^(1/2n) < eps / c^(n-1), the ratio of the eps-small test.
 """
 
 from dataclasses import dataclass
@@ -61,13 +62,6 @@ def rationalize_gram(H: GramMatrix, bits):
     return out
 
 
-def _integral_gram(G):
-    """G scaled by the lcm of its denominators, as Python ints."""
-    G = [[Fraction(x) for x in row] for row in G]
-    s = lcm(*(x.denominator for row in G for x in row))
-    return [[x.numerator * (s // x.denominator) for x in row] for row in G]
-
-
 def _integral_gso(G):
     """Exact Gram-Schmidt data of a positive definite integer Gram.
 
@@ -92,21 +86,81 @@ def _integral_gso(G):
     return d, lam
 
 
-def lll_gram(G, delta=0.99):
+@dataclass(frozen=True)
+class Lattice:
+    """The basis whose coordinates are the rows of U, under an exact Gram G.
+
+    s is the lcm of the denominators of G, and (d, lam) is the integral
+    Gram-Schmidt data of s U G U^T (see `_integral_gso`).
+    """
+    U: list
+    d: list
+    lam: list
+    s: int
+
+    @classmethod
+    def standard(cls, G):
+        """The standard basis of Z^n under G."""
+        G = [[Fraction(x) for x in row] for row in G]
+        s = lcm(*(x.denominator for row in G for x in row))
+        Gs = [[x.numerator * (s // x.denominator) for x in row] for row in G]
+        return cls(linalg.identity_matrix(len(G)), *_integral_gso(Gs), s)
+
+    @property
+    def det(self):
+        """det G, exactly: d_n / s^n."""
+        return Fraction(self.d[-1], self.s ** len(self.U))
+
+    def shortest(self):
+        """(v, N): the canonical shortest nonzero vector, in the coordinates
+        of G, and its norm N = s v^T G v."""
+        norm, minima = _enumerate_minima(self.d, self.lam)
+        Ut = linalg.transpose(self.U)
+        return _canonical_minimizer(tuple(linalg.mat_vec(Ut, list(x)))
+                                    for x in minima), norm
+
+    def ratio(self, norm, precision):
+        """|v|_G / det(G)^(1/2n) for a vector v of norm N = s v^T G v."""
+        with mp.workprec(precision + 32):
+            return det_ratio(to_mpf(Fraction(norm, self.s)), to_mpf(self.det),
+                             len(self.U))
+
+    def iwasawa(self, c=SIEGEL_C, precision=DEFAULT_PRECISION):
+        """Iwasawa coordinates of this basis's Gram rescaled to det 1, as in
+        the module docstring; L^-1 comes from exact forward substitution."""
+        d, lam = self.d, self.lam
+        n = len(self.U)
+        Linv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i):
+                Linv[i][j] = -sum(Fraction(lam[i][k], d[k + 1]) * Linv[k][j]
+                                  for k in range(j, i))
+        with mp.workprec(precision + 32):
+            root = to_mpf(d[n]) ** (mp.mpf(1) / (2 * n))
+            t = tuple(root * mp.sqrt(to_mpf(Fraction(d[i], d[i + 1])))
+                      for i in range(n))
+            nu = tuple(tuple(to_mpf(Linv[j][i]) for j in range(i + 1, n))
+                       for i in range(n))
+            ok = all(t[i] / t[i + 1] > c for i in range(n - 1))
+        return IwasawaCoordinates(t, nu, bool(ok), float(c))
+
+
+def lll_gram(G, delta=0.99) -> Lattice:
     """LLL on a positive definite rational Gram matrix.
 
-    Returns an integer unimodular matrix U whose rows are the coordinates of
-    the reduced basis; the reduced Gram is U G U^T.  Integral LLL (Cohen,
-    GTM 138, Alg. 2.6.7) on G scaled to integers: each row is fully
-    size-reduced before its Lovasz test, and a swap updates the exact
-    Gram-Schmidt data in O(n) integer steps.
+    Returns the reduced `Lattice`: the rows of its U are the coordinates of
+    the reduced basis, whose Gram is U G U^T.  Integral LLL (Cohen, GTM 138,
+    Alg. 2.6.7) on G scaled to integers: each row is fully size-reduced
+    before its Lovasz test, and a swap updates the exact Gram-Schmidt data
+    in O(n) integer steps.  U, d and lam are updated in place, so the
+    returned record holds the Gram-Schmidt data of the basis LLL ends in.
     """
     if not 0.25 < delta < 1:
         raise ValueError("delta must lie in (0.25, 1)")
     delta = Fraction(delta)
     n = len(G)
-    d, lam = _integral_gso(_integral_gram(G))
-    U = linalg.identity_matrix(n)
+    lattice = Lattice.standard(G)
+    U, d, lam = lattice.U, lattice.d, lattice.lam
     k = 1
     while k < n:
         lk = lam[k]
@@ -135,7 +189,7 @@ def lll_gram(G, delta=0.99):
             li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    return U
+    return lattice
 
 
 def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
@@ -149,8 +203,7 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     raises DegeneratePencil from reduction_covariant.
     """
     H = reduction_covariant(p, precision)
-    G = rationalize_gram(H, precision)
-    U = lll_gram(G, delta)
+    U = lll_gram(rationalize_gram(H, precision), delta).U
     if sl_normalize and linalg.det_bareiss(U) == -1:
         U = [[-x for x in U[0]]] + [list(r) for r in U[1:]]
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))
@@ -185,70 +238,23 @@ def exact_gram(H: GramMatrix, precision=DEFAULT_PRECISION):
     return rationalize_gram(H, min(precision, 192))
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """The basis whose coordinates are the rows of U, under an exact Gram.
-
-    Gb = s U G U^T is its Gram scaled to integers by the lcm s of the
-    denominators of G, and (d, lam) is the integral Gram-Schmidt data of Gb.
-    """
-    U: list
-    Gb: list
-    d: list
-    lam: list
-
-    @classmethod
-    def of(cls, G, U):
-        Gb = linalg.mat_mul(U, linalg.mat_mul(_integral_gram(G),
-                                              linalg.transpose(U)))
-        return cls(U, Gb, *_integral_gso(Gb))
-
-    def shortest_vector(self):
-        """The canonical shortest nonzero vector, in the coordinates of G."""
-        Ut = linalg.transpose(self.U)
-        return _canonical_minimizer(
-            tuple(linalg.mat_vec(Ut, list(x)))
-            for x in _enumerate_minima(self.Gb, self.d, self.lam))
-
-    def iwasawa(self, c=SIEGEL_C, precision=DEFAULT_PRECISION):
-        """Iwasawa coordinates of this basis's Gram rescaled to det 1, as in
-        the module docstring; L^-1 comes from exact forward substitution."""
-        d, lam = self.d, self.lam
-        n = len(self.U)
-        Linv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i):
-                Linv[i][j] = -sum(Fraction(lam[i][k], d[k + 1]) * Linv[k][j]
-                                  for k in range(j, i))
-        with mp.workprec(precision + 32):
-            root = to_mpf(d[n]) ** (mp.mpf(1) / (2 * n))
-            t = tuple(root * mp.sqrt(to_mpf(Fraction(d[i], d[i + 1])))
-                      for i in range(n))
-            nu = tuple(tuple(to_mpf(Linv[j][i]) for j in range(i + 1, n))
-                       for i in range(n))
-            ok = all(t[i] / t[i + 1] > c for i in range(n - 1))
-        return IwasawaCoordinates(t, nu, bool(ok), float(c))
-
-
-def _enumerate_minima(G, d, lam):
-    """All nonzero minimizers of the positive definite integer form G.
+def _enumerate_minima(d, lam):
+    """(N, minimizers): the minimum N of the positive definite integer form
+    with integral Gram-Schmidt data (d, lam), and all nonzero x reaching it.
 
     Fincke-Pohst from the last coordinate down, with rational arithmetic
-    only; the LDL^T comes from the integral Gram-Schmidt data (d, lam) of G
-    as L_ij = lam_ij / d_{j+1} and D_i = d_{i+1} / d_i.  The radius starts at
-    the smallest diagonal entry and shrinks as better vectors appear.
+    only; the LDL^T is L_ij = lam_ij / d_{j+1} and D_i = d_{i+1} / d_i, so
+    each partial sum is an exact norm.  The radius starts at the smallest
+    diagonal entry of the form and shrinks as better vectors appear.
     """
-    n = len(G)
+    n = len(lam)
     L = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
     D = [Fraction(d[i + 1], d[i]) for i in range(n)]
-    best = min(G[i][i] for i in range(n))
+    best = min(D[i] + sum(D[j] * L[i][j] ** 2 for j in range(i))
+               for i in range(n))
     minima = []
 
     x = [0] * n
-
-    def norm_of(vec):
-        return sum(G[i][j] * vec[i] * vec[j]
-                   for i in range(n) for j in range(n))
 
     def recurse(i, partial):
         nonlocal best, minima
@@ -266,28 +272,17 @@ def _enumerate_minima(G, d, lam):
             return
         base = round(-c)
         # the term is a parabola in xi centered at -c, so walk outward
-        xi = base
-        while True:
+        for xi, step in ((base, 1), (base - 1, -1)):
             term = D[i] * (xi + c) ** 2
-            if term > budget:
-                break
-            x[i] = xi
-            recurse(i - 1, partial + term)
-            x[i] = 0
-            xi += 1
-        xi = base - 1
-        while True:
-            term = D[i] * (xi + c) ** 2
-            if term > budget:
-                break
-            x[i] = xi
-            recurse(i - 1, partial + term)
-            x[i] = 0
-            xi -= 1
+            while term <= budget:
+                x[i] = xi
+                recurse(i - 1, partial + term)
+                xi += step
+                term = D[i] * (xi + c) ** 2
+        x[i] = 0
 
     recurse(n - 1, Fraction(0))
-    # best may have shrunk after a tied vector was recorded
-    return [v for v in minima if norm_of(v) == best]
+    return int(best), minima
 
 
 def _canonical_minimizer(vectors):
@@ -323,16 +318,16 @@ def shortest_vector(H: GramMatrix, precision=DEFAULT_PRECISION):
     """
     if H.n > 12:
         raise DimensionTooLarge("exact enumeration supports n <= 12")
-    G = exact_gram(H, precision)
-    v = Lattice.of(G, lll_gram(G)).shortest_vector()
+    v, _ = lll_gram(exact_gram(H, precision)).shortest()
     return v, form_norm(H, v, precision)
 
 
 def epsilon_small_test(H: GramMatrix, eps, precision=DEFAULT_PRECISION) -> bool:
     """True iff the shortest vector satisfies (v,v)^(1/2) < eps*det(H)^(1/2n)."""
-    _, norm = shortest_vector(H, precision)
-    with mp.workprec(precision + 32):
-        return bool(det_ratio(norm, mp.det(H.as_mp()), H.n) < mp.mpf(eps))
+    if H.n > 12:
+        raise DimensionTooLarge("exact enumeration supports n <= 12")
+    lattice = lll_gram(exact_gram(H, precision))
+    return bool(lattice.ratio(lattice.shortest()[1], precision) < mp.mpf(eps))
 
 
 def iwasawa_coordinates(H: GramMatrix, c=SIEGEL_C,
@@ -340,8 +335,7 @@ def iwasawa_coordinates(H: GramMatrix, c=SIEGEL_C,
     """Iwasawa coordinates of the det-1 rescaling of H in the standard basis:
     H1 = (nu * t)^-T (nu * t)^-1, nu unit upper triangular, t positive
     diagonal with product 1."""
-    return Lattice.of(exact_gram(H, precision),
-                      linalg.identity_matrix(H.n)).iwasawa(c, precision)
+    return Lattice.standard(exact_gram(H, precision)).iwasawa(c, precision)
 
 
 def cusp_membership(H: GramMatrix, eps, c=SIEGEL_C,
@@ -354,14 +348,11 @@ def cusp_membership(H: GramMatrix, eps, c=SIEGEL_C,
     verbatim.
     """
     n = H.n
-    if n <= 12:
-        _, norm = shortest_vector(H, precision)
-    else:
-        G = exact_gram(H, precision)
-        norm = form_norm(H, lll_gram(G)[0], precision)
+    lattice = lll_gram(exact_gram(H, precision))
+    norm = lattice.shortest()[1] if n <= 12 else lattice.d[1]
     with mp.workprec(precision + 32):
         threshold = mp.mpf(eps) / mp.mpf(c) ** (n - 1)
-        return bool(det_ratio(norm, mp.det(H.as_mp()), n) < threshold)
+        return bool(lattice.ratio(norm, precision) < threshold)
 
 
 def stabilizer_order(m: int, n: int) -> int:

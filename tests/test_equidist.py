@@ -106,6 +106,17 @@ def test_one_lll_per_item(monkeypatch):
     assert len(calls) == len(batch.nondegenerate_items())
 
 
+def test_sv_ratio_agrees_with_epsilon_small_test():
+    """The sampler's ratio is the one the eps-small test compares."""
+    batch = pr.sample_pencils(4, 3, 12, seed=5, precision=96)
+    items = batch.nondegenerate_items()
+    assert items
+    for it in items:
+        H = pr.reduction_covariant(it.pencil, 96)
+        for eps in (0.8, 0.4, 0.2, 0.1, 0.05):
+            assert (it.sv_ratio < eps) == pr.epsilon_small_test(H, eps, 96)
+
+
 def test_one_adjugate_pass_per_item(monkeypatch):
     """The invariant form comes from determinants alone, so each matrix
     k·A - B is eliminated by linalg.det_adj at most once per item, and a

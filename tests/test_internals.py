@@ -32,7 +32,7 @@ def test_inverse_unimodular_roundtrip():
 
 def test_kernel_mod():
     M = [[2, 0], [0, 3]]
-    K = linalg.kernel_mod(M, 6)
+    K = linalg.kernel_mod(M, 6, {2: 1, 3: 1})
     # x with 2x1 = 0 mod 6, 3x2 = 0 mod 6 -> x1 in 3Z, x2 in 2Z
     assert sorted(abs(K[i][i]) for i in range(2)) == [2, 3]
     for v in K:

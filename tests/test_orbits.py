@@ -232,7 +232,7 @@ def test_shrink_seed_integral():
     A, B = ([[int(a * x) for x in row] for row in M]
             for M in (S_PENCIL.A, S_PENCIL.B))
     ident = linalg.identity_matrix(4)
-    K = orbits._shrink_to_integral(orbits._grams(ident, A, B), a)
+    K = orbits._shrink_to_integral(orbits._grams(ident, A, B), a, set())
     for M in (S_PENCIL.A, S_PENCIL.B):
         G = linalg.congruent(linalg.transpose(K), [list(r) for r in M])
         assert all(Fraction(x).denominator == 1 for row in G for x in row)
@@ -264,14 +264,19 @@ def test_integralize_prime_denominator():
 
 
 def test_integralize_factors_each_modulus_once(monkeypatch):
-    """One search factors each distinct denominator and covolume once; the
-    index-p sublattices reuse the prime they come from."""
+    """One search factors each distinct denominator and covolume once, and
+    only after dividing out the primes it has already found; the index-p
+    sublattices reuse the prime they come from."""
     calls = []
+    found = set()
     factor_trial = polys.factor_trial
 
     def counting(m):
+        assert not any(m % q == 0 for q in found), (m, found)
         calls.append(m)
-        return factor_trial(m)
+        out = factor_trial(m)
+        found.update(out)
+        return out
 
     monkeypatch.setattr(polys, "factor_trial", counting)
     res = pr.integralize(scaled_pencil(P0, 999983))

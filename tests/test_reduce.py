@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 import pencilred as pr
 from pencilred.reduce import (det_ratio, lll_gram, rationalize_gram,
                               rebase_gram)
-from helpers import (gram_of_basis, is_reduced_oracle, iwasawa_reference,
-                     lll_gram_reference, planted_gram, rand_pencil,
-                     rand_unimodular)
+from helpers import (_gso_fraction, gram_of_basis, is_reduced_oracle,
+                     iwasawa_reference, lll_gram_reference, planted_gram,
+                     rand_pencil, rand_unimodular)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -110,13 +110,13 @@ def test_lll_gram_against_oracle():
             continue
         G = pr.linalg.mat_mul(M, pr.linalg.transpose(M))
         G = [[Fraction(x) for x in row] for row in G]
-        U = lll_gram(G)
+        U = lll_gram(G).U
         assert pr.linalg.det_bareiss(U) in (1, -1)
         Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(G, pr.linalg.transpose(U)))
         assert is_reduced_oracle(pr.linalg.identity_matrix(n), Gr)
         assert is_reduced_oracle(U, G)
         for delta in (0.99, 0.75, 0.51):
-            assert lll_gram(G, delta) == lll_gram_reference(G, delta)
+            assert lll_gram(G, delta).U == lll_gram_reference(G, delta)
 
 
 def _gram_from_ldl(halves, bstar):
@@ -138,7 +138,28 @@ def test_lll_gram_matches_reference_on_covariants():
         p = pr.act(rand_unimodular(rng, n, ops=12), rand_pencil(rng, n, 3))
         G = rationalize_gram(pr.reduction_covariant(p, bits), bits)
         for delta in (0.99, 0.75, 0.51) if n <= 6 else (0.99,):
-            assert lll_gram(G, delta) == lll_gram_reference(G, delta)
+            assert lll_gram(G, delta).U == lll_gram_reference(G, delta)
+
+
+def test_lll_gram_returns_its_lattice():
+    """The (d, lam) LLL ends in are the Gram-Schmidt data of the reduced
+    Gram U G U^T recomputed from scratch, scaled by s, and d_n / s^n is
+    det G."""
+    rng = random.Random(53)
+    for bits in (96, 256):
+        for n in (4, 6, 8, 10):
+            p = pr.act(rand_unimodular(rng, n, ops=12), rand_pencil(rng, n, 3))
+            G = rationalize_gram(pr.reduction_covariant(p, bits), bits)
+            lattice = lll_gram(G)
+            U, d, lam, s = lattice.U, lattice.d, lattice.lam, lattice.s
+            assert U == lll_gram_reference(G)
+            mu, Bs = _gso_fraction(pr.linalg.mat_mul(
+                U, pr.linalg.mat_mul(G, pr.linalg.transpose(U))))
+            for i in range(n):
+                assert Fraction(d[i + 1], s * d[i]) == Bs[i], (n, bits)
+                for j in range(i):
+                    assert Fraction(lam[i][j], d[j + 1]) == mu[i][j], (n, bits)
+            assert lattice.det == pr.linalg.det_exact(G)
 
 
 def test_lll_gram_rounding_ties():
@@ -148,7 +169,7 @@ def test_lll_gram_rounding_ties():
              _gram_from_ldl([[], [-3], [1, 5], [3, -1, -5]], [8, 8, 8, 8])]
     for G in grams:
         for delta in (0.99, 0.75, 0.51):
-            U = lll_gram(G, delta)
+            U = lll_gram(G, delta).U
             assert U == lll_gram_reference(G, delta)
             Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(
                 G, pr.linalg.transpose(U)))
