@@ -20,8 +20,7 @@ from .equidist import (MEASURE_CAVEAT, component_histogram, density_trend,
                        sample_pencils, small_vector_frequency)
 from .errors import DomainError, NotFound, RangeError
 from .forms import DEFAULT_PRECISION, BinaryForm
-from .heights import (FamilyParams, prop_bound_check,
-                      vector_length_bound_check)
+from .heights import FamilyParams, _vector_length_bound, prop_bound_check
 from .orbits import (DivisorSpec, OrbitDatum, datum_from_divisor, integralize,
                      norm_of_one_formula, pencil_from_datum)
 from .pencil import Pencil, invariant_form
@@ -138,8 +137,8 @@ def cmd_height_check(args):
     prop = prop_bound_check(f, U, fp, args.precision)
     out = {"prop_bound": prop.to_json_dict()}
     if w is not None:
-        ds = DivisorSpec(f, U, w)
-        vec = vector_length_bound_check(ds, fp, args.precision)
+        # prop_bound_check has already checked that f is in the family
+        vec = _vector_length_bound(DivisorSpec(f, U, w), fp, args.precision)
         out["vector_length_bound"] = vec.to_json_dict()
     _emit(args, out)
     return 0

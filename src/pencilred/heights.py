@@ -23,6 +23,8 @@ from .orbits import (DivisorSpec, datum_from_divisor, integralize,
 from .reduce import form_norm
 
 INEQ_TOLERANCE = 1e-9
+# states the vector-length check lets integralize explore
+MAX_STATES = 1200
 
 
 @dataclass(frozen=True)
@@ -103,12 +105,21 @@ def kappa_constant(n: int, m: int):
         return first + second
 
 
+def _require_family(f, fp, precision):
+    if not family_membership(f, fp, precision):
+        raise HeightExceedsCutoff("f is not in the family F_delta(X)")
+
+
 def prop_bound_check(f: BinaryForm, U: BinaryForm, fp: FamilyParams,
                      precision=DEFAULT_PRECISION) -> BoundCheck:
     """Root-sum bound on the family: n log(S) - log|c| against
     n h(U) - (n+1) log X + n delta log X + kappa_{n,m}."""
-    if not family_membership(f, fp, precision):
-        raise HeightExceedsCutoff("f is not in the family F_delta(X)")
+    _require_family(f, fp, precision)
+    return _prop_bound(f, U, fp, precision)
+
+
+def _prop_bound(f, U, fp, precision):
+    """prop_bound_check for an f already known to be in the family."""
     n = f.degree
     m = U.degree
     ds = DivisorSpec(f, U, 1)   # w is irrelevant to the root sum
@@ -126,15 +137,19 @@ def prop_bound_check(f: BinaryForm, U: BinaryForm, fp: FamilyParams,
 
 def vector_length_bound_check(ds: DivisorSpec, fp: FamilyParams,
                               precision=DEFAULT_PRECISION,
-                              integralize_states=1200) -> BoundCheck:
+                              integralize_states=MAX_STATES) -> BoundCheck:
     """Covariant-norm bound along the full pipeline: the divisor is turned
     into a pencil, integralized when possible (bounded search; the inequality
     is basis-independent so a NotFound only flags the output), and the
     distinguished vector is measured against the reduction covariant."""
-    f = ds.f
-    if not family_membership(f, fp, precision):
-        raise HeightExceedsCutoff("f is not in the family F_delta(X)")
-    n = f.degree
+    _require_family(ds.f, fp, precision)
+    return _vector_length_bound(ds, fp, precision, integralize_states)
+
+
+def _vector_length_bound(ds, fp, precision, integralize_states=MAX_STATES):
+    """vector_length_bound_check for a divisor whose f is already known to
+    be in the family."""
+    n = ds.f.degree
     g = ds.genus
     datum = datum_from_divisor(ds)
     p, one_bar = pencil_from_datum(datum)

@@ -6,7 +6,7 @@ Fractions.  Everything here is exact; multiprecision floats live elsewhere.
 
 from fractions import Fraction
 from math import gcd
-
+from operator import mul
 
 
 def identity_matrix(n):
@@ -18,14 +18,12 @@ def transpose(M):
 
 
 def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
     Bt = list(zip(*B))
-    return [[sum(A[i][t] * Bt[j][t] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_vec(M, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in M]
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def is_symmetric(M):
@@ -165,66 +163,60 @@ def kernel_mod(M, m, factors):
         q = p ** e
         B = identity_matrix(k)
         for j in range(1, e + 1):
-            MBt = mat_mul(M, transpose(B))
+            # B spans the solutions mod p^(j-1), so p*B contains p^j*Z^k
             step = p ** (j - 1)
-            C = [[(x // step) % p for x in row] for row in MBt]
-            N = fp_nullspace(C, p)
-            gens = [mat_mul([y], B)[0] for y in N]
-            gens += [[p * x for x in row] for row in B]
-            gens += [[(p ** j) if t == s else 0 for t in range(k)]
-                     for s in range(k)]
-            B = row_hnf(gens)
+            C = [[x // step % p for x in row]
+                 for row in mat_mul(M, transpose(B))]
+            B = hnf_insert([[p * x for x in row] for row in B],
+                           mat_mul(fp_nullspace(C, p), B))
         if K is None:
             K = B
         else:
-            gens = [[q * x for x in row] for row in K]
-            gens += [[m_done * x for x in row] for row in B]
-            gens += [[(m_done * q) if t == s else 0 for t in range(k)]
-                     for s in range(k)]
-            K = row_hnf(gens)
+            K = hnf_insert([[m_done * q * x for x in row]
+                            for row in identity_matrix(k)],
+                           [[q * x for x in row] for row in K]
+                           + [[m_done * x for x in row] for row in B])
         m_done *= q
     return K
 
 
-def row_hnf(rows):
-    """Row Hermite normal form by direct gcd elimination; zero rows dropped."""
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not work:
-        return []
-    k = len(work[0])
-    out = []
-    col = 0
-    while work and col < k:
-        having = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not having:
-            col += 1
-            continue
-        while len(having) > 1:
-            having.sort(key=lambda r: abs(r[col]))
-            base = having[0]
-            new_having = [base]
-            for r in having[1:]:
-                q = r[col] // base[col]
-                reduced = [a - q * b for a, b in zip(r, base)]
-                if reduced[col] != 0:
-                    new_having.append(reduced)
-                elif any(reduced):
-                    rest.append(reduced)
-            having = new_having
-        piv = having[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        out.append(piv)
-        work = rest
-        col += 1
-    pivots = [next(i for i, x in enumerate(r) if x != 0) for r in out]
-    # reduce above each pivot, leftmost pivot first so later columns settle
-    for i in range(len(out)):
-        p = pivots[i]
-        for r in range(i):
-            q = out[r][p] // out[i][p]
-            if q:
-                out[r] = [a - q * b for a, b in zip(out[r], out[i])]
-    return out
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s, s1, t, t1 = b, a - q * b, s1, s - q * s1, t1, t - q * t1
+    return (a, s, t) if a > 0 else (-a, -s, -t)
 
+
+def hnf_insert(basis, rows):
+    """Row HNF of the lattice spanned by a full-rank upper-triangular basis
+    with positive diagonal and further rows.  Each row is folded in column
+    by column: an extended gcd with the pivot turns the pivot row and the
+    row into a unimodular pair, the gcd on the pivot and 0 in the row.
+    Entries above each pivot are then reduced into [0, pivot)."""
+    B = [list(r) for r in basis]
+    k = len(B)
+    for row in rows:
+        r = list(row)
+        for c in range(k):
+            x = r[c]
+            if not x:
+                continue
+            piv = B[c]
+            b = piv[c]
+            if x % b == 0:
+                q = x // b
+                r = [u - q * v for u, v in zip(r, piv)]
+            else:
+                g, s, t = _xgcd(b, x)
+                bg, xg = b // g, x // g
+                B[c] = [s * v + t * u for v, u in zip(piv, r)]
+                r = [bg * u - xg * v for u, v in zip(r, piv)]
+    for i in range(k):
+        p = B[i][i]
+        for j in range(i):
+            q = B[j][i] // p
+            if q:
+                B[j] = [u - q * v for u, v in zip(B[j], B[i])]
+    return B

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import mpmath as mp
 
@@ -318,18 +319,26 @@ class IntegralizeResult:
 _LINE_CAP = 64
 
 
-def _lattice_key(d, M):
-    """The lattice spanned by the rows of M/d as (d, H): H the row HNF of
-    M, both divided by gcd(d, H) so that the pair is canonical."""
-    H = linalg.row_hnf(M)
+def _lattice_key(d, basis, rows=()):
+    """The lattice spanned by basis/d and rows/d (`linalg.hnf_insert`) as
+    (d, H), H its row HNF, both divided by gcd(d, H) to be canonical."""
+    H = linalg.hnf_insert(basis, rows)
     g = gcd(d, *(x for row in H for x in row))
     return d // g, tuple(tuple(x // g for x in row) for row in H)
 
 
 def _grams(H, A, B):
     """H·A·Hᵀ and H·B·Hᵀ for integer matrices."""
-    Ht = linalg.transpose(H)
-    return [linalg.mat_mul(linalg.mat_mul(H, M), Ht) for M in (A, B)]
+    n = len(H)
+    out = []
+    for M in (A, B):
+        HM = linalg.mat_mul(H, M)
+        G = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = sum(map(mul, HM[i], H[j]))
+        out.append(G)
+    return out
 
 
 def _shrink_to_integral(grams, s, known):
@@ -402,44 +411,30 @@ def _primes(m, known):
 
 def _quad(G, x):
     """x^T G x."""
-    return sum(a * b for a, b in zip(x, linalg.mat_vec(G, x)))
+    return sum(map(mul, x, linalg.mat_vec(G, x)))
 
 
 def _grow_candidates(H, GA, GB, p):
     """Index-p overlattices L + (1/p)u keeping both forms integral, for
     L = (row span of H)/d with integral Grams GA, GB.  Each is returned as
-    integer rows M with L + (1/p)u = (row span of M)/(d p).
+    the integer row u = x·H, with L + (1/p)u = (row span of pH and u)/(d p).
 
-    u must pair into pZ with the whole lattice (kernel of the Grams mod p)
-    and have both self-pairings divisible by p^2; for odd p the latter can be
-    arranged by shifting u by p*w, which is a linear condition on w.
+    u must pair into pZ with the whole lattice (x in the kernel of both
+    Grams mod p) and have both self-pairings divisible by p^2.  No other
+    representative of the line helps: as G·x = 0 mod p,
+    q(x + p·w) = q(x) + 2p·w·Gx + p^2·q(w) = q(x) mod p^2, and the
+    overlattice of x + p·w adds only w·H, which lies in L.
     """
-    out = []
-    for x in _fp_lines(linalg.fp_nullspace(GA + GB, p), p):
-        qa, qb = _quad(GA, x), _quad(GB, x)
-        xx = None
-        if qa % (p * p) == 0 and qb % (p * p) == 0:
-            xx = list(x)
-        elif p != 2:
-            # (x + pw)^T G (x + pw) = q + 2p w.Gx mod p^2
-            ga_x = linalg.mat_vec(GA, x)
-            gb_x = linalg.mat_vec(GB, x)
-            # w with 2 w.Gx = -q/p (mod p): null vectors (w, 1) of [2Gx, q/p]
-            aug = [[2 * v % p for v in ga_x] + [qa // p % p],
-                   [2 * v % p for v in gb_x] + [qb // p % p]]
-            w = next((v[:-1] for v in linalg.fp_nullspace(aug, p) if v[-1]),
-                     None)
-            if w is not None:
-                xx = [a + p * b for a, b in zip(x, w)]
-                if _quad(GA, xx) % (p * p) or _quad(GB, xx) % (p * p):
-                    xx = None
-        if xx is not None:
-            u = linalg.mat_vec(linalg.transpose(H), xx)
-            out.append([[p * c for c in row] for row in H] + [u])
-    return out
+    Ht = linalg.transpose(H)
+    pp = p * p
+    return [linalg.mat_vec(Ht, x)
+            for x in _fp_lines(linalg.fp_nullspace(GA + GB, p), p)
+            if _quad(GA, x) % pp == 0 and _quad(GB, x) % pp == 0]
 
 
 def _sublattice_candidates(H, p):
+    """Index-p sublattices K·H of the row span of H, K the HNF kernel of a
+    line mod p, so K·H is upper triangular with a positive diagonal."""
     return [linalg.mat_mul(linalg.kernel_mod([lam], p, {p: 1}), H)
             for lam in _fp_lines(linalg.identity_matrix(len(H)), p)]
 
@@ -452,11 +447,12 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     drops below 1).  A state is a lattice (d, H), the row span of H/d with
     H in row HNF, so its covolume is prod H_ii / d^n.  With the pencil
     written as (A/a, B/a) over one common denominator a, the Grams of a
-    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2; each state's Grams are computed
-    once, when it is pushed.  Every lattice on the heap pairs integrally
-    under both forms: the seeds are shrunk to integral, an overlattice is
-    kept only if both forms stay integral and a sublattice inherits it.
-    Raises NotFound once the state budget is exhausted, or when a
+    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2; they are computed once, when
+    the state first reaches the top of the heap, so a state that is pushed
+    but never explored costs only its HNF.  Every lattice on the heap
+    pairs integrally under both forms: the seeds are shrunk to integral, an
+    overlattice is kept only if both forms stay integral and a sublattice
+    inherits it.  Raises NotFound once the state budget is exhausted, or when a
     denominator or covolume cannot be factored by trial division; that is
     not a disproof.
     """
@@ -477,22 +473,20 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     heap = []
     counter = 0
 
-    def push(d, M):
+    # An entry is (|log covol|, 0, 0, counter, key, covol) until it first
+    # reaches the top, then (|log covol|, 1, log size, counter, key, covol,
+    # GA, GB): evaluated entries still leave in (|log covol|, log size,
+    # counter) order, as every entry with a smaller primary is evaluated first.
+    def push(d, basis, rows=()):
         nonlocal counter
-        key = _lattice_key(d, M)
+        key = _lattice_key(d, basis, rows)
         if key in seen:
             return
         seen.add(key)
         d, H = key
-        s = a * d * d
-        GA, GB = ([[x // s for x in row] for row in G]
-                  for G in _grams(H, A, B))
         covol = Fraction(math.prod(H[i][i] for i in range(n)), d ** n)
-        # prefer small covolume, then small Gram entries (more reduced states)
-        size = max(1, max(abs(x) for G in (GA, GB) for row in G for x in row))
-        score = (abs(math.log(covol.numerator) - math.log(covol.denominator)),
-                 math.log(size))
-        heapq.heappush(heap, (score, counter, key, covol, GA, GB))
+        primary = abs(math.log(covol.numerator) - math.log(covol.denominator))
+        heapq.heappush(heap, (primary, 0, 0, counter, key, covol))
         counter += 1
 
     # seeds: the integral hull of Z^n and of its q-refinements
@@ -501,18 +495,31 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q, known))
     explored = 0
     while heap and explored < max_states:
-        _, _, (d, H), covol, GA, GB = heapq.heappop(heap)
+        primary, evaluated, _, count, key, covol, *grams = heapq.heappop(heap)
+        d, H = key
+        if not evaluated:
+            s = a * d * d
+            GA, GB = ([[x // s for x in row] for row in G]
+                      for G in _grams(H, A, B))
+            # then prefer small Gram entries (more reduced states)
+            size = max(1, max(abs(x) for G in (GA, GB) for row in G
+                              for x in row))
+            heapq.heappush(heap, (primary, 1, math.log(size), count, key,
+                                  covol, GA, GB))
+            continue
+        GA, GB = grams
         explored += 1
         if covol == 1:
             return _finish(p, d, H, GA, GB)
         if covol > 1:
             for q in _primes(covol.numerator, known):
-                for M in _grow_candidates(H, GA, GB, q):
-                    push(d * q, M)
+                qH = [[q * x for x in row] for row in H]
+                for u in _grow_candidates(H, GA, GB, q):
+                    push(d * q, qH, [u])
         else:
             for q in _primes(covol.denominator, known):
-                for M in _sublattice_candidates(H, q):
-                    push(d, M)
+                for KH in _sublattice_candidates(H, q):
+                    push(d, KH)
     raise NotFound("no integral representative within the search budget")
 
 

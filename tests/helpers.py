@@ -6,11 +6,15 @@ reducedness is checked by a vector-based Gram-Schmidt, and closed-form root
 sets come from radicals, not the library root finder.
 """
 
+import heapq
+import math
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 
 import pencilred as pr
+from pencilred import linalg, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +447,132 @@ def form_mul(f, g):
         for j, b in enumerate(g.coeffs):
             out[i + j] += a * b
     return pr.BinaryForm(n + m, tuple(out))
+
+
+def row_hnf_reference(rows):
+    """Row Hermite normal form by sort-based gcd elimination; zero rows
+    dropped.  The reference for linalg.hnf_insert."""
+    work = [list(r) for r in rows if any(x != 0 for x in r)]
+    if not work:
+        return []
+    k = len(work[0])
+    out = []
+    col = 0
+    while work and col < k:
+        having = [r for r in work if r[col] != 0]
+        rest = [r for r in work if r[col] == 0]
+        if not having:
+            col += 1
+            continue
+        while len(having) > 1:
+            having.sort(key=lambda r: abs(r[col]))
+            base = having[0]
+            new_having = [base]
+            for r in having[1:]:
+                q = r[col] // base[col]
+                reduced = [a - q * b for a, b in zip(r, base)]
+                if reduced[col] != 0:
+                    new_having.append(reduced)
+                elif any(reduced):
+                    rest.append(reduced)
+            having = new_having
+        piv = having[0]
+        if piv[col] < 0:
+            piv = [-x for x in piv]
+        out.append(piv)
+        work = rest
+        col += 1
+    pivots = [next(i for i, x in enumerate(r) if x != 0) for r in out]
+    # reduce above each pivot, leftmost pivot first so later columns settle
+    for i in range(len(out)):
+        p = pivots[i]
+        for r in range(i):
+            q = out[r][p] // out[i][p]
+            if q:
+                out[r] = [a - q * b for a, b in zip(out[r], out[i])]
+    return out
+
+
+def _grow_candidates_reference(H, GA, GB, p):
+    """Generators (pH and u) of every index-p overlattice keeping both
+    forms integral, with the shift of u by p*w tried for odd p."""
+    def quad(G, x):
+        return sum(a * b for a, b in zip(x, linalg.mat_vec(G, x)))
+
+    out = []
+    for x in orbits._fp_lines(linalg.fp_nullspace(GA + GB, p), p):
+        qa, qb = quad(GA, x), quad(GB, x)
+        xx = None
+        if qa % (p * p) == 0 and qb % (p * p) == 0:
+            xx = list(x)
+        elif p != 2:
+            ga_x = linalg.mat_vec(GA, x)
+            gb_x = linalg.mat_vec(GB, x)
+            aug = [[2 * v % p for v in ga_x] + [qa // p % p],
+                   [2 * v % p for v in gb_x] + [qb // p % p]]
+            w = next((v[:-1] for v in linalg.fp_nullspace(aug, p) if v[-1]),
+                     None)
+            if w is not None:
+                xx = [a + p * b for a, b in zip(x, w)]
+                if quad(GA, xx) % (p * p) or quad(GB, xx) % (p * p):
+                    xx = None
+        if xx is not None:
+            u = linalg.mat_vec(linalg.transpose(H), xx)
+            out.append([[p * c for c in row] for row in H] + [u])
+    return out
+
+
+def integralize_reference(p, max_states=8000):
+    """orbits.integralize as an eager search, the reference for its order:
+    every state is scored (Grams and all) when it is pushed, keys come from
+    row_hnf_reference, and the overlattice step also tries the shift.
+    Returns the IntegralizeResult, or raises NotFound at the same budget."""
+    n = p.n
+    a = linalg._denominator_lcm(p.A + p.B)
+    A = [[int(x * a) for x in row] for row in p.A]
+    B = [[int(x * a) for x in row] for row in p.B]
+
+    def grams(H):
+        Ht = linalg.transpose(H)
+        return [linalg.mat_mul(linalg.mat_mul(H, M), Ht) for M in (A, B)]
+
+    seen, known, heap = set(), set(), []
+    counter = 0
+
+    def push(d, M):
+        nonlocal counter
+        H = row_hnf_reference(M)
+        g = gcd(d, *(x for row in H for x in row))
+        key = d // g, tuple(tuple(x // g for x in row) for row in H)
+        if key in seen:
+            return
+        seen.add(key)
+        d, H = key
+        s = a * d * d
+        GA, GB = ([[x // s for x in row] for row in G] for G in grams(H))
+        covol = Fraction(math.prod(H[i][i] for i in range(n)), d ** n)
+        size = max(1, max(abs(x) for G in (GA, GB) for row in G for x in row))
+        score = (abs(math.log(covol.numerator) - math.log(covol.denominator)),
+                 math.log(size))
+        heapq.heappush(heap, (score, counter, key, covol, GA, GB))
+        counter += 1
+
+    ident = linalg.identity_matrix(n)
+    for q in [1, *orbits._primes(a, known)]:
+        push(q, orbits._shrink_to_integral(grams(ident), a * q * q, known))
+    explored = 0
+    while heap and explored < max_states:
+        _, _, (d, H), covol, GA, GB = heapq.heappop(heap)
+        explored += 1
+        if covol == 1:
+            return orbits._finish(p, d, H, GA, GB)
+        if covol > 1:
+            for q in orbits._primes(covol.numerator, known):
+                for M in _grow_candidates_reference(H, GA, GB, q):
+                    push(d * q, M)
+        else:
+            for q in orbits._primes(covol.denominator, known):
+                for lam in orbits._fp_lines(linalg.identity_matrix(n), q):
+                    push(d, linalg.mat_mul(
+                        linalg.kernel_mod([lam], q, {q: 1}), H))
+    raise pr.NotFound("no integral representative within the search budget")

@@ -1,5 +1,6 @@
 """Tests of heights, the family filter, and the explicit inequalities."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
+from pencilred import cli, heights
 from helpers import rand_family_instance
 
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
@@ -121,3 +123,26 @@ def test_bound_check_json():
     chk = pr.prop_bound_check(X4_3Y4, pr.BinaryForm(1, (1, -1)), fp, 128)
     d = chk.to_json_dict()
     assert set(d) == {"lhs", "rhs", "holds", "flags"}
+
+
+def test_height_check_tests_membership_once(monkeypatch, capsys):
+    """The CLI height-check decides family membership once for both
+    bounds; each public check still decides it itself."""
+    calls = []
+    membership = heights.family_membership
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(heights, "family_membership", counting)
+    payload = {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "3"]},
+               "U": {"degree": 1, "coeffs": ["1", "-1"]}, "w": "2"}
+    assert cli.main(["height-check", "--cutoff-X", "4", "--delta", "0.5",
+                     "--input-json", json.dumps(payload)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["prop_bound"]["holds"] and out["vector_length_bound"]["holds"]
+    assert calls == [X4_3Y4]
+    ds = pr.DivisorSpec(X4_3Y4, pr.BinaryForm(1, (1, -1)), Fraction(2))
+    pr.vector_length_bound_check(ds, pr.FamilyParams(4, 0.5), 128)
+    assert calls == [X4_3Y4, X4_3Y4]

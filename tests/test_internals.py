@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pencilred import linalg, polys
+from helpers import row_hnf_reference
 
 
 def test_det_bareiss_matches_fraction_gauss():
@@ -74,9 +77,13 @@ def test_row_hnf_lattice_invariance():
     for _ in range(20):
         n = 3
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if linalg.det_bareiss(M) == 0:
+        det = linalg.det_bareiss(M)
+        if det == 0:
             continue
-        H1 = linalg.row_hnf(M)
+        # the row span of M contains det*Z^n (adj(M)·M = det·I)
+        D = [[abs(det) * x for x in row] for row in linalg.identity_matrix(n)]
+        H1 = linalg.hnf_insert(D, M)
+        assert H1 == row_hnf_reference(M)
         # applying random row ops must not change the HNF
         M2 = [row[:] for row in M]
         for _ in range(4):
@@ -84,4 +91,50 @@ def test_row_hnf_lattice_invariance():
             c = rng.randint(-3, 3)
             for t in range(n):
                 M2[i][t] += c * M2[j][t]
-        assert H1 == linalg.row_hnf(M2)
+        assert H1 == linalg.hnf_insert(D, M2)
+
+
+def _is_hnf(H):
+    n = len(H)
+    return all(H[i][i] > 0 and all(H[i][j] == 0 for j in range(i))
+               and all(0 <= H[r][i] < H[i][i] for r in range(i))
+               for i in range(n))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       extra=st.integers(0, 4), bound=st.sampled_from((3, 30, 10 ** 6)))
+def test_hnf_insert_matches_reference(n, seed, extra, bound):
+    """Folding rows into an upper-triangular basis gives the HNF that the
+    sort-based elimination finds for all the rows together."""
+    rng = random.Random(seed)
+    basis = [[0] * i + [rng.randint(1, 12)]
+             + [rng.randint(-bound, bound) for _ in range(n - i - 1)]
+             for i in range(n)]
+    rows = [[rng.randint(-bound, bound) for _ in range(n)]
+            for _ in range(extra)]
+    H = linalg.hnf_insert(basis, rows)
+    assert _is_hnf(H)
+    assert H == row_hnf_reference(basis + rows)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(m=st.integers(2, 72), k=st.integers(1, 3), r=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_mod_brute_force(m, k, r, seed):
+    """kernel_mod is the HNF of {x : M x = 0 mod m}: its rows solve the
+    system and its index equals m^k over the number of solutions in
+    [0, m)^k, counted by enumeration."""
+    rng = random.Random(seed)
+    M = [[rng.randint(-m, m) for _ in range(k)] for _ in range(r)]
+    K = linalg.kernel_mod(M, m, polys.factor_trial(m))
+    assert len(K) == k and _is_hnf(K)
+    for row in K:
+        assert all(sum(a * b for a, b in zip(eq, row)) % m == 0 for eq in M)
+    solutions = sum(all(sum(a * b for a, b in zip(eq, x)) % m == 0
+                        for eq in M)
+                    for x in product(range(m), repeat=k))
+    index = 1
+    for i in range(k):
+        index *= K[i][i]
+    assert index * solutions == m ** k

@@ -11,8 +11,10 @@ import pytest
 
 import pencilred as pr
 from pencilred import linalg, orbits, polys
-from helpers import (A0, B0, mp_matrix_of, rand_monic_form,
-                     rand_point_divisor, rand_valid_datum, scaled_pencil)
+from helpers import (A0, B0, _grow_candidates_reference,
+                     integralize_reference, mp_matrix_of, rand_monic_form,
+                     rand_pencil, rand_point_divisor, rand_symmetric,
+                     rand_unimodular, rand_valid_datum, scaled_pencil)
 
 X4Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 1))
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
@@ -291,6 +293,74 @@ def test_integralize_unfactorable_denominator():
     # a = 1000003^2 has no prime below 10^6: NotFound, not a ValueError
     with pytest.raises(pr.NotFound):
         pr.integralize(scaled_pencil(P0, 1000003))
+
+
+def _search_outcome(search, p, budget):
+    try:
+        res = search(p, max_states=budget)
+    except pr.NotFound:
+        return None
+    return res.pencil, res.transform
+
+
+def test_integralize_matches_eager_reference():
+    """Grams computed when a state first reaches the top of the heap, and
+    keys from the insertion HNF, explore the states of the eager search in
+    the same order: the same (pencil, transform), and the same NotFound at
+    every budget."""
+    rng = random.Random(58)
+    pencils = []
+    while len(pencils) < 100:
+        p = pr.pencil_from_datum(pr.datum_from_divisor(
+            rand_point_divisor(rng)))[0]
+        if not p.is_integral:
+            pencils.append(p)
+    pencils += [pr.pencil_from_datum(rand_valid_datum(
+        rng, rand_monic_form(rng, 6, 3), 1))[0] for _ in range(8)]
+    pencils += [scaled_pencil(rand_pencil(rng, 6), s) for s in (2, 3, 4, 6)]
+    outcomes = set()
+    for p in pencils:
+        assert not p.is_integral
+        for budget in (1, 2, 3, 5, 8, 400):
+            got = _search_outcome(pr.integralize, p, budget)
+            assert got == _search_outcome(integralize_reference, p, budget)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_overlattice_shift_is_dead():
+    """For x in the common kernel of two integral Grams mod p,
+    q(x + p·w) = q(x) mod p^2 under both forms, so only x itself can pass
+    the p^2 test; the overlattices found equal those of the search that
+    also tried the shift."""
+    rng = random.Random(59)
+    for p in (3, 5, 7):
+        for _ in range(6):
+            n = rng.randint(3, 5)
+            k = rng.randint(1, 2)
+            U = [list(r) for r in rand_unimodular(rng, n).entries]
+            grams = []
+            for _ in range(2):
+                # the first k basis vectors pair into pZ with everything
+                G0 = [[x * p if i < k or j < k else x
+                       for j, x in enumerate(row)]
+                      for i, row in enumerate(rand_symmetric(rng, n, 9))]
+                grams.append(linalg.congruent(U, G0))
+            GA, GB = grams
+            basis = linalg.fp_nullspace(GA + GB, p)
+            assert len(basis) >= k
+            for cs in product(range(p), repeat=len(basis)):
+                x = [sum(c * v[t] for c, v in zip(cs, basis)) % p
+                     for t in range(n)]
+                w = [rng.randint(-9, 9) for _ in range(n)]
+                xw = [a + p * b for a, b in zip(x, w)]
+                for G in grams:
+                    assert (orbits._quad(G, xw) - orbits._quad(G, x)) \
+                        % (p * p) == 0
+            H = [[int(i == j) * rng.randint(1, 4) + (j > i) * rng.randint(
+                0, 3) for j in range(n)] for i in range(n)]
+            assert orbits._grow_candidates(H, GA, GB, p) == [
+                M[-1] for M in _grow_candidates_reference(H, GA, GB, p)]
 
 
 def test_integralize_precondition():
