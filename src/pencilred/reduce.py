@@ -2,14 +2,19 @@
 
 LLL runs exactly on a dyadic rationalization of the covariant Gram matrix;
 the unimodular change of basis is exact integers, so reducing a pencil never
-perturbs it.  Every other lattice answer reads one `Lattice`, the state LLL
-ends in on `exact_gram(H)` (H rationalized at precision bits, at most 192):
-the basis U, the lcm s of the denominators of that Gram and the integral
-Gram-Schmidt data (d, lam) of s U G U^T, so det G = d_n / s^n.  Short
-vectors come from exact Fincke-Pohst enumeration on (d, lam).  Iwasawa
-coordinates follow the convention H = (nu t)^-T (nu t)^-1 with nu unit upper
-triangular and t positive diagonal of product 1 (H rescaled to det 1), read
-off as t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}) and nu = L^-T, with
+perturbs it.  Nothing between the covariant and LLL is floating point: the
+rationalization rounds each entry from its mantissa and exponent in
+integers, on the grid 2^-bits (relative to max |H_ij| when that is below
+1), and the rebased Gram U H U^T is an exact integer product at the common
+exponent of the entries of H.  Every other lattice answer reads one
+`Lattice`, the state LLL ends in on `exact_gram(H)` (H rationalized at
+precision bits, at most 192): the basis U, the lcm s of the denominators of
+that Gram and the integral Gram-Schmidt data (d, lam) of s U G U^T, so
+det G = d_n / s^n.  Short vectors come from exact Fincke-Pohst enumeration
+on (d, lam).  Iwasawa coordinates follow the convention
+H = (nu t)^-T (nu t)^-1 with nu unit upper triangular and t positive
+diagonal of product 1 (H rescaled to det 1), read off as
+t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}) and nu = L^-T, with
 L_ij = lam_ij / d_{j+1}.  So t_1 = det(H)^(1/2n) / |b_1|_H, and with a
 shortest vector v first the cusp test t_1 > c^(n-1) / eps reads
 |v|_H / det(H)^(1/2n) < eps / c^(n-1), the ratio of the eps-small test.
@@ -18,6 +23,7 @@ shortest vector v first the cusp test t_1 > c^(n-1) / eps reads
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import mpmath as mp
 
@@ -26,7 +32,7 @@ from .covariant import GramMatrix, reduction_covariant
 from .errors import DimensionTooLarge, RangeError
 from .forms import DEFAULT_PRECISION
 from .pencil import Pencil, UnimodularMatrix, act
-from .roots import to_mpf
+from .roots import dyadic, man_exp, to_mpf
 
 # Covering Siegel constant sqrt(3)/2; the cusp estimates need c < 1.
 SIEGEL_C = 0.86602540378443864676
@@ -48,17 +54,37 @@ class IwasawaCoordinates:
     c: float
 
 
+def _round_even(m, k):
+    """m / 2^k rounded to the nearest integer, ties to even."""
+    if k <= 0:
+        return m << -k
+    q, r = divmod(m, 1 << k)
+    half = 1 << (k - 1)
+    return q + (r > half or (r == half and q & 1))
+
+
 def rationalize_gram(H: GramMatrix, bits):
-    """Symmetric Fraction approximation with denominators 2^bits."""
+    """Symmetric Fraction approximation with denominators 2^bits, or
+    2^bits / 2^t when every entry of (H + H^T) / 2 is below 2^t <= 1 in
+    absolute value (a Gram of tiny scale keeps bits significant bits instead
+    of rounding to 0).
+
+    Entry (i, j) is H_ij + H_ji rounded to bits + 64 significant bits, then
+    halved and rounded to the grid, both half to even, in integers from the
+    mantissas of H.
+    """
     n = H.n
+    M, e = H.mantissas()
+    # 2 (H + H^T) / 2 over 2^(1 - e)
+    S = {(i, j): M[i][j] + M[j][i] for i in range(n) for j in range(i, n)}
+    bits -= min(0, max((m.bit_length() + e - 1 for m in S.values() if m),
+                       default=0))
     den = 1 << bits
-    out = [[Fraction(0)] * n for _ in range(n)]
-    with mp.workprec(bits + 64):
-        for i in range(n):
-            for j in range(i, n):
-                x = (H.entries[i][j] + H.entries[j][i]) / 2
-                q = Fraction(int(mp.nint(x * den)), den)
-                out[i][j] = out[j][i] = q
+    out = [[None] * n for _ in range(n)]
+    for (i, j), m in S.items():
+        k = max(0, m.bit_length() - bits - 64)
+        q = _round_even(_round_even(m, k), 1 - e - k - bits)
+        out[i][j] = out[j][i] = Fraction(q, den)
     return out
 
 
@@ -209,27 +235,26 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))
     g = UnimodularMatrix(p.n, tuple(tuple(r) for r in g_entries))
     reduced = act(g, p)
-    return ReductionResult(g, reduced, rebase_gram(H, U, precision), g.det)
+    return ReductionResult(g, reduced, rebase_gram(H, U), g.det)
 
 
-def rebase_gram(H: GramMatrix, U, precision=DEFAULT_PRECISION) -> GramMatrix:
+def rebase_gram(H: GramMatrix, U) -> GramMatrix:
     """The Gram U H U^T of the basis whose coordinates are the rows of U.
 
-    Each entry sums n^2 terms U_ia H_ab U_jb, so its error bound is
+    The product is exact, on the integer mantissas of H.  Each entry sums
+    n^2 terms U_ia H_ab U_jb, so its error bound is
     H.error_bound * n^2 * max(1, max |U_ij|)^2.  The upper triangle is
     computed and mirrored: the result is exactly symmetric and holds
     n(n+1)/2 distinct entries.
     """
     n = H.n
-    with mp.workprec(precision + 32):
-        UH = [[mp.fdot(u, col) for col in zip(*H.entries)] for u in U]
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = mp.fdot(UH[i], U[j])
-        size = max(1, max(abs(x) for row in U for x in row))
-        return GramMatrix(n, tuple(map(tuple, rows)),
-                          H.error_bound * n * n * size ** 2)
+    M, e = H.mantissas()
+    UM = [[sum(map(mul, u, col)) for col in zip(*M)] for u in U]
+    upper = [[sum(map(mul, UM[i], U[j])) for j in range(i, n)]
+             for i in range(n)]
+    size = max(1, max(abs(x) for row in U for x in row))
+    m, f = man_exp(H.error_bound)
+    return GramMatrix.from_ints(upper, e, dyadic(m * n * n * size ** 2, f))
 
 
 def exact_gram(H: GramMatrix, precision=DEFAULT_PRECISION):

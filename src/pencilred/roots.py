@@ -32,6 +32,17 @@ def to_mpf(x):
     return mp.mpf(x)
 
 
+def dyadic(m, e):
+    """The mpf m·2^e for ints m and e, exactly."""
+    return mp.make_mpf(from_man_exp(m, e))
+
+
+def man_exp(x):
+    """(m, e) with x = m·2^e, m a signed int, for a finite mpf x."""
+    sign, m, e, _ = x._mpf_
+    return -m if sign else m, e
+
+
 def certified_roots(coeffs, precision):
     """Roots of a squarefree polynomial with per-root certified radii.
 
@@ -179,4 +190,4 @@ def _certify(c, zs, s, precision):
            for i, (x, y, r) in enumerate(pts) for u, v, t in pts[i + 1:]):
         return None
     return tuple((mp.make_mpc((from_man_exp(x, -s), from_man_exp(y, -s))),
-                  mp.make_mpf(from_man_exp(r, -s))) for x, y, r in pts)
+                  dyadic(r, -s)) for x, y, r in pts)

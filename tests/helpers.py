@@ -10,6 +10,7 @@ import heapq
 import math
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import mpmath as mp
 
@@ -268,6 +269,45 @@ def assemble_gram_reference(db, diag, precision):
     err = imag_max + asym + max(scale, mp.mpf(1)) * mp.mpf(2) ** (
         -precision // 2)
     return R, err
+
+
+def covariant_reference(p, precision):
+    """H_{A,B} from independent pieces at the library's working precision
+    precision + 2n + 32: at each certified root the null vector of
+    x0*A - y0*B by full-pivot elimination (nullvector_reference), diag_i =
+    max(|v^T A v|, |v^T B v|) in mpmath, and H = P^-H diag P^-1 through the
+    explicit inverse of assemble_gram_reference.  Returns (H, err) as there,
+    with the entry of each root in complex_roots order."""
+    n = p.n
+    with mp.workprec(precision + 2 * n + 32):
+        A, B = mp_matrix_of(p.A), mp_matrix_of(p.B)
+        roots = pr.complex_roots(pr.invariant_form(p), precision).entries
+        cols, diag = [], []
+        for e in roots:
+            x0, y0 = (1, 0) if e.at_infinity else (e.value, 1)
+            v = nullvector_reference(x0 * A - y0 * B, n)
+            cols.append(v)
+            diag.append(max(abs(mp.fsum(v[i] * M[i, j] * v[j]
+                                        for i in range(n) for j in range(n)))
+                            for M in (A, B)))
+        db = SimpleNamespace(n=n, columns=cols)
+        return assemble_gram_reference(db, diag, precision)
+
+
+def rationalize_gram_reference(H, bits):
+    """(H_ij + H_ji) / 2 rounded by mp.nint onto the grid 2^-bits at
+    bits + 64 bits of working precision: the floating-point rationalization
+    that reduce.rationalize_gram reproduces in integers."""
+    n = H.n
+    den = 1 << bits
+    out = [[Fraction(0)] * n for _ in range(n)]
+    with mp.workprec(bits + 64):
+        for i in range(n):
+            for j in range(i, n):
+                x = (H.entries[i][j] + H.entries[j][i]) / 2
+                q = Fraction(int(mp.nint(x * den)), den)
+                out[i][j] = out[j][i] = q
+    return out
 
 
 def nullvector_reference(M, n):

@@ -7,10 +7,11 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from helpers import (A0, B0, assemble_gram_reference, gram_of_basis,
-                     mp_matrix_of, nullvector_reference, rand_pencil,
-                     rand_unimodular, scaled_pencil)
-from pencilred.reduce import rationalize_gram
+from helpers import (A0, B0, assemble_gram_reference, covariant_reference,
+                     gram_of_basis, mp_matrix_of, nullvector_reference,
+                     rand_pencil, rand_unimodular, scaled_pencil)
+from pencilred import covariant
+from pencilred.reduce import lll_reduce, rationalize_gram
 from pencilred.roots import _certified_roots_cached
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
@@ -123,11 +124,11 @@ def test_covariant_scale_covariance():
             assert diff < 1e-20
 
 
-def _pencil_with_zero_end(rng, end):
-    """A seeded nondegenerate n = 4 pencil with f0 = 0 (end=0: a root at
+def _pencil_with_zero_end(rng, end, n=4):
+    """A seeded nondegenerate pencil with f0 = 0 (end=0: a root at
     infinity) or fn = 0 (end=-1: a root at 0)."""
     while True:
-        p = rand_pencil(rng, 4, 2)
+        p = rand_pencil(rng, n, 2)
         if pr.invariant_form(p).coeffs[end] == 0:
             return p
 
@@ -187,6 +188,110 @@ def test_adjugate_columns_match_elimination_reference(precision):
                 assert abs(abs(phase) - 1) <= mp.mpf(2) ** (-precision // 2)
                 assert max(abs(b - phase * a) for a, b in zip(u, v)) \
                     <= mp.mpf(2) ** (-precision // 2), (p, e.value)
+
+
+def test_covariant_matches_independent_reference_at_256():
+    """In the benchmark's regime (256 bits, n = 6, 8, 10) H lies within its
+    error bound of the covariant built from elimination null vectors and an
+    explicit inverse, and rationalize_gram(H, 256), the Gram lll_reduce
+    hands to LLL, is the same bit for bit: the same U.  The cases hold a
+    root at infinity, a root at 0, roots outside the unit circle, conjugate
+    pairs and a rational pencil."""
+    rng = random.Random(39)
+    cases = [rand_pencil(rng, n, 3) for n in (6, 8, 10) for _ in range(2)]
+    cases += [_pencil_with_zero_end(rng, 0, 6),
+              _pencil_with_zero_end(rng, -1, 6),
+              scaled_pencil(rand_pencil(rng, 6, 3), 6)]
+    kinds = set()
+    for p in cases:
+        H = pr.reduction_covariant(p, 256)
+        R, err = covariant_reference(p, 256)
+        assert R is not None, p
+        diff = max(abs(H.entries[i][j] - R[i, j])
+                   for i in range(p.n) for j in range(p.n))
+        assert diff <= H.error_bound, p
+        ref = pr.GramMatrix.from_mp(R, err)
+        assert rationalize_gram(H, 256) == rationalize_gram(ref, 256), p
+        for e in pr.complex_roots(pr.invariant_form(p), 256).entries:
+            kinds.add("infinity" if e.at_infinity else "zero" if not e.value
+                      else "pair" if mp.im(e.value) else
+                      "outside" if e.outside else "inside")
+    assert kinds == {"infinity", "zero", "pair", "outside", "inside"}
+
+
+def _diagonal_pencil(K):
+    """A = diag(1, 1, 1, K), B = diag(2, 3, 5, 7K): the roots 2, 3, 5, 7
+    with unit columns, and |d_1| = 2 against a scale of 7K, so the
+    smallness test fails until 4·2^(-precision/2)·7K < 2."""
+    return pr.Pencil(4, *(tuple(tuple(x * int(i == j) for j in range(4))
+                                for i, x in enumerate(diag))
+                          for diag in ((1, 1, 1, K), (2, 3, 5, 7 * K))))
+
+
+def test_diagonalization_escalates_precision():
+    """At 16 bits the certificate of K = 2^20 fails twice, and the
+    diagonalization certifies at 64 bits; the escalated H lies within its
+    error bound of the 256-bit H.  With K = 2^200 the four levels 16..128
+    all fail: PrecisionExhausted."""
+    p = _diagonal_pencil(2 ** 20)
+    assert pr.simultaneous_diagonalize(p, 16).s == 64 + 2 * 4 + 32
+    H, ref = pr.reduction_covariant(p, 16), pr.reduction_covariant(p, 256)
+    with mp.workprec(320):
+        assert max(abs(H.entries[i][j] - ref.entries[i][j])
+                   for i in range(4) for j in range(4)) <= H.error_bound
+    with pytest.raises(pr.PrecisionExhausted):
+        pr.simultaneous_diagonalize(_diagonal_pencil(2 ** 200), 16)
+    with pytest.raises(pr.PrecisionExhausted):
+        pr.reduction_covariant(_diagonal_pencil(2 ** 200), 16)
+
+
+def test_assembly_escalation_doubles_precision(monkeypatch):
+    """When the assembly does not certify, reduction_covariant calls
+    simultaneous_diagonalize again at twice the precision, where a tracer
+    sees it, and gives up with PrecisionExhausted after _MAX_ESCALATIONS
+    levels."""
+    calls, failures = [], [1]
+    diagonalize, assemble = (covariant.simultaneous_diagonalize,
+                             covariant._assemble_gram)
+
+    def traced(p, precision):
+        calls.append(precision)
+        return diagonalize(p, precision)
+
+    def flaky(db, diag2, precision):
+        if failures[0]:
+            failures[0] -= 1
+            return None
+        return assemble(db, diag2, precision)
+
+    monkeypatch.setattr(covariant, "simultaneous_diagonalize", traced)
+    monkeypatch.setattr(covariant, "_assemble_gram", flaky)
+    H = pr.reduction_covariant(WORKED, 96)
+    assert calls == [96, 192]
+    with mp.workprec(160):
+        assert abs(H.entries[0][0] - 1) < 1e-25
+    calls.clear()
+    failures[0] = covariant._MAX_ESCALATIONS
+    with pytest.raises(pr.PrecisionExhausted):
+        pr.reduction_covariant(WORKED, 96)
+    assert calls == [96, 192, 384, 768]
+
+
+def test_covariant_and_lll_reduce_use_no_mpmath_linear_algebra(monkeypatch):
+    """The covariant runs on Python ints from the certified roots to the
+    reduced Gram: reduction_covariant and lll_reduce of an n = 8 pencil
+    succeed with mpmath's fdot and matrix disabled."""
+    def disabled(*args, **kwargs):
+        raise AssertionError("mpmath linear algebra in the covariant path")
+
+    for name in ("fdot", "matrix"):
+        monkeypatch.setattr(mp, name, disabled)
+        monkeypatch.setattr(mp.mp, name, disabled)
+    p = rand_pencil(random.Random(40), 8, 3)
+    H = pr.reduction_covariant(p, 256)
+    res = lll_reduce(p, precision=256)
+    assert res.reduced == pr.act(res.g, p)
+    assert res.gram_reduced.n == H.n == 8
 
 
 def test_covariant_of_rational_rescaling():

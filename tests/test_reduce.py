@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 import pencilred as pr
 from pencilred.reduce import (det_ratio, lll_gram, rationalize_gram,
                               rebase_gram)
+from pencilred.roots import man_exp
 from helpers import (_gso_fraction, gram_of_basis, is_reduced_oracle,
                      iwasawa_reference, lll_gram_reference, planted_gram,
-                     rand_pencil, rand_unimodular)
+                     rand_pencil, rand_unimodular, rationalize_gram_reference)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -184,12 +185,78 @@ def test_lll_gram_rejects_bad_input():
         lll_gram([[1, 2], [2, 1]])
 
 
+def _exact(x):
+    m, e = man_exp(x)
+    return Fraction(m) * Fraction(2) ** e
+
+
+def test_rationalize_gram_matches_nint_reference():
+    """The integer rationalization equals mp.nint at bits + 64 bits bit for
+    bit: on covariants at 96, 192 and 256 bits, on Grams whose mirrored
+    entries are distinct mpf values (their mean is rounded first), on
+    entries above 2^64 (more than bits + 64 significant bits) and on exact
+    ties of the grid."""
+    rng = random.Random(48)
+    for n, precision in ((4, 96), (6, 192), (8, 256), (10, 256)):
+        H = pr.reduction_covariant(rand_pencil(rng, n, 3), precision)
+        g = rand_unimodular(rng, n)
+        with mp.workprec(precision + 40):
+            M = gram_of_basis(g.entries, H)
+            big = pr.GramMatrix(n, tuple(tuple(x * mp.mpf(2) ** 90 / 3
+                                               for x in row)
+                                         for row in H.entries), 0)
+        skew = pr.GramMatrix.from_mp(M, H.error_bound)
+        for G in (H, skew, big):
+            for bits in (precision, min(precision, 192), 64):
+                assert (rationalize_gram(G, bits)
+                        == rationalize_gram_reference(G, bits))
+    ties = pr.GramMatrix(2, ((mp.mpf(2.5), mp.mpf(-1.5)),
+                             (mp.mpf(-1.5), mp.mpf(3.5))), 0)
+    assert rationalize_gram(ties, 0) == rationalize_gram_reference(ties, 0) \
+        == [[2, -2], [-2, 4]]
+
+
+def test_rationalize_tiny_scale_gram():
+    """A Gram scaled by 2^-200 keeps its bits: the grid is relative to
+    max |H_ij| when that is below 1, so shortest_vector and
+    iwasawa_coordinates at precision 256 agree with the unscaled Gram."""
+    T = [[5, 2, 0, 0], [2, 7, -3, 0], [0, -3, 6, 1], [0, 0, 1, 9]]
+    H = pr.GramMatrix(4, tuple(tuple(mp.mpf(x) for x in row) for row in T),
+                      mp.mpf(0))
+    tiny = pr.GramMatrix(4, tuple(tuple(mp.ldexp(x, -200) for x in row)
+                                  for row in H.entries), mp.mpf(0))
+    assert rationalize_gram(tiny, 192) == [
+        [Fraction(x, 2 ** 200) for x in row] for row in T]
+    v, norm = pr.shortest_vector(H, 256)
+    vt, norm_t = pr.shortest_vector(tiny, 256)
+    assert vt == v and mp.ldexp(norm_t, 200) == norm
+    assert (pr.iwasawa_coordinates(tiny, precision=256)
+            == pr.iwasawa_coordinates(H, precision=256))
+
+
+def test_rebase_gram_is_exact():
+    """U H U^T is computed exactly: each entry equals the Fraction product
+    of the integer rows and the exact dyadic entries of H, which carry more
+    bits than precision + 32."""
+    rng = random.Random(49)
+    for n in (4, 8):
+        H = pr.reduction_covariant(rand_pencil(rng, n, 3), 256)
+        U = rand_unimodular(rng, n, ops=12, coeff=40).entries
+        Hr = rebase_gram(H, U)
+        Q = [[_exact(x) for x in row] for row in H.entries]
+        for i in range(n):
+            for j in range(n):
+                assert _exact(Hr.entries[i][j]) == sum(
+                    U[i][a] * Q[a][b] * U[j][b]
+                    for a in range(n) for b in range(n))
+
+
 def test_rebase_gram_error_bound():
     H = pr.GramMatrix(2, ((mp.mpf(2), mp.mpf(1)), (mp.mpf(1), mp.mpf(3))),
                       mp.mpf(2) ** -100)
     for size in (1, 3, 10, 1000):
         U = [[1, size], [0, 1]]
-        Hr = rebase_gram(H, U, 128)
+        Hr = rebase_gram(H, U)
         assert Hr.error_bound == H.error_bound * 4 * size ** 2
         with mp.workprec(160):
             assert Hr.entries[0][0] == 2 + 2 * size + 3 * size ** 2
@@ -368,7 +435,7 @@ def test_prop_shortest_norm_invariance(n, seed, inv_s, lam, eps):
     rng = random.Random(seed)
     H = planted_gram(rng, n, mp.mpf(1) / inv_s)
     g = rand_unimodular(rng, n, ops=6)
-    Hg = rebase_gram(H, g.entries, 192)
+    Hg = rebase_gram(H, g.entries)
     with mp.workprec(224):
         lam_mp = mp.mpf(lam.numerator) / lam.denominator
         Hs = pr.GramMatrix(n, tuple(tuple(lam_mp * x for x in row)
