@@ -35,66 +35,39 @@ import mpmath as mp
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     discriminant, mahler_measure_with_error)
+from .linalg import det_bareiss
 from .pencil import Pencil, _integral, adjugate_pencil, invariant_form
 from .roots import dyadic, man_exp
 
 _MAX_ESCALATIONS = 4
 
 
+@dataclass(frozen=True)
 class GramMatrix:
-    """A real n x n Gram matrix with an entrywise absolute error estimate
+    """A real n x n Gram matrix M 2^e, M an integer matrix (symmetric for
+    every Gram the library makes), with an entrywise absolute error estimate
     `error_bound` (an mpf).
 
-    `entries` is n x n of mpf.  A Gram made by `GramMatrix.from_ints` from
-    integers (the covariant, `reduce.rebase_gram`) keeps the symmetric
-    integer matrix M and the exponent e of its entries M_ij 2^e, which the
-    integer rationalization and rebasing read through `mantissas`, and
-    makes the mpf entries on first use.
+    `entries` is the n x n mpf view of M 2^e, made on first use for JSON
+    output; every lattice answer reads M and e.
     """
-
-    def __init__(self, n, entries, error_bound):
-        self.n, self.error_bound = n, error_bound
-        self._entries, self._dyadic = entries, None
-
-    @classmethod
-    def from_ints(cls, upper, e, error_bound):
-        """The Gram with entries M_ij 2^e, M symmetric with upper[i] = the
-        M_ij for j >= i."""
-        H = cls(len(upper), None, error_bound)
-        H._dyadic = (_symmetric(upper), e)
-        return H
+    M: tuple
+    e: int
+    error_bound: object
 
     @property
+    def n(self):
+        return len(self.M)
+
+    @cached_property
     def entries(self):
-        if self._entries is None:
-            M, e = self._dyadic
-            self._entries = _symmetric([[dyadic(x, e) for x in row[i:]]
-                                        for i, row in enumerate(M)])
-        return self._entries
-
-    def mantissas(self):
-        """(M, e): the entries are M_ij 2^e, M an n x n integer matrix."""
-        if self._dyadic is not None:
-            return self._dyadic
-        me = [[man_exp(x) for x in row] for row in self._entries]
-        e = min((f for row in me for m, f in row if m), default=0)
-        return [[m << f - e if m else 0 for m, f in row] for row in me], e
-
-    def as_mp(self):
-        return mp.matrix([list(row) for row in self.entries])
+        return tuple(tuple(dyadic(x, self.e) for x in row) for row in self.M)
 
     def to_json_dict(self, digits=30):
         return {"n": self.n,
                 "entries": [[mp.nstr(x, digits) for x in row]
                             for row in self.entries],
                 "error_bound": mp.nstr(self.error_bound, 8)}
-
-    @classmethod
-    def from_mp(cls, M, error_bound):
-        """Keeps the entries of M as they are, at their own precision."""
-        n = M.rows
-        entries = tuple(tuple(M[i, j] for j in range(n)) for i in range(n))
-        return cls(n, entries, mp.mpf(error_bound))
 
 
 def _symmetric(upper):
@@ -305,8 +278,8 @@ def _assemble_gram(db: DiagonalizingBasis, diag2, precision):
     # imag + max(scale, 1) 2^(-precision/2), rounded up
     h = e // 2
     err = dyadic((imag << h) + max(isqrt(scale2) + 1, 1 << s), -s - h)
-    return GramMatrix.from_ints([[H[k, l][0] for l in range(k, n)]
-                                 for k in range(n)], -s, err)
+    return GramMatrix(_symmetric([[H[k, l][0] for l in range(k, n)]
+                                  for k in range(n)]), -s, err)
 
 
 def reduction_covariant(p: Pencil, precision=DEFAULT_PRECISION) -> GramMatrix:
@@ -342,14 +315,14 @@ def covariant_variant(p: Pencil, which: str,
 
 
 def gram_det_with_error(H: GramMatrix):
-    """Determinant of a GramMatrix with a crude forward error bound."""
-    n = H.n
+    """det H, exactly: det(M) 2^(ne) by fraction-free elimination, with the
+    forward error n^2 max(|H_ij|, 1)^(n-1) error_bound that the entrywise
+    error of H propagates into it."""
+    n, e = H.n, H.e
     with mp.extraprec(64):
-        d = mp.det(H.as_mp())
-        norm = max(abs(x) for row in H.entries for x in row)
-        err = (n * n * max(norm, mp.mpf(1)) ** (n - 1) * H.error_bound
-               + abs(d) * mp.mpf(2) ** (-mp.mp.prec + 16))
-    return d, err
+        norm = dyadic(max(abs(x) for row in H.M for x in row), e)
+        err = n * n * max(norm, mp.mpf(1)) ** (n - 1) * H.error_bound
+    return dyadic(det_bareiss(H.M), n * e), err
 
 
 def det_identity(H: GramMatrix, f: BinaryForm, precision=DEFAULT_PRECISION):

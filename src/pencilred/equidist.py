@@ -109,7 +109,7 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
             continue
         m2 = real_root_count(f)
         H = reduction_covariant(p, precision)
-        lattice = lll_gram(exact_gram(H, precision))
+        lattice = lll_gram(*exact_gram(H, precision))
         _, _, ok = det_identity(H, f, precision)
         items.append(SampleItem(idx, p, int(ht), True, m2 // 2,
                                 lattice.ratio(lattice.shortest()[1], precision),

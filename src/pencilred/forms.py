@@ -154,7 +154,7 @@ def _shear(f: BinaryForm, t: int):
     return BinaryForm(n, tuple(out))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=64)
 def discriminant(f: BinaryForm):
     """Delta(f), exact.
 

@@ -1,17 +1,16 @@
 """Lattice reduction of pencils, short vectors, and Siegel coordinates.
 
-LLL runs exactly on a dyadic rationalization of the covariant Gram matrix;
-the unimodular change of basis is exact integers, so reducing a pencil never
-perturbs it.  Nothing between the covariant and LLL is floating point: the
-rationalization rounds each entry from its mantissa and exponent in
-integers, on the grid 2^-bits (relative to max |H_ij| when that is below
-1), and the rebased Gram U H U^T is an exact integer product at the common
-exponent of the entries of H.  Every other lattice answer reads one
-`Lattice`, the state LLL ends in on `exact_gram(H)` (H rationalized at
-precision bits, at most 192): the basis U, the lcm s of the denominators of
-that Gram and the integral Gram-Schmidt data (d, lam) of s U G U^T, so
-det G = d_n / s^n.  Short vectors come from exact Fincke-Pohst enumeration
-on (d, lam).  Iwasawa coordinates follow the convention
+One integer Gram runs from the covariant to the shortest vector: H is
+M 2^e with M an integer matrix.  LLL runs exactly on its rationalization,
+the integer symmetric G over a power of two s that rounds M on the grid
+2^-bits (relative to max |H_ij| when that is below 1); the unimodular
+change of basis is exact integers, so reducing a pencil never perturbs it.
+The rebased Gram U M U^T and v^T M v are exact integer products.  Every
+other lattice answer reads one `Lattice`, the state LLL ends in on
+`exact_gram(H)` (H rationalized at precision bits, at most 192): the basis
+U, G, s and the integral Gram-Schmidt data (d, lam) of U G U^T, so
+det(G / s) = d_n / s^n.  Short vectors come from Fincke-Pohst enumeration
+in integers on (d, lam).  Iwasawa coordinates follow the convention
 H = (nu t)^-T (nu t)^-1 with nu unit upper triangular and t positive
 diagonal of product 1 (H rescaled to det 1), read off as
 t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}) and nu = L^-T, with
@@ -22,13 +21,13 @@ shortest vector v first the cusp test t_1 > c^(n-1) / eps reads
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import from_rational, round_nearest
 
 from . import linalg
-from .covariant import GramMatrix, reduction_covariant
+from .covariant import GramMatrix, _symmetric, reduction_covariant
 from .errors import DimensionTooLarge, RangeError
 from .forms import DEFAULT_PRECISION
 from .pencil import Pencil, UnimodularMatrix, act
@@ -54,38 +53,41 @@ class IwasawaCoordinates:
     c: float
 
 
+def _nearest(a, b):
+    """a / b rounded to the nearest integer, ties to even, for b > 0."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q & 1))
+
+
 def _round_even(m, k):
     """m / 2^k rounded to the nearest integer, ties to even."""
-    if k <= 0:
-        return m << -k
-    q, r = divmod(m, 1 << k)
-    half = 1 << (k - 1)
-    return q + (r > half or (r == half and q & 1))
+    return m << -k if k <= 0 else _nearest(m, 1 << k)
 
 
 def rationalize_gram(H: GramMatrix, bits):
-    """Symmetric Fraction approximation with denominators 2^bits, or
-    2^bits / 2^t when every entry of (H + H^T) / 2 is below 2^t <= 1 in
+    """(G, s): G / s approximates (H + H^T) / 2 on the grid 1 / 2^bits, or
+    2^t / 2^bits when every entry of (H + H^T) / 2 is below 2^t <= 1 in
     absolute value (a Gram of tiny scale keeps bits significant bits instead
-    of rounding to 0).
+    of rounding to 0).  G is an integer symmetric matrix and s = 2^bits with
+    the power of two common to the grid points stripped, so s is the lcm of
+    the denominators of G / s in lowest terms.
 
     Entry (i, j) is H_ij + H_ji rounded to bits + 64 significant bits, then
-    halved and rounded to the grid, both half to even, in integers from the
-    mantissas of H.
+    halved and rounded to the grid, both half to even, in integers from M.
     """
-    n = H.n
-    M, e = H.mantissas()
+    n, M, e = H.n, H.M, H.e
     # 2 (H + H^T) / 2 over 2^(1 - e)
     S = {(i, j): M[i][j] + M[j][i] for i in range(n) for j in range(i, n)}
     bits -= min(0, max((m.bit_length() + e - 1 for m in S.values() if m),
                        default=0))
-    den = 1 << bits
-    out = [[None] * n for _ in range(n)]
+    Q = {}
     for (i, j), m in S.items():
         k = max(0, m.bit_length() - bits - 64)
-        q = _round_even(_round_even(m, k), 1 - e - k - bits)
-        out[i][j] = out[j][i] = Fraction(q, den)
-    return out
+        Q[i, j] = _round_even(_round_even(m, k), 1 - e - k - bits)
+    # the largest t <= bits with 2^t dividing every grid point
+    t = min([bits] + [(q & -q).bit_length() - 1 for q in Q.values() if q])
+    return _symmetric([[Q[i, j] >> t for j in range(i, n)]
+                       for i in range(n)]), 1 << bits - t
 
 
 def _integral_gso(G):
@@ -114,39 +116,40 @@ def _integral_gso(G):
 
 @dataclass(frozen=True)
 class Lattice:
-    """The basis whose coordinates are the rows of U, under an exact Gram G.
+    """The basis whose coordinates are the rows of U, under the exact Gram
+    G / s, G an integer symmetric matrix and s a positive integer.
 
-    s is the lcm of the denominators of G, and (d, lam) is the integral
-    Gram-Schmidt data of s U G U^T (see `_integral_gso`).
+    (d, lam) is the integral Gram-Schmidt data of U G U^T (see
+    `_integral_gso`).
     """
     U: list
     d: list
     lam: list
     s: int
+    G: list
 
     @classmethod
-    def standard(cls, G):
-        """The standard basis of Z^n under G."""
-        G = [[Fraction(x) for x in row] for row in G]
-        s = lcm(*(x.denominator for row in G for x in row))
-        Gs = [[x.numerator * (s // x.denominator) for x in row] for row in G]
-        return cls(linalg.identity_matrix(len(G)), *_integral_gso(Gs), s)
+    def standard(cls, G, s=1):
+        """The standard basis of Z^n under G / s."""
+        return cls(linalg.identity_matrix(len(G)), *_integral_gso(G), s, G)
 
     @property
     def det(self):
-        """det G, exactly: d_n / s^n."""
+        """det(G / s), exactly: d_n / s^n."""
         return Fraction(self.d[-1], self.s ** len(self.U))
 
     def shortest(self):
         """(v, N): the canonical shortest nonzero vector, in the coordinates
-        of G, and its norm N = s v^T G v."""
-        norm, minima = _enumerate_minima(self.d, self.lam)
+        of G, and its norm N = v^T G v."""
+        norm, minima = _enumerate_minima(self.d, self.lam,
+                                         _gram_of(self.U, self.G))
         Ut = linalg.transpose(self.U)
         return _canonical_minimizer(tuple(linalg.mat_vec(Ut, list(x)))
                                     for x in minima), norm
 
     def ratio(self, norm, precision):
-        """|v|_G / det(G)^(1/2n) for a vector v of norm N = s v^T G v."""
+        """|v| / det^(1/2n) under G / s for a vector v of norm
+        N = v^T G v."""
         with mp.workprec(precision + 32):
             return det_ratio(to_mpf(Fraction(norm, self.s)), to_mpf(self.det),
                              len(self.U))
@@ -171,21 +174,21 @@ class Lattice:
         return IwasawaCoordinates(t, nu, bool(ok), float(c))
 
 
-def lll_gram(G, delta=0.99) -> Lattice:
-    """LLL on a positive definite rational Gram matrix.
+def lll_gram(G, s=1, delta=0.99) -> Lattice:
+    """LLL on the positive definite Gram G / s, G an integer matrix.
 
     Returns the reduced `Lattice`: the rows of its U are the coordinates of
-    the reduced basis, whose Gram is U G U^T.  Integral LLL (Cohen, GTM 138,
-    Alg. 2.6.7) on G scaled to integers: each row is fully size-reduced
-    before its Lovasz test, and a swap updates the exact Gram-Schmidt data
-    in O(n) integer steps.  U, d and lam are updated in place, so the
-    returned record holds the Gram-Schmidt data of the basis LLL ends in.
+    the reduced basis, whose Gram is U G U^T / s.  Integral LLL (Cohen,
+    GTM 138, Alg. 2.6.7): each row is fully size-reduced before its Lovasz
+    test, and a swap updates the exact Gram-Schmidt data in O(n) integer
+    steps.  U, d and lam are updated in place, so the returned record holds
+    the Gram-Schmidt data of the basis LLL ends in.
     """
     if not 0.25 < delta < 1:
         raise ValueError("delta must lie in (0.25, 1)")
-    delta = Fraction(delta)
+    num, den = delta.as_integer_ratio()
     n = len(G)
-    lattice = Lattice.standard(G)
+    lattice = Lattice.standard(G, s)
     U, d, lam = lattice.U, lattice.d, lattice.lam
     k = 1
     while k < n:
@@ -194,15 +197,14 @@ def lll_gram(G, delta=0.99) -> Lattice:
             # |mu_kj| <= 1/2 rounds (half-even) to 0
             if 2 * abs(lk[j]) <= d[j + 1]:
                 continue
-            q = round(Fraction(lk[j], d[j + 1]))
+            q = _nearest(lk[j], d[j + 1])
             U[k] = [a - q * b for a, b in zip(U[k], U[j])]
             lj = lam[j]
             for t in range(j):
                 lk[t] -= q * lj[t]
             lk[j] -= q * d[j + 1]
         lm = lk[k - 1]
-        if (delta.denominator * (d[k + 1] * d[k - 1] + lm * lm)
-                >= delta.numerator * d[k] * d[k]):
+        if den * (d[k + 1] * d[k - 1] + lm * lm) >= num * d[k] * d[k]:
             k += 1
             continue
         U[k], U[k - 1] = U[k - 1], U[k]
@@ -229,7 +231,7 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     raises DegeneratePencil from reduction_covariant.
     """
     H = reduction_covariant(p, precision)
-    U = lll_gram(rationalize_gram(H, precision), delta).U
+    U = lll_gram(*rationalize_gram(H, precision), delta).U
     if sl_normalize and linalg.det_bareiss(U) == -1:
         U = [[-x for x in U[0]]] + [list(r) for r in U[1:]]
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))
@@ -241,73 +243,74 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
 def rebase_gram(H: GramMatrix, U) -> GramMatrix:
     """The Gram U H U^T of the basis whose coordinates are the rows of U.
 
-    The product is exact, on the integer mantissas of H.  Each entry sums
-    n^2 terms U_ia H_ab U_jb, so its error bound is
-    H.error_bound * n^2 * max(1, max |U_ij|)^2.  The upper triangle is
-    computed and mirrored: the result is exactly symmetric and holds
-    n(n+1)/2 distinct entries.
+    The product is exact, on M.  Each entry sums n^2 terms U_ia H_ab U_jb,
+    so its error bound is H.error_bound * n^2 * max(1, max |U_ij|)^2.
     """
     n = H.n
-    M, e = H.mantissas()
-    UM = [[sum(map(mul, u, col)) for col in zip(*M)] for u in U]
-    upper = [[sum(map(mul, UM[i], U[j])) for j in range(i, n)]
-             for i in range(n)]
     size = max(1, max(abs(x) for row in U for x in row))
     m, f = man_exp(H.error_bound)
-    return GramMatrix.from_ints(upper, e, dyadic(m * n * n * size ** 2, f))
+    return GramMatrix(_gram_of(U, H.M), H.e,
+                      dyadic(m * n * n * size ** 2, f))
+
+
+def _gram_of(U, M):
+    """U M U^T for integer matrices, exactly: the upper triangle, mirrored."""
+    UM = [[sum(map(mul, u, col)) for col in zip(*M)] for u in U]
+    return _symmetric([[sum(map(mul, UM[i], U[j])) for j in range(i, len(U))]
+                       for i in range(len(U))])
 
 
 def exact_gram(H: GramMatrix, precision=DEFAULT_PRECISION):
-    """H rationalized at precision bits, at most 192: the exact Gram behind
-    shortest vectors, Iwasawa coordinates, the cusp test and the sampler."""
+    """(G, s): H rationalized at precision bits, at most 192, the exact Gram
+    G / s behind shortest vectors, Iwasawa coordinates, the cusp test and
+    the sampler."""
     return rationalize_gram(H, min(precision, 192))
 
 
-def _enumerate_minima(d, lam):
+def _enumerate_minima(d, lam, Q):
     """(N, minimizers): the minimum N of the positive definite integer form
-    with integral Gram-Schmidt data (d, lam), and all nonzero x reaching it.
+    Q with integral Gram-Schmidt data (d, lam), and all nonzero x reaching
+    it.
 
-    Fincke-Pohst from the last coordinate down, with rational arithmetic
-    only; the LDL^T is L_ij = lam_ij / d_{j+1} and D_i = d_{i+1} / d_i, so
-    each partial sum is an exact norm.  The radius starts at the smallest
-    diagonal entry of the form and shrinks as better vectors appear.
+    Fincke-Pohst from the last coordinate down, in integers.  With
+    y_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j the form is the sum of the terms
+    y_i^2 / (d_i d_{i+1}); a node's sum of the floors of its terms bounds
+    every norm below it from below and prunes, and each leaf's norm x^T Q x
+    is exact.  The radius starts at the smallest diagonal entry of Q and
+    shrinks as better vectors appear.
     """
-    n = len(lam)
-    L = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
-    D = [Fraction(d[i + 1], d[i]) for i in range(n)]
-    best = min(D[i] + sum(D[j] * L[i][j] ** 2 for j in range(i))
-               for i in range(n))
+    n = len(Q)
+    best = min(Q[i][i] for i in range(n))
     minima = []
-
     x = [0] * n
 
     def recurse(i, partial):
         nonlocal best, minima
         if i < 0:
             if any(x):
-                if partial < best:
-                    best = partial
+                norm = sum(a * sum(map(mul, row, x)) for a, row in zip(x, Q))
+                if norm < best:
+                    best = norm
                     minima = [tuple(x)]
-                elif partial == best:
+                elif norm == best:
                     minima.append(tuple(x))
             return
-        c = sum(L[j][i] * x[j] for j in range(i + 1, n))
-        budget = best - partial
-        if budget < 0:
-            return
-        base = round(-c)
-        # the term is a parabola in xi centered at -c, so walk outward
+        di = d[i + 1]
+        dd = d[i] * di
+        c = sum(lam[j][i] * x[j] for j in range(i + 1, n))
+        # the term is a parabola in xi centered at -c / di, so walk outward
+        base = _nearest(-c, di)
         for xi, step in ((base, 1), (base - 1, -1)):
-            term = D[i] * (xi + c) ** 2
-            while term <= budget:
+            y = di * xi + c
+            while (term := y * y // dd) <= best - partial:
                 x[i] = xi
                 recurse(i - 1, partial + term)
                 xi += step
-                term = D[i] * (xi + c) ** 2
+                y += step * di
         x[i] = 0
 
-    recurse(n - 1, Fraction(0))
-    return int(best), minima
+    recurse(n - 1, 0)
+    return best, minima
 
 
 def _canonical_minimizer(vectors):
@@ -322,10 +325,14 @@ def _canonical_minimizer(vectors):
 
 
 def form_norm(H: GramMatrix, v, precision=DEFAULT_PRECISION):
-    """v^T H v for a vector v of ints or Fractions."""
-    with mp.workprec(precision + 32):
-        vec = mp.matrix([to_mpf(x) for x in v])
-        return (vec.T * H.as_mp() * vec)[0, 0]
+    """v^T H v for a vector v of ints or Fractions: the exact v^T M v 2^e,
+    rounded once to precision + 32 bits."""
+    den = linalg._denominator_lcm([v])
+    w = [int(x * den) for x in v]
+    num = sum(a * sum(map(mul, row, w)) for a, row in zip(w, H.M))
+    return mp.make_mpf(from_rational(num << max(H.e, 0),
+                                     den * den << max(-H.e, 0),
+                                     precision + 32, round_nearest))
 
 
 def det_ratio(norm, det, n):
@@ -343,7 +350,7 @@ def shortest_vector(H: GramMatrix, precision=DEFAULT_PRECISION):
     """
     if H.n > 12:
         raise DimensionTooLarge("exact enumeration supports n <= 12")
-    v, _ = lll_gram(exact_gram(H, precision)).shortest()
+    v, _ = lll_gram(*exact_gram(H, precision)).shortest()
     return v, form_norm(H, v, precision)
 
 
@@ -351,7 +358,7 @@ def epsilon_small_test(H: GramMatrix, eps, precision=DEFAULT_PRECISION) -> bool:
     """True iff the shortest vector satisfies (v,v)^(1/2) < eps*det(H)^(1/2n)."""
     if H.n > 12:
         raise DimensionTooLarge("exact enumeration supports n <= 12")
-    lattice = lll_gram(exact_gram(H, precision))
+    lattice = lll_gram(*exact_gram(H, precision))
     return bool(lattice.ratio(lattice.shortest()[1], precision) < mp.mpf(eps))
 
 
@@ -360,7 +367,7 @@ def iwasawa_coordinates(H: GramMatrix, c=SIEGEL_C,
     """Iwasawa coordinates of the det-1 rescaling of H in the standard basis:
     H1 = (nu * t)^-T (nu * t)^-1, nu unit upper triangular, t positive
     diagonal with product 1."""
-    return Lattice.standard(exact_gram(H, precision)).iwasawa(c, precision)
+    return Lattice.standard(*exact_gram(H, precision)).iwasawa(c, precision)
 
 
 def cusp_membership(H: GramMatrix, eps, c=SIEGEL_C,
@@ -373,7 +380,7 @@ def cusp_membership(H: GramMatrix, eps, c=SIEGEL_C,
     verbatim.
     """
     n = H.n
-    lattice = lll_gram(exact_gram(H, precision))
+    lattice = lll_gram(*exact_gram(H, precision))
     norm = lattice.shortest()[1] if n <= 12 else lattice.d[1]
     with mp.workprec(precision + 32):
         threshold = mp.mpf(eps) / mp.mpf(c) ** (n - 1)

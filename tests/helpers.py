@@ -16,6 +16,7 @@ import mpmath as mp
 
 import pencilred as pr
 from pencilred import linalg, orbits
+from pencilred.roots import man_exp
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,25 @@ def planted_gram(rng, n, s, precision=192):
         D = mp.diag([mp.mpf(s) ** 2] + [mp.mpf(1)] * (n - 1))
         Hm = mp.matrix([[mp.mpf(x) for x in row] for row in hinv]).T * D * \
             mp.matrix([[mp.mpf(x) for x in row] for row in hinv])
-        return pr.GramMatrix.from_mp(Hm, mp.mpf(2) ** (-precision + 8))
+        return gram_from_mp(Hm, mp.mpf(2) ** (-precision + 8))
+
+
+def gram_from_mp(M, error_bound):
+    """The GramMatrix whose entries are exactly those of M, an mp.matrix or
+    rows of mpf and ints, at any working precision: their integer mantissas
+    at the smallest exponent among them."""
+    rows = M.tolist() if isinstance(M, mp.matrix) else M
+    me = [[man_exp(x) if isinstance(x, mp.mpf) else (int(x), 0) for x in row]
+          for row in rows]
+    e = min((f for row in me for m, f in row if m), default=0)
+    return pr.GramMatrix(tuple(tuple(m << f - e if m else 0 for m, f in row)
+                               for row in me), e, mp.mpf(error_bound))
+
+
+def clear_denominators(G):
+    """(G s, s) for a rational matrix G and the lcm s of its denominators."""
+    s = math.lcm(*(Fraction(x).denominator for row in G for x in row))
+    return tuple(tuple(int(x * s) for x in row) for row in G), s
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +315,9 @@ def covariant_reference(p, precision):
 
 def rationalize_gram_reference(H, bits):
     """(H_ij + H_ji) / 2 rounded by mp.nint onto the grid 2^-bits at
-    bits + 64 bits of working precision: the floating-point rationalization
-    that reduce.rationalize_gram reproduces in integers."""
+    bits + 64 bits of working precision, as (G, s) by clear_denominators:
+    the floating-point rationalization that reduce.rationalize_gram
+    reproduces in integers."""
     n = H.n
     den = 1 << bits
     out = [[Fraction(0)] * n for _ in range(n)]
@@ -307,7 +327,7 @@ def rationalize_gram_reference(H, bits):
                 x = (H.entries[i][j] + H.entries[j][i]) / 2
                 q = Fraction(int(mp.nint(x * den)), den)
                 out[i][j] = out[j][i] = q
-    return out
+    return clear_denominators(out)
 
 
 def nullvector_reference(M, n):
@@ -352,7 +372,7 @@ def nullvector_reference(M, n):
 def gram_of_basis(U, H):
     """U H U^T for integer rows U and GramMatrix H, in mp."""
     Um = mp.matrix([list(r) for r in U])
-    return Um * H.as_mp() * Um.T
+    return Um * mp_matrix_of(H.entries) * Um.T
 
 
 def is_reduced_oracle(U, G0, delta=0.99):
@@ -454,7 +474,7 @@ def iwasawa_reference(H, precision):
     i holding the entries right of the diagonal."""
     n = H.n
     with mp.workprec(precision + 32):
-        Hm = H.as_mp()
+        Hm = mp_matrix_of(H.entries)
         C = (Hm / mp.det(Hm) ** (mp.mpf(1) / n)) ** -1
         Cf = mp.matrix(n)
         for i in range(n):
@@ -474,9 +494,54 @@ def iwasawa_reference(H, precision):
 
 
 def mp_matrix_of(rows):
-    return mp.matrix([[mp.mpf(x) if not isinstance(x, Fraction)
-                       else mp.mpf(x.numerator) / mp.mpf(x.denominator)
-                       for x in row] for row in rows])
+    """Rows of ints, Fractions or mpf as an mp.matrix; mpf entries are kept
+    as they are."""
+    return mp.matrix([[mp.mpf(x.numerator) / mp.mpf(x.denominator)
+                       if isinstance(x, Fraction) else x for x in row]
+                      for row in rows])
+
+
+def enumerate_minima_reference(d, lam):
+    """Fincke-Pohst on Fractions, the reference for reduce._enumerate_minima:
+    (N, minimizers) of the positive definite integer form with integral
+    Gram-Schmidt data (d, lam).  The LDL^T is L_ij = lam_ij / d_{j+1} and
+    D_i = d_{i+1} / d_i, so each partial sum is an exact norm; the radius
+    starts at the smallest diagonal entry and shrinks as better vectors
+    appear."""
+    n = len(lam)
+    L = [[Fraction(lam[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
+    D = [Fraction(d[i + 1], d[i]) for i in range(n)]
+    best = min(D[i] + sum(D[j] * L[i][j] ** 2 for j in range(i))
+               for i in range(n))
+    minima = []
+    x = [0] * n
+
+    def recurse(i, partial):
+        nonlocal best, minima
+        if i < 0:
+            if any(x):
+                if partial < best:
+                    best = partial
+                    minima = [tuple(x)]
+                elif partial == best:
+                    minima.append(tuple(x))
+            return
+        c = sum(L[j][i] * x[j] for j in range(i + 1, n))
+        budget = best - partial
+        if budget < 0:
+            return
+        base = round(-c)
+        for xi, step in ((base, 1), (base - 1, -1)):
+            term = D[i] * (xi + c) ** 2
+            while term <= budget:
+                x[i] = xi
+                recurse(i - 1, partial + term)
+                xi += step
+                term = D[i] * (xi + c) ** 2
+        x[i] = 0
+
+    recurse(n - 1, Fraction(0))
+    return int(best), minima
 
 
 def form_mul(f, g):

@@ -77,7 +77,7 @@ def test_criterion_equivariance():
         Hg = pr.reduction_covariant(pr.act(g, p), 128)
         with mp.workprec(160):
             hinv = mp_matrix_of(g.inverse().entries)
-            expected = hinv.T * H.as_mp() * hinv
+            expected = hinv.T * mp_matrix_of(H.entries) * hinv
             scale = max(abs(x) for row in H.entries for x in row)
             diff = max(abs(Hg.entries[i][j] - expected[i, j])
                        for i in range(4) for j in range(4))
@@ -92,7 +92,7 @@ def _norm_agreement(ds, precision=192):
     with mp.workprec(precision + 32):
         v = mp.matrix([mp.mpf(x.numerator) / mp.mpf(x.denominator)
                        for x in one_bar])
-        quad = (v.T * H.as_mp() * v)[0, 0]
+        quad = (v.T * mp_matrix_of(H.entries) * v)[0, 0]
         formula = pr.norm_of_one_formula(ds, precision)
         return abs(quad - formula), formula
 

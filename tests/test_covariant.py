@@ -8,10 +8,11 @@ import pytest
 
 import pencilred as pr
 from helpers import (A0, B0, assemble_gram_reference, covariant_reference,
-                     gram_of_basis, mp_matrix_of, nullvector_reference,
-                     rand_pencil, rand_unimodular, scaled_pencil)
+                     gram_from_mp, gram_of_basis, mp_matrix_of,
+                     nullvector_reference, rand_pencil, rand_unimodular,
+                     scaled_pencil)
 from pencilred import covariant
-from pencilred.reduce import lll_reduce, rationalize_gram
+from pencilred.reduce import form_norm, lll_reduce, rationalize_gram
 from pencilred.roots import _certified_roots_cached
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
@@ -90,7 +91,7 @@ def test_covariant_invariants():
                 for j in range(n):
                     assert abs(H.entries[i][j] - H.entries[j][i]) \
                         <= H.error_bound
-            eigs = mp.eigsy(H.as_mp(), eigvals_only=True)
+            eigs = mp.eigsy(mp_matrix_of(H.entries), eigvals_only=True)
             assert min(eigs) > H.error_bound * n
 
 
@@ -103,7 +104,7 @@ def test_covariant_equivariance():
             H = pr.reduction_covariant(p, 128)
             Hg = pr.reduction_covariant(pr.act(g, p), 128)
             hinv = mp_matrix_of(g.inverse().entries)
-            expected = hinv.T * H.as_mp() * hinv
+            expected = hinv.T * mp_matrix_of(H.entries) * hinv
             scale = max(abs(x) for row in Hg.entries for x in row)
             diff = max(abs(Hg.entries[i][j] - expected[i, j])
                        for i in range(4) for j in range(4))
@@ -162,7 +163,7 @@ def test_rank_one_assembly_matches_inverse_reference(precision):
                         else max(abs(a), abs(b))
                         for a, b in zip(db.dA, db.dB)]
                 R, _ = assemble_gram_reference(db, diag, precision)
-                ref = pr.GramMatrix.from_mp(R, H.error_bound)
+                ref = gram_from_mp(R, H.error_bound)
             diff = max(abs(H.entries[i][j] - R[i, j])
                        for i in range(p.n) for j in range(p.n))
             assert diff <= H.error_bound, (p, which)
@@ -210,7 +211,7 @@ def test_covariant_matches_independent_reference_at_256():
         diff = max(abs(H.entries[i][j] - R[i, j])
                    for i in range(p.n) for j in range(p.n))
         assert diff <= H.error_bound, p
-        ref = pr.GramMatrix.from_mp(R, err)
+        ref = gram_from_mp(R, err)
         assert rationalize_gram(H, 256) == rationalize_gram(ref, 256), p
         for e in pr.complex_roots(pr.invariant_form(p), 256).entries:
             kinds.add("infinity" if e.at_infinity else "zero" if not e.value
@@ -279,12 +280,14 @@ def test_assembly_escalation_doubles_precision(monkeypatch):
 
 def test_covariant_and_lll_reduce_use_no_mpmath_linear_algebra(monkeypatch):
     """The covariant runs on Python ints from the certified roots to the
-    reduced Gram: reduction_covariant and lll_reduce of an n = 8 pencil
-    succeed with mpmath's fdot and matrix disabled."""
+    shortest vector: reduction_covariant, lll_reduce, the short-vector and
+    cusp tests, form_norm and det_identity of an n = 8 pencil, and a
+    sampled n = 4 batch, succeed with mpmath's fdot, matrix and det
+    disabled."""
     def disabled(*args, **kwargs):
         raise AssertionError("mpmath linear algebra in the covariant path")
 
-    for name in ("fdot", "matrix"):
+    for name in ("fdot", "matrix", "det"):
         monkeypatch.setattr(mp, name, disabled)
         monkeypatch.setattr(mp.mp, name, disabled)
     p = rand_pencil(random.Random(40), 8, 3)
@@ -292,6 +295,27 @@ def test_covariant_and_lll_reduce_use_no_mpmath_linear_algebra(monkeypatch):
     res = lll_reduce(p, precision=256)
     assert res.reduced == pr.act(res.g, p)
     assert res.gram_reduced.n == H.n == 8
+    v, norm = pr.shortest_vector(H, 256)
+    assert norm == form_norm(H, v, 256) > 0
+    assert pr.epsilon_small_test(H, 2) is True
+    assert pr.cusp_membership(H, 1e-9, precision=256) is False
+    assert covariant.det_identity(H, pr.invariant_form(p), 256)[2] is True
+    batch = pr.sample_pencils(4, 3, 20, 7, precision=96)
+    assert all(it.det_identity_ok for it in batch.nondegenerate_items())
+
+
+@pytest.mark.parametrize("precision", (96, 256))
+def test_gram_det_matches_mp_det(precision):
+    """The exact det H lies within its returned error of mpmath's det of
+    the entries at twice the precision, for n = 4, 6, 8."""
+    rng = random.Random(37)
+    for n in (4, 6, 8):
+        for _ in range(3):
+            H = pr.reduction_covariant(rand_pencil(rng, n, 3), precision)
+            det, err = covariant.gram_det_with_error(H)
+            with mp.workprec(2 * precision):
+                ref = mp.det(mp_matrix_of(H.entries))
+                assert err > 0 and abs(det - ref) <= err, (n, precision)
 
 
 def test_covariant_of_rational_rescaling():
@@ -311,17 +335,17 @@ def test_covariant_of_rational_rescaling():
 
 
 def test_from_mp_keeps_entries():
-    """from_mp keeps the entries it is given: a Gram built at 136 bits
-    rationalizes the same whether from_mp runs inside or outside that
-    working precision."""
+    """The test helper gram_from_mp keeps the entries it is given: a Gram
+    built at 136 bits rationalizes the same whether gram_from_mp runs inside
+    or outside that working precision."""
     rng = random.Random(38)
     for _ in range(10):
         H = pr.reduction_covariant(rand_pencil(rng, 4, 3), 96)
         g = rand_unimodular(rng, 4)
         with mp.workprec(136):
             M = gram_of_basis(g.entries, H)
-            inside = pr.GramMatrix.from_mp(M, H.error_bound)
-        outside = pr.GramMatrix.from_mp(M, H.error_bound)
+            inside = gram_from_mp(M, H.error_bound)
+        outside = gram_from_mp(M, H.error_bound)
         assert outside.entries == inside.entries
         assert rationalize_gram(outside, 96) == rationalize_gram(inside, 96)
 

@@ -136,7 +136,7 @@ def test_equivalent_data_conjugate_pencils():
         H2 = pr.reduction_covariant(p2, 128)
         with mp.workprec(160):
             Tm = mp_matrix_of(T)
-            lhs = Tm.T * H1.as_mp() * Tm
+            lhs = Tm.T * mp_matrix_of(H1.entries) * Tm
             scale = max(abs(x) for row in H2.entries for x in row)
             diff = max(abs(lhs[i, j] - H2.entries[i][j])
                        for i in range(4) for j in range(4))
@@ -398,7 +398,7 @@ def test_norm_of_one_cross_oracle():
         with mp.workprec(224):
             v = mp.matrix([mp.mpf(x.numerator) / mp.mpf(x.denominator)
                            for x in one_bar])
-            quad = (v.T * H.as_mp() * v)[0, 0]
+            quad = (v.T * mp_matrix_of(H.entries) * v)[0, 0]
             formula = pr.norm_of_one_formula(ds, 192)
             assert abs(quad - formula) <= 10 * max(H.error_bound, mp.mpf(1e-40))
 

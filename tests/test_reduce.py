@@ -8,12 +8,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pencilred as pr
-from pencilred.reduce import (det_ratio, lll_gram, rationalize_gram,
-                              rebase_gram)
+from pencilred.reduce import (Lattice, _enumerate_minima, det_ratio,
+                              exact_gram, form_norm, lll_gram,
+                              rationalize_gram, rebase_gram)
 from pencilred.roots import man_exp
-from helpers import (_gso_fraction, gram_of_basis, is_reduced_oracle,
-                     iwasawa_reference, lll_gram_reference, planted_gram,
-                     rand_pencil, rand_unimodular, rationalize_gram_reference)
+from helpers import (_gso_fraction, clear_denominators,
+                     enumerate_minima_reference, gram_from_mp, gram_of_basis,
+                     is_reduced_oracle, iwasawa_reference, lll_gram_reference,
+                     mp_matrix_of, planted_gram, rand_pencil, rand_unimodular,
+                     rationalize_gram_reference)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -22,15 +25,14 @@ DIAG_PENCIL = pr.Pencil(4, I4, DIAG_B)
 
 
 def gram_identity(n=4):
-    return pr.GramMatrix(n, tuple(tuple(mp.mpf(int(i == j)) for j in range(n))
-                                  for i in range(n)), mp.mpf(0))
+    return gram_from_mp([[int(i == j) for j in range(n)] for i in range(n)],
+                        0)
 
 
 def gram_diag(vals):
     n = len(vals)
-    return pr.GramMatrix(n, tuple(tuple(mp.mpf(vals[i]) if i == j else mp.mpf(0)
-                                        for j in range(n)) for i in range(n)),
-                         mp.mpf(0))
+    return gram_from_mp([[mp.mpf(vals[i]) if i == j else 0 for j in range(n)]
+                         for i in range(n)], 0)
 
 
 def test_lll_reduce_diagonal_sort():
@@ -63,7 +65,7 @@ def test_lll_reduce_reducedness_certified():
         res = pr.lll_reduce(q, precision=128)
         assert pr.invariant_form(res.reduced) == pr.invariant_form(p)
         H = pr.reduction_covariant(q, 128)
-        G = rationalize_gram(H, 128)
+        G, _ = rationalize_gram(H, 128)
         U = [list(r) for r in
              pr.linalg.transpose(pr.linalg.inverse_unimodular(
                  [list(r) for r in res.g.entries]))]
@@ -110,14 +112,13 @@ def test_lll_gram_against_oracle():
         if pr.linalg.det_bareiss(M) == 0:
             continue
         G = pr.linalg.mat_mul(M, pr.linalg.transpose(M))
-        G = [[Fraction(x) for x in row] for row in G]
         U = lll_gram(G).U
         assert pr.linalg.det_bareiss(U) in (1, -1)
         Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(G, pr.linalg.transpose(U)))
         assert is_reduced_oracle(pr.linalg.identity_matrix(n), Gr)
         assert is_reduced_oracle(U, G)
         for delta in (0.99, 0.75, 0.51):
-            assert lll_gram(G, delta).U == lll_gram_reference(G, delta)
+            assert lll_gram(G, delta=delta).U == lll_gram_reference(G, delta)
 
 
 def _gram_from_ldl(halves, bstar):
@@ -137,23 +138,24 @@ def test_lll_gram_matches_reference_on_covariants():
     cases.append((10, 256))
     for n, bits in cases:
         p = pr.act(rand_unimodular(rng, n, ops=12), rand_pencil(rng, n, 3))
-        G = rationalize_gram(pr.reduction_covariant(p, bits), bits)
+        G, s = rationalize_gram(pr.reduction_covariant(p, bits), bits)
         for delta in (0.99, 0.75, 0.51) if n <= 6 else (0.99,):
-            assert lll_gram(G, delta).U == lll_gram_reference(G, delta)
+            assert lll_gram(G, s, delta).U == lll_gram_reference(G, delta)
 
 
 def test_lll_gram_returns_its_lattice():
     """The (d, lam) LLL ends in are the Gram-Schmidt data of the reduced
-    Gram U G U^T recomputed from scratch, scaled by s, and d_n / s^n is
-    det G."""
+    Gram U G U^T recomputed from scratch on G / s, scaled by s, and
+    d_n / s^n is det(G / s)."""
     rng = random.Random(53)
     for bits in (96, 256):
         for n in (4, 6, 8, 10):
             p = pr.act(rand_unimodular(rng, n, ops=12), rand_pencil(rng, n, 3))
-            G = rationalize_gram(pr.reduction_covariant(p, bits), bits)
-            lattice = lll_gram(G)
-            U, d, lam, s = lattice.U, lattice.d, lattice.lam, lattice.s
-            assert U == lll_gram_reference(G)
+            G, s = rationalize_gram(pr.reduction_covariant(p, bits), bits)
+            lattice = lll_gram(G, s)
+            U, d, lam = lattice.U, lattice.d, lattice.lam
+            assert U == lll_gram_reference(G) and lattice.s == s
+            G = [[Fraction(x, s) for x in row] for row in G]
             mu, Bs = _gso_fraction(pr.linalg.mat_mul(
                 U, pr.linalg.mat_mul(G, pr.linalg.transpose(U))))
             for i in range(n):
@@ -170,7 +172,7 @@ def test_lll_gram_rounding_ties():
              _gram_from_ldl([[], [-3], [1, 5], [3, -1, -5]], [8, 8, 8, 8])]
     for G in grams:
         for delta in (0.99, 0.75, 0.51):
-            U = lll_gram(G, delta).U
+            U = lll_gram(*clear_denominators(G), delta).U
             assert U == lll_gram_reference(G, delta)
             Gr = pr.linalg.mat_mul(U, pr.linalg.mat_mul(
                 G, pr.linalg.transpose(U)))
@@ -202,18 +204,17 @@ def test_rationalize_gram_matches_nint_reference():
         g = rand_unimodular(rng, n)
         with mp.workprec(precision + 40):
             M = gram_of_basis(g.entries, H)
-            big = pr.GramMatrix(n, tuple(tuple(x * mp.mpf(2) ** 90 / 3
-                                               for x in row)
-                                         for row in H.entries), 0)
-        skew = pr.GramMatrix.from_mp(M, H.error_bound)
+            big = gram_from_mp([[x * mp.mpf(2) ** 90 / 3 for x in row]
+                                for row in H.entries], 0)
+        skew = gram_from_mp(M, H.error_bound)
         for G in (H, skew, big):
             for bits in (precision, min(precision, 192), 64):
                 assert (rationalize_gram(G, bits)
                         == rationalize_gram_reference(G, bits))
-    ties = pr.GramMatrix(2, ((mp.mpf(2.5), mp.mpf(-1.5)),
-                             (mp.mpf(-1.5), mp.mpf(3.5))), 0)
+    ties = gram_from_mp(((mp.mpf(2.5), mp.mpf(-1.5)),
+                         (mp.mpf(-1.5), mp.mpf(3.5))), 0)
     assert rationalize_gram(ties, 0) == rationalize_gram_reference(ties, 0) \
-        == [[2, -2], [-2, 4]]
+        == (((2, -2), (-2, 4)), 1)
 
 
 def test_rationalize_tiny_scale_gram():
@@ -221,12 +222,10 @@ def test_rationalize_tiny_scale_gram():
     max |H_ij| when that is below 1, so shortest_vector and
     iwasawa_coordinates at precision 256 agree with the unscaled Gram."""
     T = [[5, 2, 0, 0], [2, 7, -3, 0], [0, -3, 6, 1], [0, 0, 1, 9]]
-    H = pr.GramMatrix(4, tuple(tuple(mp.mpf(x) for x in row) for row in T),
-                      mp.mpf(0))
-    tiny = pr.GramMatrix(4, tuple(tuple(mp.ldexp(x, -200) for x in row)
-                                  for row in H.entries), mp.mpf(0))
-    assert rationalize_gram(tiny, 192) == [
-        [Fraction(x, 2 ** 200) for x in row] for row in T]
+    H = gram_from_mp(T, 0)
+    tiny = gram_from_mp([[mp.ldexp(x, -200) for x in row]
+                         for row in H.entries], 0)
+    assert rationalize_gram(tiny, 192) == (tuple(map(tuple, T)), 2 ** 200)
     v, norm = pr.shortest_vector(H, 256)
     vt, norm_t = pr.shortest_vector(tiny, 256)
     assert vt == v and mp.ldexp(norm_t, 200) == norm
@@ -252,8 +251,7 @@ def test_rebase_gram_is_exact():
 
 
 def test_rebase_gram_error_bound():
-    H = pr.GramMatrix(2, ((mp.mpf(2), mp.mpf(1)), (mp.mpf(1), mp.mpf(3))),
-                      mp.mpf(2) ** -100)
+    H = gram_from_mp(((2, 1), (1, 3)), mp.mpf(2) ** -100)
     for size in (1, 3, 10, 1000):
         U = [[1, size], [0, 1]]
         Hr = rebase_gram(H, U)
@@ -261,7 +259,58 @@ def test_rebase_gram_error_bound():
         with mp.workprec(160):
             assert Hr.entries[0][0] == 2 + 2 * size + 3 * size ** 2
             assert Hr.entries[0][1] == 1 + 3 * size
-        assert Hr.entries[1][0] is Hr.entries[0][1]
+        assert Hr.M[1][0] == Hr.M[0][1]
+
+
+def test_enumerate_minima_matches_fraction_reference():
+    """The integer Fincke-Pohst returns the minimum and the minimizer set of
+    the Fraction enumeration, on the reduced and on the standard basis of
+    seeded covariants (n = 4..10), planted Grams and Grams with ties: the
+    identity, diagonals with repeated entries and a Gram scaled by
+    2^-200."""
+    rng = random.Random(54)
+    T = [[5, 2, 0, 0], [2, 7, -3, 0], [0, -3, 6, 1], [0, 0, 1, 9]]
+    grams = [pr.reduction_covariant(rand_pencil(rng, n, 3), bits)
+             for n in (4, 6, 8, 10) for bits in (96, 256) for _ in range(2)]
+    grams += [planted_gram(rng, n, mp.mpf(1) / rng.randint(2, 40))
+              for n in (2, 4, 6, 8) for _ in range(3)]
+    grams += [gram_identity(n) for n in (1, 2, 4, 6)]
+    grams += [gram_diag(vals) for vals in ((2, 2, 3, 3), (5, 1, 1, 5, 1),
+                                           (7, 7, 7, 7, 7, 7))]
+    grams.append(gram_from_mp([[mp.ldexp(x, -200) for x in row] for row in T],
+                              0))
+    for H in grams:
+        G, s = exact_gram(H, 256)
+        for lattice in (lll_gram(G, s), Lattice.standard(G, s)):
+            Q = pr.linalg.congruent(pr.linalg.transpose(lattice.U), G)
+            N, minima = _enumerate_minima(lattice.d, lattice.lam, Q)
+            N_ref, minima_ref = enumerate_minima_reference(lattice.d,
+                                                           lattice.lam)
+            assert N == N_ref and set(minima) == set(minima_ref), H.n
+            assert len(minima) == len(set(minima))
+
+
+def test_form_norm_is_exact():
+    """form_norm is the exact Fraction v^T H v rounded once to
+    precision + 32 bits: within half an ulp, and equal to it when that fits
+    in precision + 32 bits."""
+    rng = random.Random(55)
+    for n, precision in ((4, 96), (6, 128), (8, 256)):
+        H = pr.reduction_covariant(rand_pencil(rng, n, 3), precision)
+        Q = [[_exact(x) for x in row] for row in H.entries]
+        for k in range(6):
+            v = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if k % 2
+                 else rng.randint(-5, 5) for _ in range(n)]
+            exact = sum(v[i] * Q[i][j] * v[j]
+                        for i in range(n) for j in range(n))
+            got = form_norm(H, v, precision)
+            assert abs(_exact(got) - exact) <= \
+                abs(exact) * Fraction(1, 2 ** (precision + 32)), (n, k)
+            if exact.denominator & (exact.denominator - 1) == 0 and \
+                    abs(exact.numerator).bit_length() <= precision + 32:
+                assert _exact(got) == exact
+    H = gram_diag((2, 3, 1, 1))
+    assert form_norm(H, [Fraction(1, 2), 1, 0, -2]) == 7.5
 
 
 def test_shortest_vector_examples():
@@ -280,7 +329,7 @@ def test_shortest_vector_bounded_by_diagonal():
             g = rand_unimodular(rng, 4)
             hinv = [list(r) for r in g.inverse().entries]
             Hm = mp.matrix(hinv).T * mp.matrix(hinv)
-            H = pr.GramMatrix.from_mp(Hm, mp.mpf(2) ** -120)
+            H = gram_from_mp(Hm, mp.mpf(2) ** -120)
             v, norm = pr.shortest_vector(H)
             assert any(v)
             assert norm <= min(H.entries[i][i] for i in range(4)) * (1 + 1e-20)
@@ -315,9 +364,8 @@ def test_epsilon_small_scale_invariance():
             s = mp.mpf(1) / rng.randint(5, 30)
             H = planted_gram(rng, 4, s)
             for lam in (mp.mpf(3), mp.mpf(1) / 7):
-                Hs = pr.GramMatrix(4, tuple(tuple(lam * x for x in row)
-                                            for row in H.entries),
-                                   H.error_bound * lam)
+                Hs = gram_from_mp([[lam * x for x in row]
+                                   for row in H.entries], H.error_bound * lam)
                 for eps in (0.05, 0.3, 0.9):
                     assert pr.epsilon_small_test(H, eps) == \
                         pr.epsilon_small_test(Hs, eps)
@@ -350,7 +398,7 @@ def test_iwasawa_roundtrip():
             g = rand_unimodular(rng, 4)
             hinv = [list(r) for r in g.inverse().entries]
             Hm = mp.matrix(hinv).T * mp.diag([1, 2, 3, 4]) * mp.matrix(hinv)
-            H = pr.GramMatrix.from_mp(Hm, mp.mpf(2) ** -120)
+            H = gram_from_mp(Hm, mp.mpf(2) ** -120)
             iw = pr.iwasawa_coordinates(H, precision=128)
             n = 4
             N = mp.eye(n)
@@ -396,12 +444,11 @@ def test_reference_t1_is_det_over_first_norm():
         for _ in range(3):
             g = rand_unimodular(rng, n, ops=10)
             with mp.workprec(160):
-                Hg = pr.GramMatrix.from_mp(gram_of_basis(g.entries, H),
-                                           H.error_bound)
+                Hg = gram_from_mp(gram_of_basis(g.entries, H), H.error_bound)
             t, _ = iwasawa_reference(Hg, 128)
             with mp.workprec(160):
-                t1 = mp.det(Hg.as_mp()) ** (mp.mpf(1) / (2 * n)) / mp.sqrt(
-                    Hg.entries[0][0])
+                det = mp.det(mp_matrix_of(Hg.entries))
+                t1 = det ** (mp.mpf(1) / (2 * n)) / mp.sqrt(Hg.entries[0][0])
                 assert abs(t[0] - t1) <= mp.mpf(10) ** -30 * t1
 
 
@@ -438,9 +485,8 @@ def test_prop_shortest_norm_invariance(n, seed, inv_s, lam, eps):
     Hg = rebase_gram(H, g.entries)
     with mp.workprec(224):
         lam_mp = mp.mpf(lam.numerator) / lam.denominator
-        Hs = pr.GramMatrix(n, tuple(tuple(lam_mp * x for x in row)
-                                    for row in H.entries),
-                           H.error_bound * lam_mp)
+        Hs = gram_from_mp([[lam_mp * x for x in row] for row in H.entries],
+                          H.error_bound * lam_mp)
     v, norm = pr.shortest_vector(H, 192)
     vg, norm_g = pr.shortest_vector(Hg, 192)
     vs, norm_s = pr.shortest_vector(Hs, 192)
@@ -451,7 +497,7 @@ def test_prop_shortest_norm_invariance(n, seed, inv_s, lam, eps):
             tol + Hg.error_bound * sum(map(abs, vg)) ** 2
         assert abs(norm_s - lam_mp * norm) <= \
             lam_mp * tol + Hs.error_bound * sum(map(abs, vs)) ** 2
-        ratio = det_ratio(norm, mp.det(H.as_mp()), n)
+        ratio = det_ratio(norm, mp.det(mp_matrix_of(H.entries)), n)
         cusp_threshold = mp.mpf(eps) / mp.mpf(pr.SIEGEL_C) ** (n - 1)
         assume(abs(ratio - eps) > 1e-20)
         assume(abs(ratio - cusp_threshold) > 1e-20)
