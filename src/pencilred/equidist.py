@@ -107,13 +107,13 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
         if pencil_discriminant(p) == 0:
             items.append(SampleItem(idx, p, int(ht), False))
             continue
-        m2 = real_root_count(f)
+        m2 = real_root_count(f, precision)
         H = reduction_covariant(p, precision)
         lattice = lll_gram(*exact_gram(H, precision))
         _, _, ok = det_identity(H, f, precision)
         items.append(SampleItem(idx, p, int(ht), True, m2 // 2,
                                 lattice.ratio(lattice.shortest()[1], precision),
-                                lattice.iwasawa(precision=precision).t, ok))
+                                lattice.iwasawa_t(precision), ok))
     return SampleBatch(n, B, count, seed, precision, tuple(items))
 
 

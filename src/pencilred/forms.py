@@ -2,10 +2,11 @@
 irreducibility.
 
 A degree-n binary form f(x,y) = f0 x^n + f1 x^(n-1) y + ... + fn y^n is
-stored by its coefficient list.  Exact questions (discriminant, real root
-count, irreducibility) are answered with integer/rational arithmetic only;
-complex roots and the Mahler measure carry certified error bounds at a
-requested bit precision.
+stored by its coefficient list.  The discriminant and irreducibility are
+answered with integer/rational arithmetic only.  Complex roots carry
+certified disjoint disks at a requested bit precision; the real root count
+is read off them exactly, and the Mahler measure carries a certified error
+bound.
 """
 
 import random
@@ -235,16 +236,21 @@ def mahler_measure(f: BinaryForm, precision=DEFAULT_PRECISION):
     return mahler_measure_with_error(f, precision)[0]
 
 
-def real_root_count(f: BinaryForm) -> int:
-    """Number of real projective roots, exact (Sturm on f(X,1), plus the
-    point at infinity when f0 = 0)."""
-    if discriminant(f) == 0:
-        raise DegenerateForm("form has zero discriminant")
-    coeffs = [Fraction(c) for c in f.coeffs]
-    count = polys.sturm_real_root_count(coeffs)
-    if f.coeffs[0] == 0:
-        count += 1
-    return count
+def real_root_count(f: BinaryForm, precision=DEFAULT_PRECISION) -> int:
+    """Number of real projective roots, read off the root certificate.
+
+    The roots at 0 and at infinity are real.  Every other entry of
+    `complex_roots(f, precision)` is the centre of a disk holding exactly one
+    root, and the disks are pairwise disjoint.  A disk centred on the real
+    axis is its own mirror image, and the conjugate of its root is a root in
+    the same disk, so that root is real.  A non-real centre is paired with
+    its exact conjugate, whose disk is the mirror image and disjoint from
+    it, so the disk cannot meet the real axis and its root is not real.  The
+    count is exact; it raises DegenerateForm for Delta(f) = 0 and
+    PrecisionExhausted when the roots do not certify at `precision`.
+    """
+    return sum(e.at_infinity or e.value.imag == 0
+               for e in complex_roots(f, precision).entries)
 
 
 def leading_coefficient_bound_check(f: BinaryForm,

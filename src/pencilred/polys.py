@@ -138,40 +138,6 @@ def sylvester_resultant(p, q):
     return Fraction(res, den ** size)
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
-def _sign_changes(vals):
-    signs = [_sign(v) for v in vals if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_chain(p):
-    chain = [[Fraction(c) for c in ptrim(p)]]
-    d = pderiv(chain[0])
-    if pdeg(d) >= 0:
-        chain.append(d)
-        while pdeg(chain[-1]) > 0:
-            _, r = pdivmod(chain[-2], chain[-1])
-            if pdeg(r) < 0:
-                break
-            chain.append(pneg(r))
-    return chain
-
-
-def sturm_real_root_count(p):
-    """Number of distinct real roots of p, exact (Sturm over the rationals)."""
-    p = ptrim(p)
-    if pdeg(p) <= 0:
-        return 0
-    chain = sturm_chain(p)
-    # signs at -inf / +inf from leading terms
-    at_pos = [q[0] for q in chain]
-    at_neg = [q[0] * (-1) ** pdeg(q) for q in chain]
-    return _sign_changes(at_neg) - _sign_changes(at_pos)
-
-
 # ----------------------------------------------------------------------------
 # arithmetic mod a prime
 

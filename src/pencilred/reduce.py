@@ -154,6 +154,15 @@ class Lattice:
             return det_ratio(to_mpf(Fraction(norm, self.s)), to_mpf(self.det),
                              len(self.U))
 
+    def iwasawa_t(self, precision=DEFAULT_PRECISION):
+        """The diagonal t of `iwasawa`, t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}),
+        without nu."""
+        d, n = self.d, len(self.U)
+        with mp.workprec(precision + 32):
+            root = to_mpf(d[n]) ** (mp.mpf(1) / (2 * n))
+            return tuple(root * mp.sqrt(to_mpf(Fraction(d[i], d[i + 1])))
+                         for i in range(n))
+
     def iwasawa(self, c=SIEGEL_C, precision=DEFAULT_PRECISION):
         """Iwasawa coordinates of this basis's Gram rescaled to det 1, as in
         the module docstring; L^-1 comes from exact forward substitution."""
@@ -164,10 +173,8 @@ class Lattice:
             for j in range(i):
                 Linv[i][j] = -sum(Fraction(lam[i][k], d[k + 1]) * Linv[k][j]
                                   for k in range(j, i))
+        t = self.iwasawa_t(precision)
         with mp.workprec(precision + 32):
-            root = to_mpf(d[n]) ** (mp.mpf(1) / (2 * n))
-            t = tuple(root * mp.sqrt(to_mpf(Fraction(d[i], d[i + 1])))
-                      for i in range(n))
             nu = tuple(tuple(to_mpf(Linv[j][i]) for j in range(i + 1, n))
                        for i in range(n))
             ok = all(t[i] / t[i + 1] > c for i in range(n - 1))

@@ -2,8 +2,9 @@
 
 Oracles here must stay independent of the code paths they check: the
 bivariate determinant is a direct cofactor expansion over a polynomial ring,
-reducedness is checked by a vector-based Gram-Schmidt, and closed-form root
-sets come from radicals, not the library root finder.
+reducedness is checked by a vector-based Gram-Schmidt, closed-form root
+sets come from radicals, not the library root finder, and real roots are
+counted by Sturm chains over the rationals.
 """
 
 import heapq
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import mpmath as mp
 
 import pencilred as pr
-from pencilred import linalg, orbits
+from pencilred import linalg, orbits, polys
 from pencilred.roots import man_exp
 
 
@@ -140,6 +141,37 @@ def rand_squarefree_poly(rng, n, bound=128):
             c[1:] = [x - a * y for x, y in zip(c[1:], c)]
         if c[0] and c[-1] and pr.discriminant(pr.BinaryForm(n, tuple(c))):
             return c
+
+
+def _sign_changes(vals):
+    signs = [(v > 0) - (v < 0) for v in vals if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_chain(p):
+    chain = [[Fraction(c) for c in polys.ptrim(p)]]
+    d = polys.pderiv(chain[0])
+    if polys.pdeg(d) >= 0:
+        chain.append(d)
+        while polys.pdeg(chain[-1]) > 0:
+            _, r = polys.pdivmod(chain[-2], chain[-1])
+            if polys.pdeg(r) < 0:
+                break
+            chain.append(polys.pneg(r))
+    return chain
+
+
+def sturm_real_root_count(p):
+    """Number of distinct real roots of p, exact (Sturm over the rationals);
+    reference for forms.real_root_count."""
+    p = polys.ptrim(p)
+    if polys.pdeg(p) <= 0:
+        return 0
+    chain = sturm_chain(p)
+    # signs at -inf / +inf from leading terms
+    at_pos = [q[0] for q in chain]
+    at_neg = [q[0] * (-1) ** polys.pdeg(q) for q in chain]
+    return _sign_changes(at_neg) - _sign_changes(at_pos)
 
 
 def planted_gram(rng, n, s, precision=192):

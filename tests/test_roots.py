@@ -13,7 +13,8 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from helpers import form_mul, rand_squarefree_poly, reference_roots
+from helpers import (form_mul, rand_squarefree_poly, reference_roots,
+                     sturm_real_root_count)
 from pencilred.roots import certified_roots
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -83,7 +84,7 @@ def test_root_set_shape():
                 else:
                     with mp.workprec(96 + 32):
                         assert roots and roots.pop(0) == mp.conj(z)
-            assert real == pr.real_root_count(pr.BinaryForm(n, tuple(c)))
+            assert real == sturm_real_root_count(c)
 
 
 def test_fraction_coefficients_match_scaled_integers():
