@@ -8,6 +8,7 @@ machine-readable error object, 1 I/O or parse failure.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -181,7 +182,9 @@ def cmd_density(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process; main never mutates it."""
     ap = argparse.ArgumentParser(prog="pencilred")
     ap.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                     help="working precision in bits")

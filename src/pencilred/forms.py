@@ -18,7 +18,7 @@ from math import gcd
 
 import mpmath as mp
 
-from . import polys
+from . import linalg, polys
 from .errors import DegenerateForm
 from .roots import certified_roots, to_mpf
 
@@ -129,13 +129,22 @@ def height(f: BinaryForm):
 
 
 def _univariate_disc(coeffs):
-    """Discriminant of a degree-n polynomial given with nonzero lead coeff."""
-    n = polys.pdeg(coeffs)
-    if n <= 0:
-        return 0
-    res = polys.sylvester_resultant(coeffs, polys.pderiv(coeffs))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    out = Fraction(sign, 1) * Fraction(res) / Fraction(coeffs[0])
+    """Discriminant of a degree-n >= 1 polynomial p with nonzero lead coeff.
+
+    With a the ascending integer coefficients of den·p and b those of its
+    derivative, the n x n Bezout matrix B has det B = (-1)^(n(n-1)/2) a_n
+    Res(den·p, (den·p)'), so Delta(p) = det B / (a_n^2 den^(2n-2))."""
+    n = len(coeffs) - 1
+    den = linalg._denominator_lcm([coeffs])
+    a = [int(c * den) for c in reversed(coeffs)]
+    b = [(j + 1) * x for j, x in enumerate(a[1:])] + [0]
+    B = [[0] * n for _ in range(n)]
+    for j in range(1, n + 1):
+        for i in range(j):
+            c = a[i] * b[j] - a[j] * b[i]
+            for k in range(j - i):
+                B[i + k][j - 1 - k] -= c
+    out = Fraction(linalg.det_bareiss(B), a[n] ** 2 * den ** (2 * n - 2))
     return int(out) if out.denominator == 1 else out
 
 
@@ -176,12 +185,14 @@ def discriminant(f: BinaryForm):
     return 0
 
 
+@lru_cache(maxsize=64)
 def complex_roots(f: BinaryForm, precision=DEFAULT_PRECISION) -> RootSet:
     """Certified projective roots of f; f0 = 0 contributes a root at infinity.
 
     Roots are split into the {|rho| <= 1} and {|rho| > 1} classes with a
     boundary tolerance of 2^(-precision/2); boundary roots keep their side
-    but are flagged.
+    but are flagged.  The RootSet is frozen and cached per (f, precision):
+    one item's real-root count, covariant and Mahler measure share it.
     """
     if discriminant(f) == 0:
         raise DegenerateForm("form has zero discriminant")

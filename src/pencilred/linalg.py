@@ -82,15 +82,17 @@ def det_exact(M):
 
 def det_adj(M):
     """(det M, adj M) of a square integer matrix by fraction-free
-    Gauss-Jordan elimination on [M | I] (Bareiss; Cohen, GTM 138, 2.2).
+    Gauss-Jordan elimination (Bareiss; Cohen, GTM 138, 2.2) in place.
 
-    Every intermediate entry is a minor of the row-permuted [M | I], so each
-    division is exact; at the end the left block is det(PM)·I and the right
-    block det(PM)·M^-1.  adj is None when M is singular.
+    On [M | I] each entry is a minor of the row-permuted [M | I], so each
+    division is exact, and the right block ends as adj(PM).  Before pivot k
+    only its columns < k and the left columns >= k are not multiples of unit
+    vectors, so pivot k writes right column k over left column k.  Undoing
+    the swaps, adj M = sign·adj(PM)·P.  adj is None when M is singular.
     """
     n = len(M)
-    a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(M)]
+    a = [list(row) for row in M]
+    perm = list(range(n))
     sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
@@ -98,15 +100,19 @@ def det_adj(M):
             return 0, None
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
             sign = -sign
         rk = a[k]
         pk = rk[k]
         for i in range(n):
             if i != k:
                 c = a[i][k]
-                a[i] = [(pk * x - c * y) // prev for x, y in zip(a[i], rk)]
+                a[i] = r = [(pk * x - c * y) // prev for x, y in zip(a[i], rk)]
+                r[k] = -c
+        rk[k] = prev
         prev = pk
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    inv = sorted(range(n), key=perm.__getitem__)
+    return sign * prev, [[sign * row[j] for j in inv] for row in a]
 
 
 def inverse_unimodular(M):

@@ -165,13 +165,15 @@ def adjugate_pencil(p: Pencil):
     Gauss-Jordan pass (linalg.det_adj) at each integer node k = 0, 1, -1,
     2, ... until n nodes are nonsingular (all but at most n of them are
     when f != 0); one more determinant (linalg.det_bareiss) completes the
-    n + 1 that give f.  Newton interpolation of the n adjugates gives the
-    integer n x n matrices D_0..D_{n-1} (as row-major lists) with
+    n + 1 that give f.  Newton interpolation of the upper triangles of the
+    n adjugates (each is symmetric), mirrored, gives the integer n x n
+    matrices D_0..D_{n-1} (as row-major lists) with
     adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.
     """
     n = p.n
     a, A, B = _integral(p)
     nodes, dets, adj_nodes, adjs = [], [], [], []
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
     while len(nodes) <= n or (len(adjs) < n and any(dets)):
         k = _node(len(nodes))
         M = _at(A, B, k)
@@ -181,9 +183,12 @@ def adjugate_pencil(p: Pencil):
         dets.append(d)
         if adj is not None:
             adj_nodes.append(k)
-            adjs.append([x for row in adj for x in row])
+            adjs.append([adj[i][j] for i, j in upper])
     f = _form(n, a, nodes[:n + 1], dets[:n + 1])
-    return f, (_newton(adj_nodes, adjs) if adjs else None)
+    at = {ij: t for t, ij in enumerate(upper)}
+    slot = [at[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
+    return f, ([[Dk[t] for t in slot] for Dk in _newton(adj_nodes, adjs)]
+               if adjs else None)
 
 
 def pencil_discriminant(p: Pencil):

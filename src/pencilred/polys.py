@@ -9,8 +9,6 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
-from . import linalg
-
 
 def ptrim(p):
     i = 0
@@ -107,35 +105,6 @@ def primitive_part(p):
     if ints[0] < 0:
         ints = [-c for c in ints]
     return ints
-
-
-def sylvester_resultant(p, q):
-    """Resultant via the Sylvester matrix, exact (Bareiss on integers)."""
-    p = ptrim(p)
-    q = ptrim(q)
-    n, m = pdeg(p), pdeg(q)
-    if n < 0 or m < 0:
-        return 0
-    if n == 0:
-        return p[0] ** m
-    if m == 0:
-        return q[0] ** n
-    den = 1
-    for c in list(p) + list(q):
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    pi = [int(c * den) for c in p]
-    qi = [int(c * den) for c in q]
-    size = n + m
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + pi + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + qi + [0] * (size - m - 1 - i))
-    res = linalg.det_bareiss(rows)
-    if den == 1:
-        return res
-    return Fraction(res, den ** size)
 
 
 # ----------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from . import linalg
 from .covariant import GramMatrix, _symmetric, reduction_covariant
 from .errors import DimensionTooLarge, RangeError
 from .forms import DEFAULT_PRECISION
-from .pencil import Pencil, UnimodularMatrix, act
+from .pencil import Pencil, UnimodularMatrix
 from .roots import dyadic, man_exp, to_mpf
 
 # Covering Siegel constant sqrt(3)/2; the cusp estimates need c < 1.
@@ -243,7 +243,8 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
         U = [[-x for x in U[0]]] + [list(r) for r in U[1:]]
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))
     g = UnimodularMatrix(p.n, tuple(tuple(r) for r in g_entries))
-    reduced = act(g, p)
+    # act(g, p) = (g^-T A g^-1, g^-T B g^-1) with g^-1 = U^T
+    reduced = Pencil(p.n, _gram_of(U, p.A), _gram_of(U, p.B))
     return ReductionResult(g, reduced, rebase_gram(H, U), g.det)
 
 

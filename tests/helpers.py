@@ -3,8 +3,9 @@
 Oracles here must stay independent of the code paths they check: the
 bivariate determinant is a direct cofactor expansion over a polynomial ring,
 reducedness is checked by a vector-based Gram-Schmidt, closed-form root
-sets come from radicals, not the library root finder, and real roots are
-counted by Sturm chains over the rationals.
+sets come from radicals, not the library root finder, real roots are
+counted by Sturm chains over the rationals, discriminants come from the
+Sylvester resultant, and adjugates from elimination on [M | I].
 """
 
 import heapq
@@ -172,6 +173,77 @@ def sturm_real_root_count(p):
     at_pos = [q[0] for q in chain]
     at_neg = [q[0] * (-1) ** polys.pdeg(q) for q in chain]
     return _sign_changes(at_neg) - _sign_changes(at_pos)
+
+
+def sylvester_resultant(p, q):
+    """Resultant via the Sylvester matrix, exact (Bareiss on integers)."""
+    p = polys.ptrim(p)
+    q = polys.ptrim(q)
+    n, m = polys.pdeg(p), polys.pdeg(q)
+    if n < 0 or m < 0:
+        return 0
+    if n == 0:
+        return p[0] ** m
+    if m == 0:
+        return q[0] ** n
+    den = linalg._denominator_lcm([p + q])
+    pi = [int(c * den) for c in p]
+    qi = [int(c * den) for c in q]
+    size = n + m
+    rows = []
+    for i in range(m):
+        rows.append([0] * i + pi + [0] * (size - n - 1 - i))
+    for i in range(n):
+        rows.append([0] * i + qi + [0] * (size - m - 1 - i))
+    res = linalg.det_bareiss(rows)
+    if den == 1:
+        return res
+    return Fraction(res, den ** size)
+
+
+def discriminant_sylvester(f):
+    """Delta(f) from the (2n-1) x (2n-1) Sylvester resultant of f(X,1) and
+    its derivative, (-1)^(n(n-1)/2) Res(p, p') / p_0; a root at infinity
+    (f0 = 0) contributes f1^2 times the discriminant of the rest.  Reference
+    for forms.discriminant (Bezout matrix, shear at f0 = 0)."""
+    c = list(f.coeffs)
+    n = f.degree
+    if not any(c):
+        return 0
+    if n <= 1:
+        return 1
+    if c[0] == 0:
+        out = Fraction(c[1]) ** 2 * discriminant_sylvester(
+            pr.BinaryForm(n - 1, tuple(c[1:]))) if c[1] else Fraction(0)
+    else:
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        out = sign * Fraction(sylvester_resultant(c, polys.pderiv(c))) / c[0]
+    return int(out) if out.denominator == 1 else out
+
+
+def det_adj_reference(M):
+    """(det M, adj M) by fraction-free Gauss-Jordan on the augmented
+    [M | I]: at the end the right block is det(PM)·(PM)^-1.  Reference for
+    the in-place linalg.det_adj."""
+    n = len(M)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        pk = rk[k]
+        for i in range(n):
+            if i != k:
+                c = a[i][k]
+                a[i] = [(pk * x - c * y) // prev for x, y in zip(a[i], rk)]
+        prev = pk
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def planted_gram(rng, n, s, precision=192):

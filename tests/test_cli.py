@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from pencilred import cli
+
 WORKED_PENCIL = {
     "n": 4,
     "A": [["0", "0", "1", "0"], ["0", "1", "0", "0"],
@@ -163,3 +165,39 @@ def test_parse_failure_exit1():
 def test_unknown_flag_rejected():
     res = run_cli("sample", "--does-not-exist", "1")
     assert res.returncode == 2  # argparse exits 2 on bad flags
+
+
+def test_parser_built_once(capsys):
+    """In-process calls share one parser and answer as with a fresh one:
+    stdout and exit code of each call match a run that rebuilds the parser
+    before every call."""
+    quartic = {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "3"]},
+               "U": {"degree": 1, "coeffs": ["1", "-1"]}, "w": "2"}
+    calls = [
+        ["height-check", "--cutoff-X", "4", "--delta", "0.5",
+         "--input-json", json.dumps(quartic)],
+        ["sample", "--n", "4", "--count", "6", "--seed", "3",
+         "--eps-list", "0.5"],
+        ["--precision", "32", "covariant", "--input-json",
+         json.dumps(WORKED_PENCIL)],
+        ["invariant", "--input-json", json.dumps(WORKED_PENCIL)],
+        ["height-check", "--cutoff-X", "4", "--delta", "0.5",
+         "--input-json", json.dumps(quartic)],
+    ]
+
+    def run(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    fresh = run(True)
+    cli.build_parser.cache_clear()
+    shared = run(False)
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
+    assert json.loads(shared[2][1])["error"]["type"] == "RangeError"

@@ -7,8 +7,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pencilred as pr
 from pencilred import linalg, polys
-from helpers import row_hnf_reference, sturm_real_root_count
+from helpers import (det_adj_reference, discriminant_sylvester,
+                     row_hnf_reference, sturm_real_root_count,
+                     sylvester_resultant)
 
 
 def test_det_bareiss_matches_fraction_gauss():
@@ -33,6 +36,61 @@ def test_inverse_unimodular_roundtrip():
         assert linalg.mat_mul(M, inv) == linalg.identity_matrix(n)
 
 
+def test_det_adj_matches_augmented_reference():
+    """The in-place Gauss-Jordan gives the (det, adj) of the elimination on
+    [M | I], on singular matrices, zero leading pivots (row swaps) and
+    repeated rows included."""
+    rng = random.Random(13)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 10)
+        b = rng.choice((1, 2, 9, 10 ** 6))
+        M = [[rng.randint(-b, b) for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            M[0][0] = 0
+        elif kind == 2:
+            for row in M[:rng.randint(1, n)]:
+                row[0] = 0
+        elif kind == 3 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            M[i] = list(M[j])
+        d, adj = linalg.det_adj(M)
+        assert (d, adj) == det_adj_reference(M)
+        singular += adj is None
+        if adj is not None:
+            assert linalg.mat_mul(M, adj) == [[d * (i == j) for j in range(n)]
+                                              for i in range(n)]
+    assert 0 < singular < 600
+
+
+def test_discriminant_matches_sylvester():
+    """The Bezout determinant gives the Sylvester-resultant discriminant,
+    of the same type, on int and Fraction forms of degree 1..12, with
+    repeated roots and with f0 = 0."""
+    rng = random.Random(14)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        b = rng.choice((1, 5, 10 ** 6))
+        c = [rng.randint(-b, b) for _ in range(n + 1)]
+        if n >= 2 and rng.random() < 0.25:
+            # times (x - r y)^2
+            r = rng.randint(-3, 3)
+            c = c[:n - 1]
+            c = [x - 2 * r * y + r * r * z
+                 for x, y, z in zip(c + [0, 0], [0] + c + [0], [0, 0] + c)]
+        if rng.random() < 0.2:
+            c[0] = 0
+        if rng.random() < 0.5:
+            c = [Fraction(x, rng.randint(1, 30)) for x in c]
+        f = pr.BinaryForm(n, tuple(c))
+        got, want = pr.discriminant(f), discriminant_sylvester(f)
+        assert got == want and type(got) is type(want), f
+        kinds.add((f.coeffs[0] == 0, got == 0, type(got)))
+    assert len(kinds) >= 6
+
+
 def test_kernel_mod():
     M = [[2, 0], [0, 3]]
     K = linalg.kernel_mod(M, 6, {2: 1, 3: 1})
@@ -44,7 +102,7 @@ def test_kernel_mod():
 
 def test_resultant_and_sturm():
     # res(x^2 - 1, x^2 - 4) = prod of (a - b) over roots = (1-2)(1+2)(-1-2)(-1+2) = 9
-    assert polys.sylvester_resultant([1, 0, -1], [1, 0, -4]) == 9
+    assert sylvester_resultant([1, 0, -1], [1, 0, -4]) == 9
     assert sturm_real_root_count([Fraction(1), 0, Fraction(-2)]) == 2
     assert sturm_real_root_count([Fraction(1), 0, Fraction(2)]) == 0
     assert sturm_real_root_count([Fraction(1), 0, 0, 0, Fraction(1)]) == 0

@@ -16,7 +16,7 @@ from helpers import (_gso_fraction, clear_denominators,
                      enumerate_minima_reference, gram_from_mp, gram_of_basis,
                      is_reduced_oracle, iwasawa_reference, lll_gram_reference,
                      mp_matrix_of, planted_gram, rand_pencil, rand_unimodular,
-                     rationalize_gram_reference)
+                     rationalize_gram_reference, scaled_pencil)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -79,6 +79,19 @@ def test_lll_reduce_sl_normalize():
         res = pr.lll_reduce(p, precision=128, sl_normalize=True)
         assert res.det_g == 1
         assert res.reduced == pr.act(res.g, p)
+
+
+def test_lll_reduce_reduced_is_act():
+    """The reduced pencil U (A, B) U^T is g . (A, B), g = U^-T, on integral
+    and rational pencils, n = 2..10."""
+    rng = random.Random(43)
+    for n in (2, 4, 6, 8, 10):
+        for s in (1, 6):
+            p = rand_pencil(rng, n, 3)
+            if s > 1:
+                p = scaled_pencil(p, s)
+            res = pr.lll_reduce(p, precision=128)
+            assert res.reduced == pr.act(res.g, p)
 
 
 def test_lll_reduce_rejects_degenerate():
