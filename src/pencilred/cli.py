@@ -2,8 +2,10 @@
 
 Every command is a thin adapter around a library call: input comes from a
 JSON file (or inline JSON via --input-json), output is JSON (or CSV for the
-tabular commands).  Exit status: 0 success, 2 domain error with a
-machine-readable error object, 1 I/O or parse failure.
+tabular commands).  Numbers in the input are JSON integers or strings
+("7", "-3/2", "0.1"), read exactly by `forms.parse_number`; a JSON float,
+bool or null is a parse failure.  Exit status: 0 success, 2 domain error
+with a machine-readable error object, 1 I/O or parse failure.
 """
 
 import argparse
@@ -12,7 +14,6 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -20,7 +21,7 @@ from .covariant import reduction_covariant
 from .equidist import (MEASURE_CAVEAT, component_histogram, density_trend,
                        sample_pencils, small_vector_frequency)
 from .errors import DomainError, NotFound, RangeError
-from .forms import DEFAULT_PRECISION, BinaryForm
+from .forms import DEFAULT_PRECISION, BinaryForm, parse_number
 from .heights import FamilyParams, _vector_length_bound, prop_bound_check
 from .orbits import (DivisorSpec, OrbitDatum, datum_from_divisor, integralize,
                      norm_of_one_formula, pencil_from_datum)
@@ -133,7 +134,7 @@ def cmd_norm_check(args):
 def cmd_height_check(args):
     f, U, w = _read_input(args, lambda d: (
         BinaryForm.from_json_dict(d["f"]), BinaryForm.from_json_dict(d["U"]),
-        Fraction(str(d["w"])) if "w" in d else None))
+        parse_number(d["w"]) if "w" in d else None))
     fp = FamilyParams(args.cutoff_x, args.delta)
     prop = prop_bound_check(f, U, fp, args.precision)
     out = {"prop_bound": prop.to_json_dict()}

@@ -35,8 +35,8 @@ import mpmath as mp
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     discriminant, mahler_measure_with_error)
-from .linalg import det_bareiss
-from .pencil import Pencil, _integral, adjugate_pencil, invariant_form
+from .linalg import det_bareiss, symmetric
+from .pencil import Pencil, adjugate_pencil, integral, invariant_form
 from .roots import dyadic, man_exp
 
 _MAX_ESCALATIONS = 4
@@ -68,13 +68,6 @@ class GramMatrix:
                 "entries": [[mp.nstr(x, digits) for x in row]
                             for row in self.entries],
                 "error_bound": mp.nstr(self.error_bound, 8)}
-
-
-def _symmetric(upper):
-    """The symmetric matrix whose row i, from the diagonal on, is upper[i]."""
-    n = len(upper)
-    return tuple(tuple(upper[min(i, j)][abs(j - i)] for j in range(n))
-                 for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,7 @@ def simultaneous_diagonalize(p: Pencil,
     if discriminant(f) == 0:
         raise DegeneratePencil("pencil has zero discriminant")
     n = p.n
-    a, A, B = _integral(p)
+    a, A, B = integral(p)
     C = [[[Dk[i * n + j] for Dk in D] for i in range(n)] for j in range(n)]
     prec = precision
     for _ in range(_MAX_ESCALATIONS):
@@ -278,8 +271,8 @@ def _assemble_gram(db: DiagonalizingBasis, diag2, precision):
     # imag + max(scale, 1) 2^(-precision/2), rounded up
     h = e // 2
     err = dyadic((imag << h) + max(isqrt(scale2) + 1, 1 << s), -s - h)
-    return GramMatrix(_symmetric([[H[k, l][0] for l in range(k, n)]
-                                  for k in range(n)]), -s, err)
+    return GramMatrix(symmetric([[H[k, l][0] for l in range(k, n)]
+                                 for k in range(n)]), -s, err)
 
 
 def reduction_covariant(p: Pencil, precision=DEFAULT_PRECISION) -> GramMatrix:

@@ -23,6 +23,8 @@ from .errors import DegenerateForm
 from .roots import certified_roots, to_mpf
 
 DEFAULT_PRECISION = 256
+# as many digits as int() reads from a string by default
+_MAX_EXPONENT = 4300
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,26 @@ class BinaryForm:
 
     @classmethod
     def from_json_dict(cls, d):
-        coeffs = []
-        for s in d["coeffs"]:
-            coeffs.append(Fraction(s) if "/" in str(s) else int(s))
-        return cls(int(d["degree"]), tuple(coeffs))
+        return cls(parse_number(d["degree"]),
+                   tuple(parse_number(c) for c in d["coeffs"]))
+
+
+def parse_number(x):
+    """A number of JSON input: a JSON integer (not a bool), or a string read
+    by Fraction ("7", "-3/2", "0.1"), an int when integral.  Anything else,
+    a JSON float or bool or null included, raises ValueError: a float would
+    be read inexactly or truncated.  So does a decimal exponent beyond
+    _MAX_EXPONENT, which Fraction would expand into a huge integer."""
+    if isinstance(x, str):
+        exp = x.lower().partition("e")[2]
+        if exp and abs(int(exp)) > _MAX_EXPONENT:
+            raise ValueError("exponent out of range in %r" % x)
+        q = Fraction(x)
+        return q.numerator if q.denominator == 1 else q
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError("a number must be a JSON integer or a string, got %r"
+                     % (x,))
 
 
 def form_from_linear_factors(factors):
@@ -135,8 +153,7 @@ def _univariate_disc(coeffs):
     derivative, the n x n Bezout matrix B has det B = (-1)^(n(n-1)/2) a_n
     Res(den·p, (den·p)'), so Delta(p) = det B / (a_n^2 den^(2n-2))."""
     n = len(coeffs) - 1
-    den = linalg._denominator_lcm([coeffs])
-    a = [int(c * den) for c in reversed(coeffs)]
+    den, (a,) = linalg.clear_denominators([coeffs[::-1]])
     b = [(j + 1) * x for j, x in enumerate(a[1:])] + [0]
     B = [[0] * n for _ in range(n)]
     for j in range(1, n + 1):
@@ -332,11 +349,7 @@ def is_irreducible(f: BinaryForm):
     if n == 0:
         return False
     if not f.is_integral:
-        den = 1
-        for c in f.coeffs:
-            if isinstance(c, Fraction):
-                den = den * c.denominator // gcd(den, c.denominator)
-        f = BinaryForm(n, tuple(int(c * den) for c in f.coeffs))
+        f = BinaryForm(n, linalg.clear_denominators([f.coeffs])[1][0])
     f = f.primitive()
     if f.coeffs[0] == 0:
         # y divides f; only a linear form survives that

@@ -118,18 +118,23 @@ def prop_bound_check(f: BinaryForm, U: BinaryForm, fp: FamilyParams,
     return _prop_bound(f, U, fp, precision)
 
 
+def _rhs(n, U, fp):
+    """n h(U) - (n+1) log X + n delta log X + kappa_{n,m}, m = deg U, at
+    the working precision: the right-hand side of both height checks."""
+    logX = mp.log(mp.mpf(fp.X))
+    return (n * divisor_height(U) - (n + 1) * logX
+            + n * mp.mpf(fp.delta) * logX + kappa_constant(n, U.degree))
+
+
 def _prop_bound(f, U, fp, precision):
     """prop_bound_check for an f already known to be in the family."""
     n = f.degree
-    m = U.degree
     ds = DivisorSpec(f, U, 1)   # w is irrelevant to the root sum
     with mp.workprec(precision + 32):
         S = norm_of_one_formula(ds, precision)
         mah, mah_err = mahler_measure_with_error(f, precision)
         lhs = n * mp.log(S) - mp.log(mah)
-        logX = mp.log(mp.mpf(fp.X))
-        rhs = (n * divisor_height(U) - (n + 1) * logX
-               + n * mp.mpf(fp.delta) * logX + kappa_constant(n, m))
+        rhs = _rhs(n, U, fp)
         slack = INEQ_TOLERANCE + mah_err / mah
         holds = bool(lhs <= rhs + slack)
     return BoundCheck(lhs, rhs, holds)
@@ -150,7 +155,7 @@ def _vector_length_bound(ds, fp, precision, integralize_states=MAX_STATES):
     """vector_length_bound_check for a divisor whose f is already known to
     be in the family."""
     n = ds.f.degree
-    g = ds.genus
+    # datum_from_divisor enforces deg U = 2g - 1, the m of kappa_{n,m}
     datum = datum_from_divisor(ds)
     p, one_bar = pencil_from_datum(datum)
     flags = []
@@ -170,9 +175,6 @@ def _vector_length_bound(ds, fp, precision, integralize_states=MAX_STATES):
         q = form_norm(H, vec, precision)
         det_h, _ = gram_det_with_error(H)
         lhs = n * mp.log(q) - mp.log(det_h)
-        logX = mp.log(mp.mpf(fp.X))
-        kappa_n = kappa_constant(n, 2 * g - 1)
-        rhs = (n * divisor_height(ds.U) - (n + 1) * logX
-               + n * mp.mpf(fp.delta) * logX + kappa_n)
+        rhs = _rhs(n, ds.U, fp)
         holds = bool(lhs <= rhs + INEQ_TOLERANCE + n * H.error_bound)
     return BoundCheck(lhs, rhs, holds, tuple(flags))

@@ -2,10 +2,14 @@
 
 Matrices are lists (or tuples) of rows; rows are lists/tuples of ints or
 Fractions.  Everything here is exact; multiprecision floats live elsewhere.
+This module owns the exact kernels the others share: the Gram U·M·Uᵀ of a
+change of basis (`gram`), the quadratic form xᵀGx (`quad`), the symmetric
+matrix of an upper triangle (`symmetric`) and clearing denominators
+(`clear_denominators`).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 
 
@@ -31,9 +35,36 @@ def is_symmetric(M):
     return all(M[i][j] == M[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def congruent(S, A):
-    """S^T A S for column-basis change S."""
-    return mat_mul(transpose(S), mat_mul(A, S))
+def symmetric(upper):
+    """The symmetric matrix whose row i, from the diagonal on, is upper[i]."""
+    n = len(upper)
+    return tuple(tuple(upper[min(i, j)][abs(j - i)] for j in range(n))
+                 for i in range(n))
+
+
+def gram(U, M):
+    """U·M·Uᵀ for a symmetric M, exactly, as a tuple of rows: the rows of
+    U are the coordinates of the new basis.  One product U·M, then the
+    upper triangle, mirrored."""
+    n = len(U)
+    UM = mat_mul(U, M)
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = sum(map(mul, UM[i], U[j]))
+    return tuple(map(tuple, G))
+
+
+def quad(G, x):
+    """xᵀ·G·x, exactly."""
+    return sum(map(mul, x, mat_vec(G, x)))
+
+
+def clear_denominators(M):
+    """(d, d·M): d the least common denominator of the int / Fraction
+    entries of M, and d·M as integer rows."""
+    d = lcm(*(x.denominator for row in M for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in M]
 
 
 def det_bareiss(M):
@@ -61,23 +92,11 @@ def det_bareiss(M):
     return sign * a[n - 1][n - 1]
 
 
-def _denominator_lcm(M):
-    d = 1
-    for row in M:
-        for x in row:
-            if isinstance(x, Fraction):
-                d = d * x.denominator // gcd(d, x.denominator)
-    return d
-
-
 def det_exact(M):
     """Exact determinant; ints go through Bareiss, Fractions are scaled first."""
-    n = len(M)
-    d = _denominator_lcm(M)
-    if d == 1:
-        return det_bareiss([[int(x) for x in row] for row in M])
-    scaled = [[int(x * d) for x in row] for row in M]
-    return Fraction(det_bareiss(scaled), d ** n)
+    d, scaled = clear_denominators(M)
+    det = det_bareiss(scaled)
+    return det if d == 1 else Fraction(det, d ** len(M))
 
 
 def det_adj(M):

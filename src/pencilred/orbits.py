@@ -14,15 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import mul
 
 import mpmath as mp
 
 from . import linalg, polys
 from .errors import (DivisorMeetsWeierstrass, InconsistentW, InvalidDatum,
                      NotFound, NotPrimitive, PreconditionError)
-from .forms import DEFAULT_PRECISION, BinaryForm, complex_roots
-from .pencil import Pencil, invariant_form
+from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
+                    parse_number)
+from .pencil import Pencil, integral, invariant_form
 from .roots import to_mpf
 
 
@@ -165,8 +165,8 @@ class OrbitDatum:
     @classmethod
     def from_json_dict(cls, d):
         f = BinaryForm.from_json_dict(d["f"])
-        alpha = AlgebraElement(f, tuple(Fraction(s) for s in d["alpha"]))
-        return cls(f, alpha, Fraction(d["z"]))
+        alpha = AlgebraElement(f, tuple(parse_number(s) for s in d["alpha"]))
+        return cls(f, alpha, parse_number(d["z"]))
 
 
 def validate_datum(d: OrbitDatum) -> bool:
@@ -238,7 +238,7 @@ class DivisorSpec:
     @classmethod
     def from_json_dict(cls, d):
         return cls(BinaryForm.from_json_dict(d["f"]),
-                   BinaryForm.from_json_dict(d["U"]), Fraction(d["w"]))
+                   BinaryForm.from_json_dict(d["U"]), parse_number(d["w"]))
 
 
 def datum_from_divisor(ds: DivisorSpec) -> OrbitDatum:
@@ -327,20 +327,6 @@ def _lattice_key(d, basis, rows=()):
     return d // g, tuple(tuple(x // g for x in row) for row in H)
 
 
-def _grams(H, A, B):
-    """H·A·Hᵀ and H·B·Hᵀ for integer matrices."""
-    n = len(H)
-    out = []
-    for M in (A, B):
-        HM = linalg.mat_mul(H, M)
-        G = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                G[i][j] = G[j][i] = sum(map(mul, HM[i], H[j]))
-        out.append(G)
-    return out
-
-
 def _shrink_to_integral(grams, s, known):
     """Largest sublattice on which both forms pair integrally with
     everything, given the two Grams of a basis over the denominator s.
@@ -409,11 +395,6 @@ def _primes(m, known):
     return dict(sorted(out.items()))
 
 
-def _quad(G, x):
-    """x^T G x."""
-    return sum(map(mul, x, linalg.mat_vec(G, x)))
-
-
 def _grow_candidates(H, GA, GB, p):
     """Index-p overlattices L + (1/p)u keeping both forms integral, for
     L = (row span of H)/d with integral Grams GA, GB.  Each is returned as
@@ -429,7 +410,8 @@ def _grow_candidates(H, GA, GB, p):
     pp = p * p
     return [linalg.mat_vec(Ht, x)
             for x in _fp_lines(linalg.fp_nullspace(GA + GB, p), p)
-            if _quad(GA, x) % pp == 0 and _quad(GB, x) % pp == 0]
+            if linalg.quad(GA, x) % pp == 0
+            and linalg.quad(GB, x) % pp == 0]
 
 
 def _sublattice_candidates(H, p):
@@ -464,9 +446,7 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         ident = tuple(tuple(Fraction(int(i == j)) for j in range(n))
                       for i in range(n))
         return IntegralizeResult(p, ident)
-    a = linalg._denominator_lcm(p.A + p.B)
-    A = [[int(x * a) for x in row] for row in p.A]
-    B = [[int(x * a) for x in row] for row in p.B]
+    a, A, B = integral(p)
 
     seen = set()
     known = set()
@@ -489,18 +469,18 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         heapq.heappush(heap, (primary, 0, 0, counter, key, covol))
         counter += 1
 
-    # seeds: the integral hull of Z^n and of its q-refinements
-    ident = linalg.identity_matrix(n)
+    # seeds: the integral hull of Z^n and of its q-refinements; the Grams
+    # of the standard basis are (A, B) themselves
     for q in [1, *_primes(a, known)]:
-        push(q, _shrink_to_integral(_grams(ident, A, B), a * q * q, known))
+        push(q, _shrink_to_integral((A, B), a * q * q, known))
     explored = 0
     while heap and explored < max_states:
         primary, evaluated, _, count, key, covol, *grams = heapq.heappop(heap)
         d, H = key
         if not evaluated:
             s = a * d * d
-            GA, GB = ([[x // s for x in row] for row in G]
-                      for G in _grams(H, A, B))
+            GA, GB = ([[x // s for x in row] for row in linalg.gram(H, M)]
+                      for M in (A, B))
             # then prefer small Gram entries (more reduced states)
             size = max(1, max(abs(x) for G in (GA, GB) for row in G
                               for x in row))

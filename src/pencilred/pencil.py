@@ -1,9 +1,10 @@
 """Pairs of symmetric matrices, the unimodular action, and the invariant form.
 
-The group acts by g . (A, B) = (g^-T A g^-1, g^-T B g^-1); the invariant
-binary form is f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By).  Both it and
-the adjugate pencil adj(Ax - By) are interpolated from fraction-free integer
-eliminations at integer nodes.
+The group acts by g . (A, B) = (g^-T A g^-1, g^-T B g^-1), the Grams
+`linalg.gram` of the basis g^-T; the invariant binary form is
+f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By).  Both it and the adjugate
+pencil adj(Ax - By) are interpolated from fraction-free integer eliminations
+at integer nodes, on the integral pencil (aA, aB) of `integral`.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import DimensionMismatch
-from .forms import BinaryForm, discriminant
+from .forms import BinaryForm, discriminant, parse_number
 
 
 def _norm_entry(x):
@@ -52,10 +53,8 @@ class Pencil:
     @classmethod
     def from_json_dict(cls, d):
         def parse(rows):
-            return tuple(tuple(
-                Fraction(s) if "/" in str(s) else int(s) for s in row)
-                for row in rows)
-        return cls(int(d["n"]), parse(d["A"]), parse(d["B"]))
+            return tuple(tuple(map(parse_number, row)) for row in rows)
+        return cls(parse_number(d["n"]), parse(d["A"]), parse(d["B"]))
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,9 @@ def act(g: UnimodularMatrix, p: Pencil) -> Pencil:
     """g . (A, B) = (g^-T A g^-1, g^-T B g^-1), exact."""
     if g.n != p.n:
         raise DimensionMismatch("group element and pencil dimensions differ")
-    h = linalg.inverse_unimodular([list(r) for r in g.entries])
-    A2 = linalg.congruent(h, [list(r) for r in p.A])
-    B2 = linalg.congruent(h, [list(r) for r in p.B])
-    return Pencil(p.n, tuple(tuple(r) for r in A2), tuple(tuple(r) for r in B2))
+    # g^-T M g^-1 = U M U^T with U = (g^T)^-1
+    U = linalg.inverse_unimodular(linalg.transpose(g.entries))
+    return Pencil(p.n, linalg.gram(U, p.A), linalg.gram(U, p.B))
 
 
 def _disc_sign(n):
@@ -119,10 +117,11 @@ def _newton(nodes, values):
     return coeffs
 
 
-def _integral(p: Pencil):
-    """(a, aA, aB) with a the common denominator of the entries."""
-    a = linalg._denominator_lcm(p.A + p.B)
-    return a, *([[int(x * a) for x in row] for row in M] for M in (p.A, p.B))
+def integral(p: Pencil):
+    """(a, aA, aB): a the common denominator of the entries, aA and aB as
+    integer rows."""
+    a, rows = linalg.clear_denominators(p.A + p.B)
+    return a, rows[:p.n], rows[p.n:]
 
 
 def _node(i):
@@ -144,7 +143,7 @@ def _form(n, a, nodes, dets):
                                for c in reversed(coeffs)))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def invariant_form(p: Pencil) -> BinaryForm:
     """f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By), exact.
 
@@ -152,7 +151,7 @@ def invariant_form(p: Pencil) -> BinaryForm:
     f interpolates the fraction-free determinants det(k·aA - aB)
     (linalg.det_bareiss) at the n + 1 integer nodes k = 0, 1, -1, 2, ...
     """
-    a, A, B = _integral(p)
+    a, A, B = integral(p)
     nodes = [_node(i) for i in range(p.n + 1)]
     return _form(p.n, a, nodes, [linalg.det_bareiss(_at(A, B, k))
                                  for k in nodes])
@@ -171,7 +170,7 @@ def adjugate_pencil(p: Pencil):
     adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.
     """
     n = p.n
-    a, A, B = _integral(p)
+    a, A, B = integral(p)
     nodes, dets, adj_nodes, adjs = [], [], [], []
     upper = [(i, j) for i in range(n) for j in range(i, n)]
     while len(nodes) <= n or (len(adjs) < n and any(dets)):

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+from . import linalg
+
 
 def ptrim(p):
     i = 0
@@ -43,13 +45,6 @@ def peval(p, x):
     for c in p:
         acc = acc * x + c
     return acc
-
-
-def pderiv(p):
-    n = len(p) - 1
-    if n <= 0:
-        return [0]
-    return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
 def pdivmod(p, q):
@@ -92,12 +87,7 @@ def content(p):
 
 def primitive_part(p):
     """Integer primitive part (positive leading coefficient) of a rational poly."""
-    p = ptrim(p)
-    den = 1
-    for c in p:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
+    ints = linalg.clear_denominators([ptrim(p)])[1][0]
     g = content(ints)
     if g == 0:
         return [0]
@@ -111,13 +101,6 @@ def primitive_part(p):
 # arithmetic mod a prime
 
 
-def pm_trim(p):
-    i = 0
-    while i < len(p) - 1 and p[i] == 0:
-        i += 1
-    return p[i:]
-
-
 def pm_mul(a, b, p):
     if a == [0] or b == [0]:
         return [0]
@@ -126,12 +109,12 @@ def pm_mul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return pm_trim(out)
+    return ptrim(out)
 
 
 def pm_divmod(a, b, p):
-    a = pm_trim([c % p for c in a])
-    b = pm_trim([c % p for c in b])
+    a = ptrim([c % p for c in a])
+    b = ptrim([c % p for c in b])
     if b == [0]:
         raise ZeroDivisionError
     binv = pow(b[0], -1, p)
@@ -139,22 +122,22 @@ def pm_divmod(a, b, p):
     a = list(a)
     while len(a) >= len(b) and a != [0]:
         if a[0] == 0:
-            a = pm_trim(a)
+            a = ptrim(a)
             continue
         shift = len(a) - len(b)
         c = a[0] * binv % p
         quo[len(quo) - 1 - shift] = c
         for i in range(len(b)):
             a[i] = (a[i] - c * b[i]) % p
-        a = pm_trim(a)
+        a = ptrim(a)
         if a == [0]:
             break
-    return pm_trim(quo), pm_trim(a)
+    return ptrim(quo), ptrim(a)
 
 
 def pm_gcd(a, b, p):
-    a = pm_trim([c % p for c in a])
-    b = pm_trim([c % p for c in b])
+    a = ptrim([c % p for c in a])
+    b = ptrim([c % p for c in b])
     while b != [0]:
         _, r = pm_divmod(a, b, p)
         a, b = b, r
@@ -177,7 +160,7 @@ def pm_powmod(base, e, mod, p):
 
 def pm_is_irreducible(f, p):
     """Rabin irreducibility test for f mod p (f squarefree mod p assumed not)."""
-    f = pm_trim([c % p for c in f])
+    f = ptrim([c % p for c in f])
     n = len(f) - 1
     if n <= 0:
         return False
@@ -202,7 +185,7 @@ def pm_sub(a, b, p):
     m = max(la, lb)
     a = [0] * (m - la) + list(a)
     b = [0] * (m - lb) + list(b)
-    return pm_trim([(x - y) % p for x, y in zip(a, b)])
+    return ptrim([(x - y) % p for x, y in zip(a, b)])
 
 
 def pm_factor(f, p, rng=None):
@@ -212,7 +195,7 @@ def pm_factor(f, p, rng=None):
     """
     if rng is None:
         rng = random.Random(0xC0FFEE)
-    f = pm_trim([c % p for c in f])
+    f = ptrim([c % p for c in f])
     finv = pow(f[0], -1, p)
     f = [c * finv % p for c in f]
     factors = []
@@ -242,7 +225,7 @@ def _pm_edf(f, d, p, rng):
     exponent = (p ** d - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)]
-        a = pm_trim(a) if pm_trim(a) != [0] else [1, 0]
+        a = ptrim(a) if ptrim(a) != [0] else [1, 0]
         b = pm_powmod(a, exponent, f, p)
         g = pm_gcd(pm_sub(b, [1], p), f, p)
         if g != [1] and len(g) != len(f):

@@ -21,13 +21,12 @@ shortest vector v first the cusp test t_1 > c^(n-1) / eps reads
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
 from . import linalg
-from .covariant import GramMatrix, _symmetric, reduction_covariant
+from .covariant import GramMatrix, reduction_covariant
 from .errors import DimensionTooLarge, RangeError
 from .forms import DEFAULT_PRECISION
 from .pencil import Pencil, UnimodularMatrix
@@ -86,8 +85,8 @@ def rationalize_gram(H: GramMatrix, bits):
         Q[i, j] = _round_even(_round_even(m, k), 1 - e - k - bits)
     # the largest t <= bits with 2^t dividing every grid point
     t = min([bits] + [(q & -q).bit_length() - 1 for q in Q.values() if q])
-    return _symmetric([[Q[i, j] >> t for j in range(i, n)]
-                       for i in range(n)]), 1 << bits - t
+    return linalg.symmetric([[Q[i, j] >> t for j in range(i, n)]
+                            for i in range(n)]), 1 << bits - t
 
 
 def _integral_gso(G):
@@ -142,7 +141,7 @@ class Lattice:
         """(v, N): the canonical shortest nonzero vector, in the coordinates
         of G, and its norm N = v^T G v."""
         norm, minima = _enumerate_minima(self.d, self.lam,
-                                         _gram_of(self.U, self.G))
+                                         linalg.gram(self.U, self.G))
         Ut = linalg.transpose(self.U)
         return _canonical_minimizer(tuple(linalg.mat_vec(Ut, list(x)))
                                     for x in minima), norm
@@ -244,7 +243,7 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))
     g = UnimodularMatrix(p.n, tuple(tuple(r) for r in g_entries))
     # act(g, p) = (g^-T A g^-1, g^-T B g^-1) with g^-1 = U^T
-    reduced = Pencil(p.n, _gram_of(U, p.A), _gram_of(U, p.B))
+    reduced = Pencil(p.n, linalg.gram(U, p.A), linalg.gram(U, p.B))
     return ReductionResult(g, reduced, rebase_gram(H, U), g.det)
 
 
@@ -257,15 +256,8 @@ def rebase_gram(H: GramMatrix, U) -> GramMatrix:
     n = H.n
     size = max(1, max(abs(x) for row in U for x in row))
     m, f = man_exp(H.error_bound)
-    return GramMatrix(_gram_of(U, H.M), H.e,
+    return GramMatrix(linalg.gram(U, H.M), H.e,
                       dyadic(m * n * n * size ** 2, f))
-
-
-def _gram_of(U, M):
-    """U M U^T for integer matrices, exactly: the upper triangle, mirrored."""
-    UM = [[sum(map(mul, u, col)) for col in zip(*M)] for u in U]
-    return _symmetric([[sum(map(mul, UM[i], U[j])) for j in range(i, len(U))]
-                       for i in range(len(U))])
 
 
 def exact_gram(H: GramMatrix, precision=DEFAULT_PRECISION):
@@ -296,7 +288,7 @@ def _enumerate_minima(d, lam, Q):
         nonlocal best, minima
         if i < 0:
             if any(x):
-                norm = sum(a * sum(map(mul, row, x)) for a, row in zip(x, Q))
+                norm = linalg.quad(Q, x)
                 if norm < best:
                     best = norm
                     minima = [tuple(x)]
@@ -335,9 +327,8 @@ def _canonical_minimizer(vectors):
 def form_norm(H: GramMatrix, v, precision=DEFAULT_PRECISION):
     """v^T H v for a vector v of ints or Fractions: the exact v^T M v 2^e,
     rounded once to precision + 32 bits."""
-    den = linalg._denominator_lcm([v])
-    w = [int(x * den) for x in v]
-    num = sum(a * sum(map(mul, row, w)) for a, row in zip(w, H.M))
+    den, (w,) = linalg.clear_denominators([v])
+    num = linalg.quad(H.M, w)
     return mp.make_mpf(from_rational(num << max(H.e, 0),
                                      den * den << max(-H.e, 0),
                                      precision + 32, round_nearest))

@@ -20,6 +20,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from .errors import PrecisionExhausted
+from .linalg import clear_denominators
 
 _MAX_ESCALATIONS = 5
 _SWEEPS = 64            # most Aberth sweeps per precision level
@@ -58,8 +59,7 @@ def certified_roots(coeffs, precision):
 def _certified_roots_cached(coeffs, precision):
     if len(coeffs) <= 1:
         return ()
-    den = math.lcm(*(Fraction(x).denominator for x in coeffs))
-    c = [int(x * den) for x in coeffs]
+    c = clear_denominators([coeffs])[1][0]
     zs, s, wp = _polish(c, _seeds(c), 52), 52, precision + 32
     for _ in range(_MAX_ESCALATIONS):
         while s < wp:

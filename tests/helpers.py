@@ -29,6 +29,11 @@ A0 = ((9, 3, 0, 0), (3, 1, 1, 0), (0, 1, 2, 1), (0, 0, 1, 1))
 B0 = ((4, 2, 0, 2), (2, 3, 0, 1), (0, 0, 1, 0), (2, 1, 0, 5))
 
 
+def common_denominator(rows):
+    """The lcm of the denominators of the int / Fraction entries."""
+    return math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+
+
 def scaled_pencil(p, s):
     """S·(A, B)·S with S = diag(1/s, s, 1, ..., 1), exact."""
     S = [Fraction(1, s), Fraction(s)] + [1] * (p.n - 2)
@@ -149,9 +154,17 @@ def _sign_changes(vals):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def pderiv(p):
+    """Derivative of a polynomial in descending coefficients."""
+    n = len(p) - 1
+    if n <= 0:
+        return [0]
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
 def sturm_chain(p):
     chain = [[Fraction(c) for c in polys.ptrim(p)]]
-    d = polys.pderiv(chain[0])
+    d = pderiv(chain[0])
     if polys.pdeg(d) >= 0:
         chain.append(d)
         while polys.pdeg(chain[-1]) > 0:
@@ -186,7 +199,7 @@ def sylvester_resultant(p, q):
         return p[0] ** m
     if m == 0:
         return q[0] ** n
-    den = linalg._denominator_lcm([p + q])
+    den = common_denominator([p + q])
     pi = [int(c * den) for c in p]
     qi = [int(c * den) for c in q]
     size = n + m
@@ -217,7 +230,7 @@ def discriminant_sylvester(f):
             pr.BinaryForm(n - 1, tuple(c[1:]))) if c[1] else Fraction(0)
     else:
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        out = sign * Fraction(sylvester_resultant(c, polys.pderiv(c))) / c[0]
+        out = sign * Fraction(sylvester_resultant(c, pderiv(c))) / c[0]
     return int(out) if out.denominator == 1 else out
 
 
@@ -737,7 +750,7 @@ def integralize_reference(p, max_states=8000):
     row_hnf_reference, and the overlattice step also tries the shift.
     Returns the IntegralizeResult, or raises NotFound at the same budget."""
     n = p.n
-    a = linalg._denominator_lcm(p.A + p.B)
+    a = common_denominator(p.A + p.B)
     A = [[int(x * a) for x in row] for row in p.A]
     B = [[int(x * a) for x in row] for row in p.B]
 

@@ -1,9 +1,12 @@
 """CLI adapter tests: schemas, exit codes, golden outputs."""
 
+import copy
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import pencilred as pr
 from pencilred import cli
 
 WORKED_PENCIL = {
@@ -201,3 +204,70 @@ def test_parser_built_once(capsys):
     assert shared == fresh
     assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
     assert json.loads(shared[2][1])["error"]["type"] == "RangeError"
+
+
+def _number_paths(x, path=()):
+    """The path of every number field of a JSON input."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _number_paths(v, path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _number_paths(v, path + (i,))
+    else:
+        yield path
+
+
+def test_json_numbers_are_ints_or_strings(capsys):
+    """A JSON float, bool or null in any number field of any input command,
+    or a string with a huge decimal exponent, is an input error (exit 1),
+    never read as a nearby number; JSON ints and strings such as "3/2" and
+    "0.1" read the same, exactly, in every command."""
+    f = {"degree": 4, "coeffs": ["1", "0", "0", "0", "3"]}
+    divisor = {"f": f, "U": {"degree": 1, "coeffs": ["1", "-1"]}, "w": "2"}
+    datum = {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "1"]},
+             "alpha": ["0", "1", "0", "0"], "z": "1"}
+    commands = [(["invariant"], WORKED_PENCIL), (["covariant"], WORKED_PENCIL),
+                (["reduce"], WORKED_PENCIL), (["orbit"], datum),
+                (["divisor-orbit"], divisor), (["norm-check"], divisor),
+                (["height-check", "--cutoff-X", "4", "--delta", "0.5"],
+                 divisor)]
+
+    def run(args, payload):
+        code = cli.main(args + ["--input-json", json.dumps(payload)])
+        return (code,) + tuple(capsys.readouterr())
+
+    for args, payload in commands:
+        for path in _number_paths(payload):
+            for bad in (1.5, True, None, "1e5000"):
+                doc = copy.deepcopy(payload)
+                *head, last = path
+                node = doc
+                for key in head:
+                    node = node[key]
+                node[last] = bad
+                code, out, err = run(args, doc)
+                assert code == 1 and out == "", (args, path, bad)
+                assert err.startswith("input error:"), (args, path, bad)
+    # ints and strings read alike: 7 and "7", "3/2" and "1.5"
+    as_ints = json.loads(json.dumps(WORKED_PENCIL))
+    as_ints["n"] = 4
+    as_ints["A"][3][3] = 7
+    as_ints["B"][0][0] = "3/2"
+    as_strings = json.loads(json.dumps(as_ints))
+    as_strings["n"] = "4"
+    as_strings["A"][3][3] = "7"
+    as_strings["B"][0][0] = "1.5"
+    first = run(["invariant"], as_ints)
+    assert first[0] == 0 and run(["invariant"], as_strings) == first
+    p = pr.Pencil(4, *(tuple(tuple(map(Fraction, row)) for row in as_ints[M])
+                       for M in "AB"))
+    assert json.loads(first[1])["form"] == \
+        pr.invariant_form(p).to_json_dict()
+    # w = "0.1" is 1/10 exactly wherever it is read
+    tenth = dict(divisor, w="0.1")
+    assert pr.DivisorSpec.from_json_dict(tenth).w == Fraction(1, 10)
+    int_w = dict(divisor, f=dict(f, degree=4, coeffs=[1, 0, 0, 0, 3]), w=2)
+    for args, payload in commands[4:]:
+        assert run(args, int_w) == run(args, divisor)
+        assert run(args, int_w)[0] == 0

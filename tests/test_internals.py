@@ -1,5 +1,8 @@
 """Unit checks for the exact linear algebra and polynomial helpers."""
 
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import product
@@ -89,6 +92,75 @@ def test_discriminant_matches_sylvester():
         assert got == want and type(got) is type(want), f
         kinds.add((f.coeffs[0] == 0, got == 0, type(got)))
     assert len(kinds) >= 6
+
+
+def _rand_entry(rng, rational):
+    x = rng.randint(-9, 9)
+    if rational and rng.random() < 0.6:
+        return Fraction(x, rng.randint(1, 12))
+    return x
+
+
+def test_exact_kernels_match_fraction_reference():
+    """gram, quad and clear_denominators against plain Fraction arithmetic,
+    on int and Fraction matrices with n = 1..10; U may be singular (a
+    repeated row, a zero row), rational or have fewer rows than n."""
+    rng = random.Random(31)
+    for n in range(1, 11):
+        for trial in range(12):
+            rational = trial % 2 == 1
+            M = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    M[i][j] = M[j][i] = _rand_entry(rng, rational)
+            k = n if trial < 8 else rng.randint(1, n)
+            U = [[_rand_entry(rng, trial % 4 >= 2) for _ in range(n)]
+                 for _ in range(k)]
+            if trial in (4, 5) and k > 1:
+                U[-1] = list(U[0])
+            if trial in (6, 7):
+                U[rng.randrange(k)] = [0] * n
+            ref = tuple(tuple(sum(Fraction(U[i][a]) * M[a][b] * U[j][b]
+                                  for a in range(n) for b in range(n))
+                              for j in range(k)) for i in range(k))
+            G = linalg.gram(U, M)
+            assert G == ref and type(G) is tuple
+            assert all(type(row) is tuple and len(row) == k for row in G)
+            if not rational and trial % 4 < 2:
+                assert all(type(x) is int for row in G for x in row)
+            for x in U + [[_rand_entry(rng, True) for _ in range(n)]]:
+                q = linalg.quad(M, x)
+                assert q == sum(Fraction(a) * b
+                                for a, b in zip(x, linalg.mat_vec(M, x)))
+                assert q == linalg.gram([x], M)[0][0]
+            for rows in (M, U):
+                d, R = linalg.clear_denominators(rows)
+                assert all(type(x) is int for row in R for x in row)
+                assert R == [[Fraction(x) * d for x in row] for row in rows]
+                # d is the least: no d / p clears every denominator
+                assert not any(d % p == 0 and all(
+                    (Fraction(x) * d / p).denominator == 1
+                    for row in rows for x in row) for p in (2, 3, 5, 7, 11))
+    assert linalg.clear_denominators([(Fraction(4, 2), 3)]) == (1, [[2, 3]])
+
+
+def test_argument_caches_are_small():
+    """Every lru_cache in pencilred that takes arguments keeps at most 64
+    entries: their hits all come from within one item."""
+    caches = {}
+    for info in pkgutil.iter_modules(pr.__path__):
+        mod = importlib.import_module("pencilred." + info.name)
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters") and \
+                    obj.__module__ == mod.__name__:
+                caches["%s.%s" % (info.name, name)] = obj
+    assert {"pencil.invariant_form", "forms.discriminant",
+            "forms.complex_roots", "roots._certified_roots_cached"} <= \
+        set(caches)
+    for name, fn in caches.items():
+        if inspect.signature(fn).parameters:
+            maxsize = fn.cache_parameters()["maxsize"]
+            assert maxsize is not None and maxsize <= 64, name
 
 
 def test_kernel_mod():

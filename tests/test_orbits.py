@@ -127,10 +127,8 @@ def test_equivalent_data_conjugate_pencils():
         for j in range(n):
             T[0][j] /= d.z
         assert linalg.det_exact(T) == 1
-        assert linalg.congruent(T, [list(r) for r in p1.A]) == \
-            [list(r) for r in p2.A]
-        assert linalg.congruent(T, [list(r) for r in p1.B]) == \
-            [list(r) for r in p2.B]
+        assert linalg.gram(linalg.transpose(T), p1.A) == p2.A
+        assert linalg.gram(linalg.transpose(T), p1.B) == p2.B
         # covariants are congruent under the same T
         H1 = pr.reduction_covariant(p1, 128)
         H2 = pr.reduction_covariant(p2, 128)
@@ -221,10 +219,8 @@ def test_integralize_transform():
         assert pr.invariant_form(R) == pr.invariant_form(p)
         assert abs(linalg.det_exact(g)) == 1
         # act(g, p) = (g^-T A g^-1, g^-T B g^-1) = R
-        assert linalg.congruent(g, [list(r) for r in R.A]) == \
-            [list(r) for r in p.A]
-        assert linalg.congruent(g, [list(r) for r in R.B]) == \
-            [list(r) for r in p.B]
+        assert linalg.gram(linalg.transpose(g), R.A) == p.A
+        assert linalg.gram(linalg.transpose(g), R.B) == p.B
 
 
 def test_shrink_seed_integral():
@@ -234,9 +230,10 @@ def test_shrink_seed_integral():
     A, B = ([[int(a * x) for x in row] for row in M]
             for M in (S_PENCIL.A, S_PENCIL.B))
     ident = linalg.identity_matrix(4)
-    K = orbits._shrink_to_integral(orbits._grams(ident, A, B), a, set())
+    K = orbits._shrink_to_integral(
+        [linalg.gram(ident, M) for M in (A, B)], a, set())
     for M in (S_PENCIL.A, S_PENCIL.B):
-        G = linalg.congruent(linalg.transpose(K), [list(r) for r in M])
+        G = linalg.gram(K, M)
         assert all(Fraction(x).denominator == 1 for row in G for x in row)
     # from the integral seed the search reaches covolume 1 in 5 states
     res = pr.integralize(S_PENCIL, max_states=5)
@@ -345,7 +342,7 @@ def test_overlattice_shift_is_dead():
                 G0 = [[x * p if i < k or j < k else x
                        for j, x in enumerate(row)]
                       for i, row in enumerate(rand_symmetric(rng, n, 9))]
-                grams.append(linalg.congruent(U, G0))
+                grams.append(linalg.gram(linalg.transpose(U), G0))
             GA, GB = grams
             basis = linalg.fp_nullspace(GA + GB, p)
             assert len(basis) >= k
@@ -355,7 +352,7 @@ def test_overlattice_shift_is_dead():
                 w = [rng.randint(-9, 9) for _ in range(n)]
                 xw = [a + p * b for a, b in zip(x, w)]
                 for G in grams:
-                    assert (orbits._quad(G, xw) - orbits._quad(G, x)) \
+                    assert (linalg.quad(G, xw) - linalg.quad(G, x)) \
                         % (p * p) == 0
             H = [[int(i == j) * rng.randint(1, 4) + (j > i) * rng.randint(
                 0, 3) for j in range(n)] for i in range(n)]

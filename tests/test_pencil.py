@@ -7,8 +7,9 @@ import pytest
 import pencilred as pr
 from pencilred import linalg
 from pencilred.pencil import adjugate_pencil
-from helpers import (A0, B0, invariant_form_oracle, rand_pencil,
-                     rand_symmetric, rand_unimodular, scaled_pencil)
+from helpers import (A0, B0, common_denominator, invariant_form_oracle,
+                     rand_pencil, rand_symmetric, rand_unimodular,
+                     scaled_pencil)
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -153,7 +154,7 @@ def test_adjugate_pencil_exact(n):
         assert f == pr.invariant_form(q)
         if n <= 6:
             assert f == invariant_form_oracle(q)
-        a = linalg._denominator_lcm(q.A + q.B)
+        a = common_denominator(q.A + q.B)
         for k in (n + 2, n + 3, n + 4, -n - 2, -n - 3, -n - 4):
             M = [[int(a * (k * x - y)) for x, y in zip(ra, rb)]
                  for ra, rb in zip(q.A, q.B)]

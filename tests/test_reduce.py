@@ -295,7 +295,7 @@ def test_enumerate_minima_matches_fraction_reference():
     for H in grams:
         G, s = exact_gram(H, 256)
         for lattice in (lll_gram(G, s), Lattice.standard(G, s)):
-            Q = pr.linalg.congruent(pr.linalg.transpose(lattice.U), G)
+            Q = pr.linalg.gram(lattice.U, G)
             N, minima = _enumerate_minima(lattice.d, lattice.lam, Q)
             N_ref, minima_ref = enumerate_minima_reference(lattice.d,
                                                            lattice.lam)
