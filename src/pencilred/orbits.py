@@ -2,6 +2,10 @@
 data (alpha, z), data from divisors on the hyperelliptic curve z^2 = f(x,y),
 integralization, and the covariant norm of the distinguished vector.
 
+L_f arithmetic rests on one kernel, multiplication by X (`_x_powers`): it
+builds the class of a polynomial, products, multiplication matrices and the
+Hankel values of the orbit pencil.
+
 The pencil attached to a valid datum is written in the basis
 {z*1, X, ..., X^(n-1)} of L_f, whose determinant against the power basis is
 z; in that basis the two Gram matrices have entries f0^-1 tau(alpha b_i b_j)
@@ -55,8 +59,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            prod = _poly_mul_ascending(self.coeffs, other.coeffs)
-            return element_from_poly(self.modulus, prod)
+            return AlgebraElement(self.modulus, tuple(linalg.mat_vec(
+                other.multiplication_matrix(), self.coeffs)))
         return AlgebraElement(self.modulus, tuple(
             Fraction(other) * c for c in self.coeffs))
 
@@ -79,49 +83,35 @@ class AlgebraElement:
     def multiplication_matrix(self):
         """Matrix of multiplication by self on the power basis (columns are
         the images of X^j)."""
-        n = self.modulus.degree
-        cols = []
-        cur = list(self.coeffs)
-        for _ in range(n):
-            cols.append(list(cur))
-            cur = _reduce_ascending(self.modulus, [Fraction(0)] + cur)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return linalg.transpose(
+            _x_powers(self.modulus, self.coeffs, self.modulus.degree))
 
 
-def _monic_modulus_descending(f: BinaryForm):
+def _x_powers(f: BinaryForm, c, count):
+    """[c, X·c, ..., X^(count-1)·c] in L_f as ascending coordinate lists.
+    Each step shifts the coordinates up one place and folds the X^n term
+    back with the monic tail X^n = -(f_n + f_(n-1) X + ... + f_1 X^(n-1))/f0
+    of f(X,1)."""
     f0 = Fraction(f.coeffs[0])
-    return [Fraction(c) / f0 for c in f.coeffs]
-
-
-def _poly_mul_ascending(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _reduce_ascending(f: BinaryForm, coeffs):
-    """Reduce an ascending coefficient list mod the monic rescaling of f(X,1)."""
-    n = f.degree
-    monic = _monic_modulus_descending(f)   # descending, length n+1, lead 1
-    cs = list(coeffs)
-    for k in range(len(cs) - 1, n - 1, -1):
-        c = cs[k]
-        if c:
-            # subtract c * X^(k-n) * monic
-            for t in range(n + 1):
-                cs[k - t] -= c * monic[t]
-        cs.pop()
-    while len(cs) < n:
-        cs.append(Fraction(0))
-    return cs
+    tail = [-Fraction(x) / f0 for x in reversed(f.coeffs[1:])]
+    cur = list(c)
+    out = [cur]
+    for _ in range(count - 1):
+        top = cur[-1]
+        cur = [Fraction(0)] + cur[:-1]
+        if top:
+            cur = [x + top * t for x, t in zip(cur, tail)]
+        out.append(cur)
+    return out[:count]
 
 
 def element_from_poly(f: BinaryForm, coeffs_ascending):
-    return AlgebraElement(f, tuple(_reduce_ascending(f, [
-        Fraction(c) for c in coeffs_ascending])))
+    """The class of a polynomial in X of any length, by Horner's rule."""
+    acc = [Fraction(0)] * f.degree
+    for c in reversed(coeffs_ascending):
+        acc = _x_powers(f, acc, 2)[1]
+        acc[0] += Fraction(c)
+    return AlgebraElement(f, tuple(acc))
 
 
 def one(f: BinaryForm):
@@ -188,12 +178,7 @@ def pencil_from_datum(d: OrbitDatum):
     n = f.degree
     f0 = Fraction(f.coeffs[0])
     # t[k] = f0^-1 tau(alpha X^k) for k = 0..2n-1
-    t = []
-    cur = d.alpha
-    X = generator(f)
-    for _ in range(2 * n):
-        t.append(tau_functional(cur) / f0)
-        cur = cur * X
+    t = [v[-1] / f0 for v in _x_powers(f, d.alpha.coeffs, 2 * n)]
     z = d.z
     A = [[Fraction(0)] * n for _ in range(n)]
     B = [[Fraction(0)] * n for _ in range(n)]

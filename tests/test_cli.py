@@ -1,10 +1,14 @@
 """CLI adapter tests: schemas, exit codes, golden outputs."""
 
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 import pencilred as pr
 from pencilred import cli
@@ -271,3 +275,68 @@ def test_json_numbers_are_ints_or_strings(capsys):
     for args, payload in commands[4:]:
         assert run(args, int_w) == run(args, divisor)
         assert run(args, int_w)[0] == 0
+
+
+_DIVISOR = {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "3"]},
+            "U": {"degree": 1, "coeffs": ["1", "-1"]}, "w": "2"}
+_FUZZ_COMMANDS = [
+    (["invariant"], WORKED_PENCIL), (["covariant"], WORKED_PENCIL),
+    (["reduce"], WORKED_PENCIL),
+    (["orbit"], {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "1"]},
+                 "alpha": ["0", "1", "0", "0"], "z": "1"}),
+    (["divisor-orbit"], _DIVISOR), (["norm-check"], _DIVISOR),
+    (["height-check", "--cutoff-X", "4", "--delta", "0.5"], _DIVISOR)]
+# wrong types, bad number strings and zero denominators
+_FUZZ_VALUES = [1.5, True, None, [], {}, [["1"]], "abc", "", " ", "1/0",
+                "0", "-3/0", "0/5", "nan", "inf", "1e5000", "0x10", "3/",
+                "/3", "1_0", "--2", "9" * 40, -1, 10 ** 30]
+
+
+def _paths(x, path=()):
+    """The path of every node of a JSON document below the root."""
+    if path:
+        yield path
+    items = (x.items() if isinstance(x, dict)
+             else enumerate(x) if isinstance(x, list) else ())
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_ends_in_documented_exit(data):
+    """Valid payloads of every input command, mutated with wrong types, bad
+    number strings, missing keys, ragged or short rows and zero
+    denominators: cli.main returns 0, 1 or 2 and never raises; exit 2
+    prints {"error": {"type", "message"}} on stdout, exit 1 an input error
+    on stderr."""
+    args, doc = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, last = data.draw(st.sampled_from(paths))
+        node = doc
+        for key in head:
+            node = node[key]
+        action = data.draw(st.sampled_from(("set", "drop", "grow")))
+        if action == "set":
+            node[last] = data.draw(st.sampled_from(_FUZZ_VALUES))
+        elif action == "drop":          # a missing key or a short row
+            del node[last]
+        elif isinstance(node, list):    # a ragged row or an extra entry
+            node.append(copy.deepcopy(node[last]))
+        else:
+            node[last + "_extra"] = copy.deepcopy(node[last])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--precision", "64"] + args
+                        + ["--input-json", json.dumps(doc)])
+    assert code in (0, 1, 2), (args, doc)
+    if code == 2:
+        error = json.loads(out.getvalue())["error"]
+        assert set(error) == {"type", "message"}, (args, doc)
+    elif code == 1:
+        assert err.getvalue().startswith("input error"), (args, doc)
+        assert out.getvalue() == ""

@@ -8,6 +8,7 @@ from itertools import islice, product
 
 import mpmath as mp
 import pytest
+import sympy
 
 import pencilred as pr
 from pencilred import linalg, orbits, polys
@@ -174,6 +175,79 @@ def test_datum_from_divisor_validity_random():
         assert pr.validate_datum(pr.datum_from_divisor(ds))
 
 
+
+def test_lf_arithmetic_against_sympy():
+    """Every L_f operation against sympy's remainder over Q, on non-monic
+    f with f0 in {1, 2, 3, -5}, n = 2..8: classes of polynomials of any
+    length, products, cubes, multiplication matrices, norms as resultants
+    Res(F, a)/f0^deg(a), and the Hankel pencil of a valid datum (even n)."""
+    x = sympy.Symbol("x")
+
+    def poly(ascending):
+        return sympy.Poly(list(reversed(ascending)) or [0], x, domain="QQ")
+
+    def coords(P, n):
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())]
+        return tuple(cs + [Fraction(0)] * (n - len(cs)))
+
+    def sympy_norm(F, P, f0):
+        if P.is_zero:
+            return Fraction(0)
+        r = sympy.resultant(F, P) / sympy.Integer(f0) ** P.degree()
+        return Fraction(int(r.p), int(r.q))
+
+    rng = random.Random(58)
+    for n in range(2, 9):
+        for f0 in (1, 2, 3, -5):
+            while True:
+                cs = [f0] + [rng.randint(-4, 4) for _ in range(n)]
+                if n % 2 == 0:       # f_n = s^2 makes N(X) = s^2/f0
+                    s = rng.randint(1, 3)
+                    cs[-1] = s * s
+                f = pr.BinaryForm(n, tuple(cs))
+                if pr.discriminant(f) != 0:
+                    break
+            F = sympy.Poly(cs, x, domain="QQ")
+            samples = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                       for _ in range(rng.randint(0, 2 * n + 2))]
+                      for _ in range(4)]
+            for P in samples:
+                a = pr.element_from_poly(f, P)
+                Pa = sympy.rem(poly(P), F)
+                assert a.coeffs == coords(Pa, n), (f, P)
+                Q = [rng.randint(-3, 3) for _ in range(n)]
+                b = pr.element_from_poly(f, Q)
+                assert (a * b).coeffs == coords(
+                    sympy.rem(poly(P) * poly(Q), F), n)
+                assert (a ** 3).coeffs == coords(sympy.rem(poly(P) ** 3, F), n)
+                M = a.multiplication_matrix()
+                for j in range(n):
+                    col = tuple(M[i][j] for i in range(n))
+                    assert col == coords(sympy.rem(Pa * x ** j, F), n)
+                assert pr.norm(a) == sympy_norm(F, Pa, f0)
+            if n % 2:
+                continue
+            # alpha = X beta^2, z = f0^(n/2+1)/(s N(beta)): z^2 N(alpha) =
+            # f0^(n+1), with alpha and N(beta) taken from sympy
+            while True:
+                Pb = poly([rng.randint(-2, 2) for _ in range(n)])
+                nb = sympy_norm(F, Pb, f0)
+                if nb:
+                    break
+            Palpha = sympy.rem(x * Pb ** 2, F)
+            d = pr.OrbitDatum(f, pr.AlgebraElement(f, coords(Palpha, n)),
+                              Fraction(f0) ** (n // 2 + 1) / (s * nb))
+            p, one_bar = pr.pencil_from_datum(d)
+            t = [coords(sympy.rem(Palpha * x ** k, F), n)[-1] / f0
+                 for k in range(2 * n)]
+            for i in range(n):
+                for j in range(n):
+                    scale = d.z ** ((i == 0) + (j == 0))
+                    assert p.A[i][j] == scale * t[i + j]
+                    assert p.B[i][j] == scale * t[i + j + 1]
+            assert one_bar == (1 / d.z,) + (0,) * (n - 1)
+
+
 def test_integralize_already_integral():
     d = pr.OrbitDatum(X4Y4, pr.generator(X4Y4), Fraction(1))
     p, _ = pr.pencil_from_datum(d)
@@ -246,7 +320,10 @@ def test_fp_lines_stop_at_cap():
     prime near 10^8."""
     def lines(k, p):
         for lead in range(k):
-            for tail in product(range(p), repeat=k - lead - 1):
+            # the last coordinate varies fastest, so the first _LINE_CAP
+            # lines have every coordinate below _LINE_CAP
+            digits = range(min(p, orbits._LINE_CAP))
+            for tail in product(digits, repeat=k - lead - 1):
                 yield [0] * lead + [1] + list(tail)
 
     for k, p in ((4, 3), (2, 7), (4, 999983), (4, 10 ** 8 + 7)):
