@@ -322,12 +322,16 @@ def _rational_root(p):
     dens = _divisors(p[0], _RATIONAL_ROOT_CAP)
     if nums is None or dens is None:
         return None
+    powers = [(b, [b ** i for i in range(len(p))]) for b in dens]
     for a in nums:
-        for b in dens:
-            for s in (1, -1):
-                r = Fraction(s * a, b)
-                if polys.peval(p, r) == 0:
-                    return r
+        for b, bpow in powers:
+            for x in (a, -a):
+                # b^n p(x/b) = sum of p_i x^(n-i) b^i, by Horner's rule
+                acc = 0
+                for c, y in zip(p, bpow):
+                    acc = acc * x + c * y
+                if acc == 0:
+                    return Fraction(x, b)
     return None
 
 

@@ -157,7 +157,7 @@ def _vector_length_bound(ds, fp, precision, integralize_states=MAX_STATES):
     n = ds.f.degree
     # datum_from_divisor enforces deg U = 2g - 1, the m of kappa_{n,m}
     datum = datum_from_divisor(ds)
-    p, one_bar = pencil_from_datum(datum)
+    p, one_bar = pencil_from_datum(datum, validated=True)
     flags = []
     try:
         result = integralize(p, max_states=integralize_states)

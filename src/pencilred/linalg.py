@@ -9,7 +9,7 @@ matrix of an upper triangle (`symmetric`) and clearing denominators
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -175,9 +175,9 @@ def kernel_mod(M, m, factors):
     """Row basis of the lattice {x in Z^k : M x == 0 (mod m)}.
 
     Contains m*Z^k, so the result is k x k of full rank, returned in row HNF.
-    Computed one prime power at a time (F_p nullspaces lifted through p^e),
-    then combined by CRT; entries stay bounded by the modulus throughout.
-    factors is {prime: exponent} of m.
+    Computed one prime power at a time (`_solutions_mod`), then combined by
+    CRT; entries stay bounded by the modulus throughout.  factors is
+    {prime: exponent} of m.
     """
     k = len(M[0])
     if m == 1:
@@ -186,14 +186,8 @@ def kernel_mod(M, m, factors):
     m_done = 1
     for p, e in sorted(factors.items()):
         q = p ** e
-        B = identity_matrix(k)
-        for j in range(1, e + 1):
-            # B spans the solutions mod p^(j-1), so p*B contains p^j*Z^k
-            step = p ** (j - 1)
-            C = [[x // step % p for x in row]
-                 for row in mat_mul(M, transpose(B))]
-            B = hnf_insert([[p * x for x in row] for row in B],
-                           mat_mul(fp_nullspace(C, p), B))
+        B = hnf_insert([[q * x for x in row] for row in identity_matrix(k)],
+                       _solutions_mod(M, q))
         if K is None:
             K = B
         else:
@@ -203,6 +197,43 @@ def kernel_mod(M, m, factors):
                            + [[m_done * x for x in row] for row in B])
         m_done *= q
     return K
+
+
+def _solutions_mod(M, q):
+    """Generators, with q*Z^k, of {x : M x == 0 (mod q)}, q = p^e, by one
+    Smith-style elimination of M mod q (Cohen, GTM 138, 2.4).  A pivot of
+    least p-adic valuation v (p^v = gcd(entry, q)) divides its row and its
+    column; the row operations that clear its column are not kept, the
+    column operations that clear its row build V (by columns, invertible
+    mod q).  Then x = V·y is a solution iff p^v_j·y_j == 0 at each pivot
+    column j: p^(e - v_j) times column j of V and the unpivoted columns.
+    """
+    k = len(M[0])
+    rows = [r for r in ([x % q for x in row] for row in M) if any(r)]
+    cols = identity_matrix(k)
+    free = set(range(k))
+    gens = []
+    while rows:
+        g, i, j = min((gcd(x, q), i, j) for i, r in enumerate(rows)
+                      for j, x in enumerate(r) if x)
+        piv = rows.pop(i)
+        inv = pow(piv[j] // g, -1, q)
+        rest = []
+        for r in rows:
+            c = r[j] // g * inv % q
+            if c:
+                r = [(x - c * y) % q for x, y in zip(r, piv)]
+            if any(r):
+                rest.append(r)
+        rows = rest
+        free.discard(j)
+        vj = cols[j]
+        for t in free:
+            if piv[t]:
+                c = piv[t] // g * inv % q
+                cols[t] = [(x - c * y) % q for x, y in zip(cols[t], vj)]
+        gens.append([q // g * x for x in vj])
+    return gens + [cols[t] for t in sorted(free)]
 
 
 def _xgcd(a, b):

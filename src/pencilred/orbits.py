@@ -165,14 +165,17 @@ def validate_datum(d: OrbitDatum) -> bool:
     return d.z ** 2 * norm(d.alpha) == Fraction(d.f.coeffs[0]) ** (n + 1)
 
 
-def pencil_from_datum(d: OrbitDatum):
+def pencil_from_datum(d: OrbitDatum, validated=False):
     """Pencil of the orbit of (alpha, z), plus the distinguished vector.
 
     Basis {z*1, X, ..., X^(n-1)}; returns (p, one_bar) with one_bar the
     coordinates (1/z, 0, ..., 0) of 1 in that basis.  The invariant form of
     p equals f exactly; anything else marks the datum as invalid.
+    validated=True skips `validate_datum` for a datum that has already
+    passed it (the output of `datum_from_divisor`); the invariant form is
+    compared with f either way.
     """
-    if not validate_datum(d):
+    if not validated and not validate_datum(d):
         raise InvalidDatum("z^2 N(alpha) != f0^(n+1)")
     f = d.f
     n = f.degree
@@ -414,14 +417,15 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     drops below 1).  A state is a lattice (d, H), the row span of H/d with
     H in row HNF, so its covolume is prod H_ii / d^n.  With the pencil
     written as (A/a, B/a) over one common denominator a, the Grams of a
-    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2; they are computed once, when
-    the state first reaches the top of the heap, so a state that is pushed
-    but never explored costs only its HNF.  Every lattice on the heap
-    pairs integrally under both forms: the seeds are shrunk to integral, an
-    overlattice is kept only if both forms stay integral and a sublattice
-    inherits it.  Raises NotFound once the state budget is exhausted, or when a
-    denominator or covolume cannot be factored by trial division; that is
-    not a disproof.
+    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2.  Its HNF, the repeat check
+    and the Grams are computed once, when the state first reaches the top
+    of the heap; a state that is pushed but never explored costs only its
+    covolume, its parent's times or over the index q.  Every lattice on
+    the heap pairs integrally under both forms: the seeds are shrunk to
+    integral, an overlattice is kept only if both forms stay integral and
+    a sublattice inherits it.  Raises NotFound once the state budget is
+    exhausted, or when a denominator or covolume cannot be factored by
+    trial division; that is not a disproof.
     """
     f = invariant_form(p)
     if not f.is_integral:
@@ -438,53 +442,55 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     heap = []
     counter = 0
 
-    # An entry is (|log covol|, 0, 0, counter, key, covol) until it first
-    # reaches the top, then (|log covol|, 1, log size, counter, key, covol,
-    # GA, GB): evaluated entries still leave in (|log covol|, log size,
-    # counter) order, as every entry with a smaller primary is evaluated first.
-    def push(d, basis, rows=()):
+    # An entry is (|log covol|, 0, 0, counter, covol, (d, basis, rows))
+    # until it first reaches the top, then, keyed and unless a repeat,
+    # (|log covol|, 1, log size, counter, covol, key, GA, GB): evaluated
+    # entries still leave in (|log covol|, log size, counter) order, as
+    # every entry with a smaller primary is evaluated first, and a repeat
+    # (same covol, later counter) reaches the top after its first copy.
+    def push(covol, d, basis, rows=()):
         nonlocal counter
-        key = _lattice_key(d, basis, rows)
-        if key in seen:
-            return
-        seen.add(key)
-        d, H = key
-        covol = Fraction(math.prod(H[i][i] for i in range(n)), d ** n)
         primary = abs(math.log(covol.numerator) - math.log(covol.denominator))
-        heapq.heappush(heap, (primary, 0, 0, counter, key, covol))
+        heapq.heappush(heap, (primary, 0, 0, counter, covol, (d, basis, rows)))
         counter += 1
 
-    # seeds: the integral hull of Z^n and of its q-refinements; the Grams
-    # of the standard basis are (A, B) themselves
+    # seeds: the integral hull of Z^n and of its q-refinements, in HNF; the
+    # Grams of the standard basis are (A, B) themselves
     for q in [1, *_primes(a, known)]:
-        push(q, _shrink_to_integral((A, B), a * q * q, known))
+        K = _shrink_to_integral((A, B), a * q * q, known)
+        push(Fraction(math.prod(K[i][i] for i in range(n)), q ** n), q, K)
     explored = 0
     while heap and explored < max_states:
-        primary, evaluated, _, count, key, covol, *grams = heapq.heappop(heap)
-        d, H = key
+        primary, evaluated, _, count, covol, *state = heapq.heappop(heap)
         if not evaluated:
+            key = _lattice_key(*state[0])
+            if key in seen:
+                continue
+            seen.add(key)
+            d, H = key
             s = a * d * d
             GA, GB = ([[x // s for x in row] for row in linalg.gram(H, M)]
                       for M in (A, B))
             # then prefer small Gram entries (more reduced states)
             size = max(1, max(abs(x) for G in (GA, GB) for row in G
                               for x in row))
-            heapq.heappush(heap, (primary, 1, math.log(size), count, key,
-                                  covol, GA, GB))
+            heapq.heappush(heap, (primary, 1, math.log(size), count, covol,
+                                  key, GA, GB))
             continue
-        GA, GB = grams
+        (d, H), GA, GB = state
         explored += 1
         if covol == 1:
             return _finish(p, d, H, GA, GB)
         if covol > 1:
+            # x != 0 mod q, so each overlattice has index exactly q
             for q in _primes(covol.numerator, known):
                 qH = [[q * x for x in row] for row in H]
                 for u in _grow_candidates(H, GA, GB, q):
-                    push(d * q, qH, [u])
+                    push(covol / q, d * q, qH, [u])
         else:
             for q in _primes(covol.denominator, known):
                 for KH in _sublattice_candidates(H, q):
-                    push(d, KH)
+                    push(covol * q, d, KH)
     raise NotFound("no integral representative within the search budget")
 
 

@@ -113,26 +113,25 @@ def pm_mul(a, b, p):
 
 
 def pm_divmod(a, b, p):
+    """(quotient, remainder) of a by b mod p, by long division in place:
+    each step fixes one quotient coefficient and clears one leading term."""
     a = ptrim([c % p for c in a])
     b = ptrim([c % p for c in b])
     if b == [0]:
         raise ZeroDivisionError
+    steps = len(a) - len(b) + 1
+    if steps <= 0:
+        return [0], a
     binv = pow(b[0], -1, p)
-    quo = [0] * max(len(a) - len(b) + 1, 1)
-    a = list(a)
-    while len(a) >= len(b) and a != [0]:
-        if a[0] == 0:
-            a = ptrim(a)
-            continue
-        shift = len(a) - len(b)
-        c = a[0] * binv % p
-        quo[len(quo) - 1 - shift] = c
-        for i in range(len(b)):
-            a[i] = (a[i] - c * b[i]) % p
-        a = ptrim(a)
-        if a == [0]:
-            break
-    return ptrim(quo), ptrim(a)
+    tail = b[1:]
+    quo = []
+    for i in range(steps):
+        c = a[i] * binv % p
+        quo.append(c)
+        if c:
+            for j, y in enumerate(tail, i + 1):
+                a[j] = (a[j] - c * y) % p
+    return ptrim(quo), ptrim(a[steps:]) or [0]
 
 
 def pm_gcd(a, b, p):
@@ -159,7 +158,13 @@ def pm_powmod(base, e, mod, p):
 
 
 def pm_is_irreducible(f, p):
-    """Rabin irreducibility test for f mod p (f squarefree mod p assumed not)."""
+    """Whether f is irreducible mod p, by Berlekamp's matrix (Berlekamp,
+    1967).  Precondition of the count: f squarefree mod p.  Then the
+    solutions of g^p == g mod f form an F_p-space whose dimension is the
+    number of irreducible factors of f, the nullity of Q - I where row i
+    of Q is X^(ip) mod f.  Fallback: an f of degree >= 2 with
+    gcd(f, f') != 1 mod p has a repeated factor (or is a p-th power) and
+    gets False, so the answer is right for every f."""
     f = ptrim([c % p for c in f])
     n = len(f) - 1
     if n <= 0:
@@ -168,16 +173,17 @@ def pm_is_irreducible(f, p):
         return True
     finv = pow(f[0], -1, p)
     f = [c * finv % p for c in f]
-    x = [1, 0]
-    xq = pm_powmod(x, p ** n, f, p)
-    if pm_sub(xq, x, p) != [0]:
+    if pm_gcd(f, [c * (n - i) for i, c in enumerate(f[:-1])], p) != [1]:
         return False
-    for q in factor_trial(n):
-        xqk = pm_powmod(x, p ** (n // q), f, p)
-        d = pm_sub(xqk, x, p)
-        if pm_gcd(d, f, p) != [1]:
-            return False
-    return True
+    xp = pm_powmod([1, 0], p, f, p)
+    Q, row = [], [1]
+    for i in range(n):
+        if i:
+            row = pm_divmod(pm_mul(row, xp, p), f, p)[1]
+        coeffs = [0] * (n - len(row)) + row
+        coeffs[n - 1 - i] -= 1      # the row of Q - I
+        Q.append(coeffs)
+    return len(linalg.fp_nullspace(Q, p)) == 1
 
 
 def pm_sub(a, b, p):

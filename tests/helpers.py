@@ -715,6 +715,59 @@ def row_hnf_reference(rows):
     return out
 
 
+def kernel_mod_reference(M, m, factors):
+    """{x in Z^k : M x == 0 (mod m)} in row HNF by p-adic lifting: the
+    solutions mod p^j come from an F_p nullspace of the solutions mod
+    p^(j-1), one power of p at a time, and the prime powers are combined
+    by CRT.  The reference for linalg.kernel_mod."""
+    k = len(M[0])
+    if m == 1:
+        return linalg.identity_matrix(k)
+    K = None
+    m_done = 1
+    for p, e in sorted(factors.items()):
+        q = p ** e
+        B = linalg.identity_matrix(k)
+        for j in range(1, e + 1):
+            # B spans the solutions mod p^(j-1), so p*B contains p^j*Z^k
+            step = p ** (j - 1)
+            C = [[x // step % p for x in row]
+                 for row in linalg.mat_mul(M, linalg.transpose(B))]
+            B = linalg.hnf_insert([[p * x for x in row] for row in B],
+                                  linalg.mat_mul(linalg.fp_nullspace(C, p), B))
+        if K is None:
+            K = B
+        else:
+            K = linalg.hnf_insert([[m_done * q * x for x in row]
+                                   for row in linalg.identity_matrix(k)],
+                                  [[q * x for x in row] for row in K]
+                                  + [[m_done * x for x in row] for row in B])
+        m_done *= q
+    return K
+
+
+def pm_is_irreducible_reference(f, p):
+    """Rabin's test: f of degree n is irreducible mod p iff
+    X^(p^n) == X mod f and gcd(X^(p^(n/q)) - X, f) = 1 for each prime
+    q | n.  The reference for polys.pm_is_irreducible."""
+    f = polys.ptrim([c % p for c in f])
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    finv = pow(f[0], -1, p)
+    f = [c * finv % p for c in f]
+    x = [1, 0]
+    if polys.pm_sub(polys.pm_powmod(x, p ** n, f, p), x, p) != [0]:
+        return False
+    for q in polys.factor_trial(n):
+        d = polys.pm_sub(polys.pm_powmod(x, p ** (n // q), f, p), x, p)
+        if polys.pm_gcd(d, f, p) != [1]:
+            return False
+    return True
+
+
 def _grow_candidates_reference(H, GA, GB, p):
     """Generators (pH and u) of every index-p overlattice keeping both
     forms integral, with the shift of u by p*w tried for odd p."""

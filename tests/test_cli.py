@@ -8,10 +8,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import pencilred as pr
-from pencilred import cli
+from pencilred import cli, orbits
 
 WORKED_PENCIL = {
     "n": 4,
@@ -58,6 +59,39 @@ def test_orbit_invalid_datum_exit2():
     assert res.returncode == 2
     err = json.loads(res.stdout)
     assert err["error"]["type"] == "InvalidDatum"
+
+
+def test_datum_is_validated_once_per_command(monkeypatch):
+    """The divisor commands validate the datum in datum_from_divisor and
+    do not repeat it; orbit input is validated once and an invalid datum
+    still exits 2 in process; a datum passed as validated still has its
+    invariant form checked."""
+    calls = []
+    validate = orbits.validate_datum
+    monkeypatch.setattr(orbits, "validate_datum",
+                        lambda d: calls.append(d) or validate(d))
+
+    def run(args, payload):
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["--precision", "64"] + args
+                            + ["--input-json", json.dumps(payload)])
+        return code, out.getvalue(), len(calls)
+
+    for args in (["divisor-orbit"], ["norm-check"],
+                 ["height-check", "--cutoff-X", "4", "--delta", "0.5"]):
+        assert run(args, _DIVISOR)[::2] == (0, 1), args
+    datum = {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "1"]},
+             "alpha": ["0", "1", "0", "0"], "z": "1"}
+    assert run(["orbit"], datum)[::2] == (0, 1)
+    code, out, count = run(["orbit"], dict(datum, z="2"))
+    assert (code, count) == (2, 1)
+    assert json.loads(out)["error"] == {
+        "type": "InvalidDatum", "message": "z^2 N(alpha) != f0^(n+1)"}
+    bad = pr.OrbitDatum.from_json_dict(dict(datum, z="2"))
+    with pytest.raises(pr.InvalidDatum, match="requested form"):
+        pr.pencil_from_datum(bad, validated=True)
 
 
 def test_orbit_worked():

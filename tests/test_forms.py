@@ -7,8 +7,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import pencilred as pr
+from pencilred import forms
 from helpers import (disc_product_oracle, form_mul, rand_squarefree_poly,
                      sturm_real_root_count)
 
@@ -233,3 +235,31 @@ def test_form_json_roundtrip():
     assert pr.BinaryForm.from_json_dict(f.to_json_dict()) == f
     g = pr.BinaryForm(2, (Fraction(1, 2), 0, 3))
     assert pr.BinaryForm.from_json_dict(g.to_json_dict()) == g
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(lead=st.sampled_from((1, -1, 4, -6, 12, 30)),
+       tail=st.lists(st.integers(-60, 60), min_size=0, max_size=5),
+       planted=st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                        max_size=2),
+       zero_root=st.booleans())
+def test_rational_root_matches_sympy(lead, tail, planted, zero_root):
+    """_rational_root finds a rational root exactly when sympy does, and
+    returns the first in its candidate order: the root a/b in lowest terms
+    with the least |a|, then the least b, then a > 0.  Leading coefficients
+    are +-1 or composite; some inputs have p(0) = 0 or planted roots a/b."""
+    p = [lead] + tail
+    for a, b in planted:
+        p = [x * b for x in p + [0]]
+        p[1:] = [x - a * y for x, y in zip(p[1:], p)]
+    if zero_root:
+        p = p + [0]
+    x = sympy.Symbol("x")
+    roots = [Fraction(int(r.p), int(r.q)) for r in
+             sympy.Poly(p, x).ground_roots()] if len(p) > 1 else []
+    got = forms._rational_root(p)
+    if not roots:
+        assert got is None
+    else:
+        assert got == min(roots, key=lambda r: (abs(r.numerator),
+                                                r.denominator, r < 0))

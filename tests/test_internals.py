@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import pencilred as pr
 from pencilred import linalg, polys
 from helpers import (det_adj_reference, discriminant_sylvester,
-                     row_hnf_reference, sturm_real_root_count,
-                     sylvester_resultant)
+                     kernel_mod_reference, pderiv,
+                     pm_is_irreducible_reference, row_hnf_reference,
+                     sturm_real_root_count, sylvester_resultant)
 
 
 def test_det_bareiss_matches_fraction_gauss():
@@ -268,3 +269,71 @@ def test_kernel_mod_brute_force(m, k, r, seed):
     for i in range(k):
         index *= K[i][i]
     assert index * solutions == m ** k
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       m=st.sampled_from((2 ** 14, 3 ** 8, 5 ** 8, 2 ** 3 * 3 ** 6, None)))
+def test_kernel_mod_matches_lifting_reference(seed, m):
+    """One elimination per prime power gives the HNF that lifting through
+    p, p^2, ..., p^e gives: on two stacked 4 x 4 symmetric Grams (the
+    shape integralize shrinks) whose entries carry random powers of the
+    primes of m, and on random (M, m)."""
+    rng = random.Random(seed)
+    if m is None:
+        m = rng.randint(1, 5000)
+        k, r = rng.randint(1, 6), rng.randint(1, 8)
+        M = [[rng.randint(-m, m) for _ in range(k)] for _ in range(r)]
+    else:
+        primes = list(polys.factor_trial(m))
+        M = []
+        for _ in range(2):
+            G = [[0] * 4 for _ in range(4)]
+            for i in range(4):
+                for j in range(i, 4):
+                    G[i][j] = G[j][i] = (rng.randint(-10 ** 6, 10 ** 6)
+                                         * rng.choice(primes)
+                                         ** rng.randint(0, 9))
+            M += G
+    factors = polys.factor_trial(m)
+    assert linalg.kernel_mod(M, m, factors) == \
+        kernel_mod_reference(M, m, factors)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(p=st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
+       coeffs=st.lists(st.integers(-10 ** 3, 10 ** 3), min_size=1,
+                       max_size=9),
+       square=st.lists(st.integers(-10 ** 3, 10 ** 3), min_size=2,
+                       max_size=4))
+def test_pm_is_irreducible_matches_rabin(p, coeffs, square):
+    """Berlekamp's count of irreducible factors agrees with Rabin's test on
+    every squarefree f mod p (p <= 31, degree <= 8), and f·g^2 with
+    deg g >= 1 is never irreducible."""
+    f = polys.ptrim([c % p for c in coeffs])
+    if f != [0] and polys.pm_gcd(f, pderiv(f), p) == [1]:
+        assert polys.pm_is_irreducible(coeffs, p) == \
+            pm_is_irreducible_reference(coeffs, p)
+    g = polys.ptrim([c % p for c in square])
+    if len(g) > 1 and f != [0]:
+        assert not polys.pm_is_irreducible(
+            polys.pm_mul(f, polys.pm_mul(g, g, p), p), p)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(p=st.sampled_from((2, 3, 5, 7, 31, 10007)),
+       a=st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=1, max_size=10),
+       b=st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=1, max_size=6))
+def test_pm_divmod_is_euclidean_division(p, a, b):
+    """pm_divmod returns the unique (q, r) with a = q·b + r mod p and
+    deg r < deg b, as trimmed lists of residues in [0, p)."""
+    if polys.ptrim([c % p for c in b]) == [0]:
+        with pytest.raises(ZeroDivisionError):
+            polys.pm_divmod(a, b, p)
+        return
+    q, r = polys.pm_divmod(a, b, p)
+    for c in (q, r):
+        assert c == polys.ptrim(c) and all(0 <= x < p for x in c)
+    assert r == [0] or len(r) < len(polys.ptrim([c % p for c in b]))
+    qb = polys.pm_mul(q, b, p)
+    assert polys.pm_sub(polys.pm_sub(a, qb, p), r, p) == [0]

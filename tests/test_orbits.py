@@ -1,10 +1,12 @@
 """Tests of orbit construction: algebra arithmetic, pencils from data,
 divisor data, integralization, the norm-of-one formula."""
 
+import heapq
 import random
 import time
 from fractions import Fraction
 from itertools import islice, product
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -361,6 +363,41 @@ def test_integralize_factors_each_modulus_once(monkeypatch):
     assert res.transform == tuple(tuple(S[i] if i == j else 0
                                         for j in range(4)) for i in range(4))
     assert calls and len(calls) == len(set(calls))
+
+
+def test_integralize_keys_lattices_at_first_pop(monkeypatch):
+    """A pushed lattice is keyed (HNF and repeat check) only when it first
+    reaches the top of the heap: _lattice_key runs once per first pop, and
+    on some searches fewer times than there are pushes."""
+    keys = []
+    lattice_key = orbits._lattice_key
+    monkeypatch.setattr(orbits, "_lattice_key",
+                        lambda *args: keys.append(args) or lattice_key(*args))
+    pushes, first_pops = [], []
+
+    def heappush(heap, entry):
+        pushes.append(entry[1] == 0)
+        heapq.heappush(heap, entry)
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        first_pops.append(entry[1] == 0)
+        return entry
+
+    monkeypatch.setattr(orbits, "heapq", SimpleNamespace(
+        heappush=heappush, heappop=heappop))
+    rng = random.Random(60)
+    saved = 0
+    for _ in range(12):
+        p = pr.pencil_from_datum(pr.datum_from_divisor(
+            rand_point_divisor(rng)))[0]
+        for counts in (keys, pushes, first_pops):
+            counts.clear()
+        pr.integralize(p)
+        assert len(keys) == sum(first_pops)
+        assert len(keys) <= sum(pushes)
+        saved = max(saved, sum(pushes) - len(keys))
+    assert saved > 0
 
 
 def test_integralize_unfactorable_denominator():
