@@ -15,9 +15,9 @@ import mpmath as mp
 
 from .covariant import det_identity, reduction_covariant
 from .errors import EmptyStatistics
-from .forms import BinaryForm, height, real_root_count
+from .forms import BinaryForm, discriminant, height, real_root_count
 from .heights import FamilyParams, family_membership
-from .pencil import Pencil, invariant_form, pencil_discriminant
+from .pencil import Pencil, adjugate_pencil
 from .reduce import exact_gram, lll_gram
 
 MEASURE_CAVEAT = ("entries uniform in a box, not the height-ball measure; "
@@ -102,9 +102,10 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
         A = _random_symmetric(rng, n, B)
         Bm = _random_symmetric(rng, n, B)
         p = Pencil(n, A, Bm)
-        f = invariant_form(p)
+        # one node pass gives f here and D to simultaneous_diagonalize
+        f, _ = adjugate_pencil(p)
         ht = height(f)
-        if pencil_discriminant(p) == 0:
+        if discriminant(f) == 0:
             items.append(SampleItem(idx, p, int(ht), False))
             continue
         m2 = real_root_count(f, precision)

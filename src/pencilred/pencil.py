@@ -157,6 +157,7 @@ def invariant_form(p: Pencil) -> BinaryForm:
                                  for k in nodes])
 
 
+@lru_cache(maxsize=64)
 def adjugate_pencil(p: Pencil):
     """(f, D): the invariant form and the adjugate pencil.
 
@@ -166,8 +167,11 @@ def adjugate_pencil(p: Pencil):
     when f != 0); one more determinant (linalg.det_bareiss) completes the
     n + 1 that give f.  Newton interpolation of the upper triangles of the
     n adjugates (each is symmetric), mirrored, gives the integer n x n
-    matrices D_0..D_{n-1} (as row-major lists) with
-    adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.
+    matrices D_0..D_{n-1} (as row-major tuples, since the result is cached
+    and shared) with adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None
+    when f = 0.  The sampler reads f here and `simultaneous_diagonalize`
+    reads D, so each pencil's nodes are eliminated once; callers that need f
+    alone use `invariant_form`, about a quarter of the cost.
     """
     n = p.n
     a, A, B = integral(p)
@@ -186,8 +190,8 @@ def adjugate_pencil(p: Pencil):
     f = _form(n, a, nodes[:n + 1], dets[:n + 1])
     at = {ij: t for t, ij in enumerate(upper)}
     slot = [at[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
-    return f, ([[Dk[t] for t in slot] for Dk in _newton(adj_nodes, adjs)]
-               if adjs else None)
+    return f, (tuple(tuple(Dk[t] for t in slot)
+                     for Dk in _newton(adj_nodes, adjs)) if adjs else None)
 
 
 def pencil_discriminant(p: Pencil):

@@ -17,10 +17,16 @@ t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}) and nu = L^-T, with
 L_ij = lam_ij / d_{j+1}.  So t_1 = det(H)^(1/2n) / |b_1|_H, and with a
 shortest vector v first the cusp test t_1 > c^(n-1) / eps reads
 |v|_H / det(H)^(1/2n) < eps / c^(n-1), the ratio of the eps-small test.
+For v of norm N = v^T G v that ratio is (N^n / d_n)^(1/2n), s cancelling.
+The ratio and t are exact rationals under a 2n-th or a square root, so
+they are read off integer roots (`_root`) rounded down to precision + 36
+bits and returned as exact dyadic mpf: the ratio within relative
+2^-(precision + 35), each t_i within 2^-(precision + 33).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
@@ -34,6 +40,9 @@ from .roots import dyadic, man_exp, to_mpf
 
 # Covering Siegel constant sqrt(3)/2; the cusp estimates need c < 1.
 SIEGEL_C = 0.86602540378443864676
+# Bits beyond the working precision of each integer root of the lattice
+# scalars (`Lattice.ratio`, `Lattice.iwasawa_t`).
+_BITS = 36
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,37 @@ def _nearest(a, b):
 def _round_even(m, k):
     """m / 2^k rounded to the nearest integer, ties to even."""
     return m << -k if k <= 0 else _nearest(m, 1 << k)
+
+
+def _iroot(x, k):
+    """floor(x^(1/k)) for ints x >= 0 and k >= 1.
+
+    Each factor 2 of k is an isqrt (floor(floor(y)^(1/b)) = floor(y^(1/b))
+    for real y >= 0); an odd k > 1 runs integer Newton down from a float
+    estimate above the root, which decreases strictly until it stops at it.
+    """
+    while k % 2 == 0:
+        x, k = isqrt(x), k // 2
+    if k == 1 or x < 2:
+        return x
+    # x < (top + 1) 2^(kq), with top below 2^64 so that it fits a float
+    q = -(-max(0, x.bit_length() - 64) // k)
+    y = int(float((x >> k * q) + 1) ** (1 / k) * (1 + 2.0 ** -40)) + 1 << q
+    while (z := ((k - 1) * y + x // y ** (k - 1)) // k) < y:
+        y = z
+    return y
+
+
+def _root(num, den, k, bits):
+    """(m, e) with m = floor((num / den)^(1/k) 2^-e) for positive ints num
+    and den.  e comes from the bit lengths so that m has at least `bits`
+    bits, so m 2^e lies within relative 2^(1 - bits) below the root however
+    large or small num / den is."""
+    # num / den > 2^a, so m >= floor(2^(a/k - e)) >= 2^(bits - 1)
+    a = num.bit_length() - den.bit_length() - 1
+    e = a // k - bits + 1
+    x = num // (den << k * e) if e > 0 else (num << -k * e) // den
+    return _iroot(x, k), e
 
 
 def rationalize_gram(H: GramMatrix, bits):
@@ -132,11 +172,6 @@ class Lattice:
         """The standard basis of Z^n under G / s."""
         return cls(linalg.identity_matrix(len(G)), *_integral_gso(G), s, G)
 
-    @property
-    def det(self):
-        """det(G / s), exactly: d_n / s^n."""
-        return Fraction(self.d[-1], self.s ** len(self.U))
-
     def shortest(self):
         """(v, N): the canonical shortest nonzero vector, in the coordinates
         of G, and its norm N = v^T G v."""
@@ -147,20 +182,30 @@ class Lattice:
                                     for x in minima), norm
 
     def ratio(self, norm, precision):
-        """|v| / det^(1/2n) under G / s for a vector v of norm
-        N = v^T G v."""
-        with mp.workprec(precision + 32):
-            return det_ratio(to_mpf(Fraction(norm, self.s)), to_mpf(self.det),
-                             len(self.U))
+        """|v| / det^(1/2n) under G / s for a vector v of norm N = v^T G v.
+
+        s cancels, so the ratio is (N^n / d_n)^(1/2n), read off one integer
+        root (`_root`) with a relative error below 2^-(precision + 35).
+        """
+        n = len(self.U)
+        return dyadic(*_root(norm ** n, self.d[n], 2 * n, precision + _BITS))
 
     def iwasawa_t(self, precision=DEFAULT_PRECISION):
         """The diagonal t of `iwasawa`, t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}),
-        without nu."""
+        without nu: one integer root of d_n and an integer square root per i
+        (`_root`), each of precision + 36 bits, their product truncated to
+        precision + 36 bits, so the relative error of t_i is below
+        2^-(precision + 33) however small d_i / d_{i+1} is."""
         d, n = self.d, len(self.U)
-        with mp.workprec(precision + 32):
-            root = to_mpf(d[n]) ** (mp.mpf(1) / (2 * n))
-            return tuple(root * mp.sqrt(to_mpf(Fraction(d[i], d[i + 1])))
-                         for i in range(n))
+        bits = precision + _BITS
+        r, w = _root(d[n], 1, 2 * n, bits)
+        out = []
+        for i in range(n):
+            m, e = _root(d[i], d[i + 1], 2, bits)
+            m *= r
+            k = m.bit_length() - bits
+            out.append(dyadic(m >> k, w + e + k))
+        return tuple(out)
 
     def iwasawa(self, c=SIEGEL_C, precision=DEFAULT_PRECISION):
         """Iwasawa coordinates of this basis's Gram rescaled to det 1, as in
@@ -332,12 +377,6 @@ def form_norm(H: GramMatrix, v, precision=DEFAULT_PRECISION):
     return mp.make_mpf(from_rational(num << max(H.e, 0),
                                      den * den << max(-H.e, 0),
                                      precision + 32, round_nearest))
-
-
-def det_ratio(norm, det, n):
-    """|v|_H / det(H)^(1/2n) for norm = v^T H v and det = det(H): invariant
-    under scaling H and under a change of basis."""
-    return mp.sqrt(norm) / det ** (mp.mpf(1) / (2 * n))
 
 
 def shortest_vector(H: GramMatrix, precision=DEFAULT_PRECISION):

@@ -583,6 +583,13 @@ def lll_gram_reference(G, delta=0.99):
     return U
 
 
+def det_ratio(norm, det, n):
+    """|v|_H / det(H)^(1/2n) for norm = v^T H v and det = det(H), in
+    mpmath at the working precision: the reference for reduce.Lattice.ratio,
+    invariant under scaling H and under a change of basis."""
+    return mp.sqrt(norm) / det ** (mp.mpf(1) / (2 * n))
+
+
 def iwasawa_reference(H, precision):
     """Iwasawa coordinates of H / det(H)^(1/n) in floating point, the
     reference for reduce.iwasawa_coordinates: H1 = (nu t)^-T (nu t)^-1 means

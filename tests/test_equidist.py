@@ -6,7 +6,9 @@ import pytest
 
 import pencilred as pr
 import pencilred.equidist
+import pencilred.forms
 import pencilred.linalg
+import pencilred.pencil
 import pencilred.polys
 import pencilred.reduce
 
@@ -118,23 +120,58 @@ def test_sv_ratio_agrees_with_epsilon_small_test():
             assert (it.sv_ratio < eps) == pr.epsilon_small_test(H, eps, 96)
 
 
+def _clear_node_caches():
+    for fn in (pencilred.pencil.adjugate_pencil,
+               pencilred.pencil.invariant_form, pencilred.forms.discriminant):
+        fn.cache_clear()
+
+
 def test_one_adjugate_pass_per_item(monkeypatch):
-    """The invariant form comes from determinants alone, so each matrix
-    k·A - B is eliminated by linalg.det_adj at most once per item, and a
-    nondegenerate item needs n nonsingular ones for its null vectors."""
-    calls = []
-    det_adj = pencilred.linalg.det_adj
+    """The sampler reads f off the adjugate pass, so each matrix k·A - B is
+    eliminated by linalg.det_adj at most once per item, a nondegenerate
+    item needs n nonsingular ones for its null vectors, and the only
+    Bareiss determinants left are the (n+1)-th node and the discriminant's
+    Bezout matrix."""
+    calls, bareiss = [], []
+    det_adj, det_bareiss = pencilred.linalg.det_adj, \
+        pencilred.linalg.det_bareiss
 
     def counting(M):
         d, adj = det_adj(M)
         calls.append((tuple(map(tuple, M)), adj is not None))
         return d, adj
 
+    def counting_bareiss(M):
+        bareiss.append(M)
+        return det_bareiss(M)
+
+    _clear_node_caches()
     monkeypatch.setattr(pencilred.linalg, "det_adj", counting)
+    monkeypatch.setattr(pencilred.linalg, "det_bareiss", counting_bareiss)
     batch = pr.sample_pencils(4, 3, 12, seed=5, precision=96)
-    assert len(batch.nondegenerate_items()) > 0
+    good = len(batch.nondegenerate_items())
+    assert good > 0
     assert len(calls) == len(set(calls))
-    assert sum(ok for _, ok in calls) == 4 * len(batch.nondegenerate_items())
+    assert sum(ok for _, ok in calls) == 4 * good
+    assert len(bareiss) <= 2 * good
+
+
+def test_escalated_diagonalization_reuses_node_pass(monkeypatch):
+    """simultaneous_diagonalize at a doubled precision reads the cached
+    adjugate pencil instead of eliminating the nodes again."""
+    p = pr.sample_pencils(4, 3, 1, seed=5, precision=96).items[0].pencil
+    _clear_node_caches()
+    pr.simultaneous_diagonalize(p, 96)
+    calls = []
+    det_adj = pencilred.linalg.det_adj
+
+    def counting(M):
+        calls.append(M)
+        return det_adj(M)
+
+    monkeypatch.setattr(pencilred.linalg, "det_adj", counting)
+    pr.simultaneous_diagonalize(p, 192)
+    assert calls == []
 
 
 def test_sampler_does_no_polynomial_division(monkeypatch):

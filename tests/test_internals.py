@@ -155,9 +155,9 @@ def test_argument_caches_are_small():
             if hasattr(obj, "cache_parameters") and \
                     obj.__module__ == mod.__name__:
                 caches["%s.%s" % (info.name, name)] = obj
-    assert {"pencil.invariant_form", "forms.discriminant",
-            "forms.complex_roots", "roots._certified_roots_cached"} <= \
-        set(caches)
+    assert {"pencil.invariant_form", "pencil.adjugate_pencil",
+            "forms.discriminant", "forms.complex_roots",
+            "roots._certified_roots_cached"} <= set(caches)
     for name, fn in caches.items():
         if inspect.signature(fn).parameters:
             maxsize = fn.cache_parameters()["maxsize"]

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pencilred as pr
-from pencilred.reduce import (Lattice, _enumerate_minima, det_ratio,
-                              exact_gram, form_norm, lll_gram,
-                              rationalize_gram, rebase_gram)
+from pencilred.reduce import (Lattice, _enumerate_minima, _iroot, exact_gram,
+                              form_norm, lll_gram, rationalize_gram,
+                              rebase_gram)
 from pencilred.roots import man_exp
-from helpers import (_gso_fraction, clear_denominators,
+from helpers import (_gso_fraction, clear_denominators, det_ratio,
                      enumerate_minima_reference, gram_from_mp, gram_of_basis,
                      is_reduced_oracle, iwasawa_reference, lll_gram_reference,
                      mp_matrix_of, planted_gram, rand_pencil, rand_unimodular,
@@ -175,7 +175,7 @@ def test_lll_gram_returns_its_lattice():
                 assert Fraction(d[i + 1], s * d[i]) == Bs[i], (n, bits)
                 for j in range(i):
                     assert Fraction(lam[i][j], d[j + 1]) == mu[i][j], (n, bits)
-            assert lattice.det == pr.linalg.det_exact(G)
+            assert Fraction(d[n], s ** n) == pr.linalg.det_exact(G)
 
 
 def test_lll_gram_rounding_ties():
@@ -463,6 +463,64 @@ def test_reference_t1_is_det_over_first_norm():
                 det = mp.det(mp_matrix_of(Hg.entries))
                 t1 = det ** (mp.mpf(1) / (2 * n)) / mp.sqrt(Hg.entries[0][0])
                 assert abs(t[0] - t1) <= mp.mpf(10) ** -30 * t1
+
+
+def test_iroot_is_the_floor_root():
+    """_iroot(x, k) is the r with r^k <= x < (r + 1)^k, at every k the
+    lattice scalars use and at exact powers and their neighbours."""
+    rng = random.Random(54)
+    for k in range(1, 25):
+        for bits in (0, 1, 5, 63, 64, 65, 200, 3000):
+            r = rng.getrandbits(bits) if bits else 0
+            for x in (r ** k - 1, r ** k, r ** k + 1,
+                      rng.getrandbits(bits * k + 1)):
+                if x >= 0:
+                    y = _iroot(x, k)
+                    assert y ** k <= x < (y + 1) ** k, (k, x)
+
+
+def _wide_gram(rng, n, spread):
+    """g^T diag(2^k_i) g for a random unimodular g and k_i <= spread: the
+    ratios d_{i+1} / d_i of its leading minors reach 2^(+-spread)."""
+    g = rand_unimodular(rng, n, ops=6).entries
+    D = [1 << rng.randint(0, spread) for _ in range(n)]
+    return [[sum(g[k][i] * D[k] * g[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("precision", (53, 96, 256))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+@settings(deadline=None, max_examples=10, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), spread=st.sampled_from((0, 8, 240)),
+       log_s=st.integers(0, 300))
+def test_lattice_scalars_match_reference(n, precision, seed, spread, log_s):
+    """Lattice.ratio and every t_i of Lattice.iwasawa_t lie within relative
+    2^-(precision + 30) of mpmath at 4x the precision, on Grams whose
+    minors d_{i+1} / d_i reach 2^(+-240), on a unimodular Gram (d_n = 1)
+    with d_2 / d_1 < 2^-220, and on diag(1, 2^250, 1, ...), for the norm
+    of a basis vector over a power of two s."""
+    rng = random.Random(seed)
+    M = 1 << 110
+    grams = [_wide_gram(rng, n, spread),
+             [[M * M + 1, M] + [0] * (n - 2), [M, 1] + [0] * (n - 2)]
+             + [[int(i == j) for j in range(n)] for i in range(2, n)],
+             [[int(i == j) << 250 * (i == 1) for j in range(n)]
+              for i in range(n)]]
+    for G in grams:
+        lattice = Lattice.standard(G, 1 << log_s)
+        d, s = lattice.d, lattice.s
+        k = rng.randrange(n)
+        norm = G[k][k]
+        t = lattice.iwasawa_t(precision)
+        ratio = lattice.ratio(norm, precision)
+        with mp.workprec(4 * precision):
+            tol = mp.mpf(2) ** -(precision + 30)
+            root = mp.mpf(d[n]) ** (mp.mpf(1) / (2 * n))
+            for i in range(n):
+                ref = root * mp.sqrt(mp.mpf(d[i]) / d[i + 1])
+                assert abs(t[i] - ref) <= tol * ref, (i, d)
+            ref = det_ratio(mp.mpf(norm) / s, mp.mpf(d[n]) / mp.mpf(s) ** n, n)
+            assert abs(ratio - ref) <= tol * ref, d
 
 
 def test_cusp_membership_examples():
