@@ -100,7 +100,7 @@ def cmd_orbit(args):
 def cmd_divisor_orbit(args):
     ds = _read_input(args, DivisorSpec.from_json_dict)
     d = datum_from_divisor(ds)
-    p, one_bar = pencil_from_datum(d, validated=True)
+    p, one_bar = pencil_from_datum(d)
     out = {"datum": d.to_json_dict(),
            "pencil": p.to_json_dict(),
            "one_bar": [str(x) for x in one_bar]}
@@ -118,7 +118,7 @@ def cmd_divisor_orbit(args):
 def cmd_norm_check(args):
     ds = _read_input(args, DivisorSpec.from_json_dict)
     d = datum_from_divisor(ds)
-    p, one_bar = pencil_from_datum(d, validated=True)
+    p, one_bar = pencil_from_datum(d)
     H = reduction_covariant(p, args.precision)
     with mp.workprec(args.precision + 32):
         quad = form_norm(H, one_bar, args.precision)

@@ -39,7 +39,7 @@ class RangeError(DomainError):
 
 
 class InvalidDatum(DomainError):
-    """Orbit datum fails the norm equation or yields the wrong invariant form."""
+    """Orbit datum fails the norm equation z^2 N(alpha) = f0^(n+1)."""
 
 
 class DivisorMeetsWeierstrass(DomainError):

@@ -141,40 +141,42 @@ def _prop_bound(f, U, fp, precision):
 
 
 def vector_length_bound_check(ds: DivisorSpec, fp: FamilyParams,
-                              precision=DEFAULT_PRECISION,
-                              integralize_states=MAX_STATES) -> BoundCheck:
+                              precision=DEFAULT_PRECISION) -> BoundCheck:
     """Covariant-norm bound along the full pipeline: the divisor is turned
-    into a pencil, integralized when possible (bounded search; the inequality
-    is basis-independent so a NotFound only flags the output), and the
-    distinguished vector is measured against the reduction covariant."""
+    into its orbit pencil and the distinguished vector is measured against
+    the reduction covariant.  A bounded integralization search then only
+    sets the flags (see `_vector_length_bound`)."""
     _require_family(ds.f, fp, precision)
-    return _vector_length_bound(ds, fp, precision, integralize_states)
+    return _vector_length_bound(ds, fp, precision)
 
 
-def _vector_length_bound(ds, fp, precision, integralize_states=MAX_STATES):
+def _vector_length_bound(ds, fp, precision):
     """vector_length_bound_check for a divisor whose f is already known to
-    be in the family."""
+    be in the family.
+
+    lhs = n log q(1) - log det H is read off the rational orbit pencil of
+    `pencil_from_datum`: for g in the unimodular rational group,
+    H_{g.p} = g^-T H_p g^-1 and |det g| = 1, so it is the same on every
+    pencil of the orbit.  `integralize` runs afterwards and only flags
+    whether an integral representative was found ("integralized", after
+    "one_bar_not_integral" when the transported vector is not integral)
+    or not ("rational_pencil").
+    """
     n = ds.f.degree
     # datum_from_divisor enforces deg U = 2g - 1, the m of kappa_{n,m}
-    datum = datum_from_divisor(ds)
-    p, one_bar = pencil_from_datum(datum, validated=True)
-    flags = []
-    try:
-        result = integralize(p, max_states=integralize_states)
-        p_used = result.pencil
-        vec = result.transport(one_bar)
-        if any(Fraction(v).denominator != 1 for v in vec):
-            flags.append("one_bar_not_integral")
-        flags.append("integralized")
-    except NotFound:
-        p_used = p
-        vec = one_bar
-        flags.append("rational_pencil")
-    H = reduction_covariant(p_used, precision)
+    p, one_bar = pencil_from_datum(datum_from_divisor(ds))
+    H = reduction_covariant(p, precision)
     with mp.workprec(precision + 32):
-        q = form_norm(H, vec, precision)
+        q = form_norm(H, one_bar, precision)
         det_h, _ = gram_det_with_error(H)
         lhs = n * mp.log(q) - mp.log(det_h)
         rhs = _rhs(n, ds.U, fp)
         holds = bool(lhs <= rhs + INEQ_TOLERANCE + n * H.error_bound)
-    return BoundCheck(lhs, rhs, holds, tuple(flags))
+    try:
+        vec = integralize(p, max_states=MAX_STATES).transport(one_bar)
+        flags = ("integralized",)
+        if any(Fraction(v).denominator != 1 for v in vec):
+            flags = ("one_bar_not_integral",) + flags
+    except NotFound:
+        flags = ("rational_pencil",)
+    return BoundCheck(lhs, rhs, holds, flags)

@@ -159,26 +159,28 @@ class OrbitDatum:
         return cls(f, alpha, parse_number(d["z"]))
 
 
+_NORM_EQUATION = "z^2 N(alpha) != f0^(n+1)"
+
+
 def validate_datum(d: OrbitDatum) -> bool:
     """Exact check of z^2 N(alpha) = f0^(n+1)."""
     n = d.f.degree
     return d.z ** 2 * norm(d.alpha) == Fraction(d.f.coeffs[0]) ** (n + 1)
 
 
-def pencil_from_datum(d: OrbitDatum, validated=False):
+def pencil_from_datum(d: OrbitDatum):
     """Pencil of the orbit of (alpha, z), plus the distinguished vector.
 
     Basis {z*1, X, ..., X^(n-1)}; returns (p, one_bar) with one_bar the
     coordinates (1/z, 0, ..., 0) of 1 in that basis.  The invariant form of
-    p equals f exactly; anything else marks the datum as invalid.
-    validated=True skips `validate_datum` for a datum that has already
-    passed it (the output of `datum_from_divisor`); the invariant form is
-    compared with f either way.
+    p is z^2 N(alpha) / f0^(n+1) * f, so comparing it with f is the norm
+    equation of `validate_datum`; InvalidDatum when they differ.  Pencil
+    rejects odd n, and there the norm equation is answered first.
     """
-    if not validated and not validate_datum(d):
-        raise InvalidDatum("z^2 N(alpha) != f0^(n+1)")
     f = d.f
     n = f.degree
+    if n % 2 and not validate_datum(d):
+        raise InvalidDatum(_NORM_EQUATION)
     f0 = Fraction(f.coeffs[0])
     # t[k] = f0^-1 tau(alpha X^k) for k = 0..2n-1
     t = [v[-1] / f0 for v in _x_powers(f, d.alpha.coeffs, 2 * n)]
@@ -192,7 +194,7 @@ def pencil_from_datum(d: OrbitDatum, validated=False):
             B[i][j] = scale * t[i + j + 1]
     p = Pencil(n, tuple(tuple(r) for r in A), tuple(tuple(r) for r in B))
     if invariant_form(p) != f:
-        raise InvalidDatum("datum does not produce the requested form")
+        raise InvalidDatum(_NORM_EQUATION)
     one_bar = tuple([1 / z] + [Fraction(0)] * (n - 1))
     return p, one_bar
 

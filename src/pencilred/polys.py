@@ -40,13 +40,6 @@ def pneg(p):
     return [-c for c in p]
 
 
-def peval(p, x):
-    acc = 0
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
 def pdivmod(p, q):
     """Exact division with Fraction arithmetic: p = quo*q + rem."""
     p = [Fraction(c) for c in ptrim(p)]

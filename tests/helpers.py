@@ -96,6 +96,28 @@ def rand_valid_datum(rng, f, bound=2):
             return pr.OrbitDatum(f, beta * beta, Fraction(1) / nb)
 
 
+def orbit_pencil_reference(d):
+    """The Hankel pencil of a datum (alpha, z), valid or not, from its
+    definition: in the basis {z*1, X, ..., X^(n-1)}, A_ij = f0^-1
+    tau(alpha b_i b_j) and B_ij = f0^-1 tau(X alpha b_i b_j), with tau the
+    X^(n-1) coefficient of the remainder mod f(X,1) by polynomial division
+    (not the library's L_f kernel)."""
+    f = d.f
+    n = f.degree
+    f0 = Fraction(f.coeffs[0])
+    alpha = list(reversed(d.alpha.coeffs))
+
+    def t(k):
+        _, r = polys.pdivmod(alpha + [0] * k, list(f.coeffs))
+        return r[0] / f0 if polys.pdeg(r) == n - 1 else Fraction(0)
+
+    def matrix(shift):
+        return tuple(tuple(d.z ** ((i == 0) + (j == 0)) * t(i + j + shift)
+                           for j in range(n)) for i in range(n))
+
+    return pr.Pencil(n, matrix(0), matrix(1))
+
+
 def rand_point_divisor(rng, coef=6, beta_max=5, f0_choices=(1, 1, 1, 2)):
     """Quartic with a planted rational point (a : 1 : beta); U = x - a*y."""
     while True:

@@ -62,10 +62,11 @@ def test_orbit_invalid_datum_exit2():
 
 
 def test_datum_is_validated_once_per_command(monkeypatch):
-    """The divisor commands validate the datum in datum_from_divisor and
-    do not repeat it; orbit input is validated once and an invalid datum
-    still exits 2 in process; a datum passed as validated still has its
-    invariant form checked."""
+    """The divisor commands check the norm equation once, in
+    datum_from_divisor; orbit input at even n is checked only by the
+    invariant-form comparison, and an invalid datum still exits 2 with the
+    norm-equation error.  At odd n, which Pencil rejects with exit 1, the
+    norm equation is answered first, as before."""
     calls = []
     validate = orbits.validate_datum
     monkeypatch.setattr(orbits, "validate_datum",
@@ -74,7 +75,8 @@ def test_datum_is_validated_once_per_command(monkeypatch):
     def run(args, payload):
         calls.clear()
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["--precision", "64"] + args
                             + ["--input-json", json.dumps(payload)])
         return code, out.getvalue(), len(calls)
@@ -82,16 +84,19 @@ def test_datum_is_validated_once_per_command(monkeypatch):
     for args in (["divisor-orbit"], ["norm-check"],
                  ["height-check", "--cutoff-X", "4", "--delta", "0.5"]):
         assert run(args, _DIVISOR)[::2] == (0, 1), args
+    error = {"type": "InvalidDatum", "message": "z^2 N(alpha) != f0^(n+1)"}
     datum = {"f": {"degree": 4, "coeffs": ["1", "0", "0", "0", "1"]},
              "alpha": ["0", "1", "0", "0"], "z": "1"}
-    assert run(["orbit"], datum)[::2] == (0, 1)
+    assert run(["orbit"], datum)[::2] == (0, 0)
     code, out, count = run(["orbit"], dict(datum, z="2"))
+    assert (code, count) == (2, 0)
+    assert json.loads(out)["error"] == error
+    cubic = {"f": {"degree": 3, "coeffs": ["1", "0", "0", "1"]},
+             "alpha": ["1", "0", "0"], "z": "1"}
+    assert run(["orbit"], cubic) == (1, "", 1)
+    code, out, count = run(["orbit"], dict(cubic, z="2"))
     assert (code, count) == (2, 1)
-    assert json.loads(out)["error"] == {
-        "type": "InvalidDatum", "message": "z^2 N(alpha) != f0^(n+1)"}
-    bad = pr.OrbitDatum.from_json_dict(dict(datum, z="2"))
-    with pytest.raises(pr.InvalidDatum, match="requested form"):
-        pr.pencil_from_datum(bad, validated=True)
+    assert json.loads(out)["error"] == error
 
 
 def test_orbit_worked():

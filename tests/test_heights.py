@@ -9,7 +9,8 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
-from pencilred import cli, heights
+from pencilred import cli, covariant, heights
+from pencilred.reduce import form_norm
 from helpers import rand_family_instance
 
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
@@ -116,6 +117,38 @@ def test_inequalities_random_family():
         assert prop.holds and vec.holds
         with mp.workprec(160):
             assert abs(prop.lhs - vec.lhs) < 1e-6
+
+
+def test_vector_bound_reads_the_rational_pencil(monkeypatch):
+    """The vector bound is computed on the rational orbit pencil; the
+    integralization search only sets the flags.  Where the search
+    succeeds, the lhs measured on the integral pencil with the transported
+    vector agrees within n * error_bound; where it fails, lhs, rhs and
+    holds are unchanged and the only flag is rational_pencil."""
+    rng = random.Random(64)
+    cases = [rand_family_instance(rng, 10, 0.3) for _ in range(6)]
+    checks = [pr.vector_length_bound_check(ds, fp, 128) for ds, fp in cases]
+    for (ds, fp), chk in zip(cases, checks):
+        assert chk.flags[-1] == "integralized"
+        n = ds.f.degree
+        p, one_bar = pr.pencil_from_datum(pr.datum_from_divisor(ds))
+        res = pr.integralize(p)
+        H = pr.reduction_covariant(res.pencil, 128)
+        with mp.workprec(160):
+            q = form_norm(H, res.transport(one_bar), 128)
+            det_h, _ = covariant.gram_det_with_error(H)
+            lhs = n * mp.log(q) - mp.log(det_h)
+            assert abs(lhs - chk.lhs) <= n * H.error_bound
+
+    def not_found(*args, **kwargs):
+        raise pr.NotFound("search disabled")
+
+    monkeypatch.setattr(heights, "integralize", not_found)
+    for (ds, fp), chk in zip(cases, checks):
+        alone = pr.vector_length_bound_check(ds, fp, 128)
+        assert (alone.lhs, alone.rhs, alone.holds) == (
+            chk.lhs, chk.rhs, chk.holds)
+        assert alone.flags == ("rational_pencil",)
 
 
 def test_bound_check_json():

@@ -15,7 +15,8 @@ import sympy
 import pencilred as pr
 from pencilred import linalg, orbits, polys
 from helpers import (A0, B0, _grow_candidates_reference,
-                     integralize_reference, mp_matrix_of, rand_monic_form,
+                     integralize_reference, mp_matrix_of,
+                     orbit_pencil_reference, rand_monic_form,
                      rand_pencil, rand_point_divisor, rand_symmetric,
                      rand_unimodular, rand_valid_datum, scaled_pencil)
 
@@ -248,6 +249,51 @@ def test_lf_arithmetic_against_sympy():
                     assert p.A[i][j] == scale * t[i + j]
                     assert p.B[i][j] == scale * t[i + j + 1]
             assert one_bar == (1 / d.z,) + (0,) * (n - 1)
+
+
+def test_orbit_pencil_form_is_norm_multiple_of_f():
+    """The Hankel pencil of (alpha, z) has invariant form exactly
+    z^2 N(alpha) / f0^(n+1) * f, valid datum or not, for n in {2, 4, 6, 8}
+    and f0 in {1, 2, 3, -5}.  So pencil_from_datum's comparison of that
+    form with f is the norm equation: it returns the pencil of every datum
+    that satisfies it and raises InvalidDatum on every other one."""
+    rng = random.Random(59)
+    for n in (2, 4, 6, 8):
+        for f0 in (1, 2, 3, -5):
+            s = rng.randint(1, 3)
+            while True:      # f_n = s^2 makes N(X) = s^2/f0
+                f = pr.BinaryForm(n, (f0,) + tuple(
+                    rng.randint(-4, 4) for _ in range(n - 1)) + (s * s,))
+                if pr.discriminant(f) != 0:
+                    break
+            while True:
+                beta = pr.element_from_poly(
+                    f, [rng.randint(-2, 2) for _ in range(n)])
+                if pr.norm(beta) != 0:
+                    break
+            # alpha = X beta^2, z = f0^(n/2+1)/(s N(beta)): z^2 N(alpha) =
+            # f0^(n+1); 2z, z/3 and a random alpha break the equation
+            alpha = pr.generator(f) * beta * beta
+            z = Fraction(f0) ** (n // 2 + 1) / (s * pr.norm(beta))
+            other = pr.element_from_poly(
+                f, [rng.randint(-3, 3) for _ in range(n)])
+            data = [pr.OrbitDatum(f, alpha, z),
+                    pr.OrbitDatum(f, alpha, 2 * z),
+                    pr.OrbitDatum(f, alpha, z / 3),
+                    pr.OrbitDatum(f, other, z)]
+            for d in data:
+                scale = d.z ** 2 * pr.norm(d.alpha) / Fraction(f0) ** (n + 1)
+                p = orbit_pencil_reference(d)
+                assert pr.invariant_form(p) == pr.BinaryForm(
+                    n, tuple(scale * c for c in f.coeffs)), (n, f0, d)
+                if scale == 1:
+                    assert pr.pencil_from_datum(d) == (
+                        p, (1 / d.z,) + (0,) * (n - 1))
+                else:
+                    with pytest.raises(pr.InvalidDatum,
+                                       match=r"z\^2 N\(alpha\)"):
+                        pr.pencil_from_datum(d)
+            assert pr.validate_datum(data[0])
 
 
 def test_integralize_already_integral():
