@@ -232,7 +232,12 @@ class DivisorSpec:
 
 
 def datum_from_divisor(ds: DivisorSpec) -> OrbitDatum:
-    """(alpha, z) = (U(X,1) mod f(X,1), u_k^-(g+1) f0^(n-1) w^-1)."""
+    """(alpha, z) = (U(X,1) mod f(X,1), u_k^-(g+1) f0^(n-1) w^-1).
+
+    N(alpha) = Res(f(X,1), U(X,1)) / f0^deg U with f0 != 0, so it is 0
+    exactly when U shares a root with f; then z^2 N(alpha) = 0 != f0^(n+1).
+    A datum failing `validate_datum` thus raises DivisorMeetsWeierstrass
+    when N(alpha) = 0 and InconsistentW otherwise."""
     f = ds.f
     n = f.degree
     if n < 4 or n % 2:
@@ -244,16 +249,13 @@ def datum_from_divisor(ds: DivisorSpec) -> OrbitDatum:
         raise PreconditionError("U must have degree 2g-1")
     if ds.U.is_integral and ds.U.content() != 1:
         raise NotPrimitive("U must be primitive")
-    fX = [Fraction(c) for c in f.coeffs]
-    UX = [Fraction(c) for c in ds.U.coeffs]
-    common = polys.pgcd(fX, UX)
-    if polys.pdeg(common) > 0:
-        raise DivisorMeetsWeierstrass("U shares a factor with f")
     k, u_k = ds.affine_degree()
     z = Fraction(f.coeffs[0]) ** (n - 1) / (Fraction(u_k) ** (g + 1) * ds.w)
     alpha = element_from_poly(f, list(reversed(list(ds.U.coeffs))))
     d = OrbitDatum(f, alpha, z)
     if not validate_datum(d):
+        if norm(alpha) == 0:
+            raise DivisorMeetsWeierstrass("U shares a factor with f")
         raise InconsistentW("w is inconsistent with U on the curve")
     return d
 
@@ -329,40 +331,23 @@ def _shrink_to_integral(grams, s, known):
 
 
 def _fp_lines(basis, p):
-    """Representatives of the projective lines spanned by an F_p basis."""
-    k = len(basis)
+    """Representatives of the projective lines spanned by an F_p basis, at
+    most _LINE_CAP: basis[i] for each i in turn plus the later vectors times
+    the base-p digits of t = 0, 1, ..., so the tails are in lexicographic
+    order.  range(p ** m) is lazy: a large p builds nothing large."""
     out = []
-    if k == 0:
-        return out
-    coeff = [0] * k
-
-    def rec(i, started):
-        if len(out) >= _LINE_CAP:
-            return
-        if i == k:
-            if started:
-                vec = [0] * len(basis[0])
-                for t in range(k):
-                    if coeff[t]:
-                        vec = [(a + coeff[t] * b) % p
-                               for a, b in zip(vec, basis[t])]
-                if any(vec):
-                    out.append(vec)
-            return
-        if not started:
-            coeff[i] = 1
-            rec(i + 1, True)
-            coeff[i] = 0
-            rec(i + 1, False)
-        else:
-            for v in range(p):
+    for i, lead in enumerate(basis):
+        tail = basis[:i:-1]
+        for t in range(p ** len(tail)):
+            vec = [a % p for a in lead]
+            for b in tail:
+                t, c = divmod(t, p)     # the next digit, lowest first
+                if c:
+                    vec = [(a + c * x) % p for a, x in zip(vec, b)]
+            if any(vec):
+                out.append(vec)
                 if len(out) >= _LINE_CAP:
-                    break
-                coeff[i] = v
-                rec(i + 1, True)
-            coeff[i] = 0
-
-    rec(0, False)
+                    return out
     return out
 
 

@@ -7,7 +7,7 @@ pencil adj(Ax - By) are interpolated from fraction-free integer eliminations
 at integer nodes, on the integral pencil (aA, aB) of `integral`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -61,7 +61,7 @@ class Pencil:
 class UnimodularMatrix:
     n: int
     entries: tuple
-    det: int = 0
+    det: int = field(default=0, init=False)   # set from the entries
 
     def __post_init__(self):
         entries = tuple(tuple(int(x) for x in row) for row in self.entries)

@@ -1,8 +1,9 @@
 """Exact univariate polynomial helpers.
 
 Polynomials are lists of coefficients in descending powers; entries are ints
-or Fractions.  Also contains arithmetic mod a prime used by the modular
-irreducibility tests.
+or Fractions.  Arithmetic mod a prime serves the modular irreducibility
+tests: Berlekamp's space {g : g^p == g mod f} gives both the count of
+irreducible factors and, by Zassenhaus's split, the factors themselves.
 """
 
 import random
@@ -57,18 +58,6 @@ def pdivmod(p, q):
             break
         p = ptrim(p)
     return ptrim(quo), ptrim(p)
-
-
-def pgcd(p, q):
-    """Monic gcd over the rationals."""
-    a = [Fraction(c) for c in ptrim(p)]
-    b = [Fraction(c) for c in ptrim(q)]
-    while pdeg(b) >= 0:
-        _, r = pdivmod(a, b)
-        a, b = b, r
-    if pdeg(a) < 0:
-        return [Fraction(0)]
-    return [c / a[0] for c in a]
 
 
 def content(p):
@@ -150,14 +139,27 @@ def pm_powmod(base, e, mod, p):
     return result
 
 
+def pm_fixed_space(f, p):
+    """F_p basis of {g : g^p == g mod f}, f monic of degree n (Berlekamp,
+    1967), each g as n descending coefficients.  Row i of Q holds X^(ip)
+    mod f and g^p = sum g_i X^(ip), so the space is the left kernel of
+    Q - I.  For a squarefree f its dimension is the number of factors."""
+    n = len(f) - 1
+    xp = pm_powmod([1, 0], p, f, p)
+    Q, row = [], [1]
+    for i in range(n):
+        if i:
+            row = pm_divmod(pm_mul(row, xp, p), f, p)[1]
+        coeffs = row[::-1] + [0] * (n - len(row))
+        coeffs[i] -= 1      # the row of Q - I, ascending powers
+        Q.append(coeffs)
+    return [v[::-1] for v in linalg.fp_nullspace(linalg.transpose(Q), p)]
+
+
 def pm_is_irreducible(f, p):
-    """Whether f is irreducible mod p, by Berlekamp's matrix (Berlekamp,
-    1967).  Precondition of the count: f squarefree mod p.  Then the
-    solutions of g^p == g mod f form an F_p-space whose dimension is the
-    number of irreducible factors of f, the nullity of Q - I where row i
-    of Q is X^(ip) mod f.  Fallback: an f of degree >= 2 with
-    gcd(f, f') != 1 mod p has a repeated factor (or is a p-th power) and
-    gets False, so the answer is right for every f."""
+    """Whether f is irreducible mod p, for every f: one of degree >= 2 with
+    gcd(f, f') != 1 mod p has a repeated factor and is not; a squarefree f
+    is iff its `pm_fixed_space` has dimension 1."""
     f = ptrim([c % p for c in f])
     n = len(f) - 1
     if n <= 0:
@@ -168,15 +170,7 @@ def pm_is_irreducible(f, p):
     f = [c * finv % p for c in f]
     if pm_gcd(f, [c * (n - i) for i, c in enumerate(f[:-1])], p) != [1]:
         return False
-    xp = pm_powmod([1, 0], p, f, p)
-    Q, row = [], [1]
-    for i in range(n):
-        if i:
-            row = pm_divmod(pm_mul(row, xp, p), f, p)[1]
-        coeffs = [0] * (n - len(row)) + row
-        coeffs[n - 1 - i] -= 1      # the row of Q - I
-        Q.append(coeffs)
-    return len(linalg.fp_nullspace(Q, p)) == 1
+    return len(pm_fixed_space(f, p)) == 1
 
 
 def pm_sub(a, b, p):
@@ -188,49 +182,37 @@ def pm_sub(a, b, p):
 
 
 def pm_factor(f, p, rng=None):
-    """Factor a squarefree monic f mod p (p odd) into monic irreducibles.
-
-    Distinct-degree then Cantor-Zassenhaus equal-degree splitting.
+    """Factor a squarefree f mod p (p odd) into monic irreducibles, sorted
+    by (degree, coefficients).  Zassenhaus's split (Cohen, GTM 138, 3.4):
+    a random g in Berlekamp's space `pm_fixed_space` is a constant c_i mod
+    each factor, and gcd(h, g^((p-1)/2) - 1) keeps the factors of h whose
+    c_i is a nonzero square.  Rounds repeat until there are as many factors
+    as the space has dimensions; rng changes only the work, not the result.
     """
     if rng is None:
         rng = random.Random(0xC0FFEE)
     f = ptrim([c % p for c in f])
     finv = pow(f[0], -1, p)
     f = [c * finv % p for c in f]
-    factors = []
-    rem = f
-    x = [1, 0]
-    d = 1
-    xq = x
-    while len(rem) - 1 >= 2 * d:
-        xq = pm_powmod(xq, p, rem, p)
-        g = pm_gcd(pm_sub(xq, x, p), rem, p)
-        if g != [1]:
-            factors.extend(_pm_edf(g, d, p, rng))
-            rem = pm_divmod(rem, g, p)[0]
-            xq = pm_divmod(xq, rem, p)[1]
-        d += 1
-    if len(rem) - 1 >= 1:
-        factors.append(rem)
+    if len(f) == 1:
+        return []
+    space = pm_fixed_space(f, p)
+    factors = [f]
+    while len(factors) < len(space):
+        cs = [rng.randrange(p) for _ in space]
+        g = [sum(c * b[j] for c, b in zip(cs, space)) % p
+             for j in range(len(f) - 1)]
+        G = pm_sub(pm_powmod(g, (p - 1) // 2, f, p), [1], p)
+        split = []
+        for h in factors:
+            d = pm_gcd(h, G, p)
+            if 1 < len(d) < len(h):
+                split += [d, pm_divmod(h, d, p)[0]]
+            else:
+                split.append(h)
+        factors = split
     factors.sort(key=lambda g: (len(g), g))
     return factors
-
-
-def _pm_edf(f, d, p, rng):
-    """Equal-degree splitting: all irreducible factors of f have degree d."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    exponent = (p ** d - 1) // 2
-    while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = ptrim(a) if ptrim(a) != [0] else [1, 0]
-        b = pm_powmod(a, exponent, f, p)
-        g = pm_gcd(pm_sub(b, [1], p), f, p)
-        if g != [1] and len(g) != len(f):
-            return sorted(_pm_edf(g, d, p, rng) +
-                          _pm_edf(pm_divmod(f, g, p)[0], d, p, rng),
-                          key=lambda h: (len(h), h))
 
 
 # ----------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import pencilred as pr
@@ -318,6 +319,41 @@ def test_pm_is_irreducible_matches_rabin(p, coeffs, square):
     if len(g) > 1 and f != [0]:
         assert not polys.pm_is_irreducible(
             polys.pm_mul(f, polys.pm_mul(g, g, p), p), p)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(p=st.sampled_from((3, 5, 7, 101, 1009, 1300021, 10 ** 9 + 7)),
+       degrees=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pm_factor_matches_sympy(p, degrees, seed):
+    """pm_factor of a squarefree f mod p of degree 1..10 (a product of up
+    to four random polynomials) is sympy's factor_list, made monic with
+    residues in [0, p) and sorted by (length, coefficients), and the
+    product of the factors is f made monic."""
+    rng = random.Random(seed)
+    f = [rng.randrange(1, p)]
+    for d in degrees:
+        if len(f) + d <= 11:
+            f = polys.pm_mul(f, [rng.randrange(1, p)]
+                             + [rng.randrange(p) for _ in range(d)], p)
+    if len(f) == 1 or polys.pm_gcd(f, pderiv(f), p) != [1]:
+        return
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(f, x, modulus=p).factor_list()
+    expected = []
+    for g, e in factors:
+        assert e == 1
+        g = [int(c) % p for c in g.all_coeffs()]
+        inv = pow(g[0], -1, p)
+        expected.append([c * inv % p for c in g])
+    expected.sort(key=lambda g: (len(g), g))
+    out = polys.pm_factor(f, p, random.Random(len(f)))
+    assert out == expected
+    prod = [1]
+    for g in out:
+        prod = polys.pm_mul(prod, g, p)
+    inv = pow(f[0], -1, p)
+    assert prod == [c * inv % p for c in f]
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)

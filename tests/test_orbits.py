@@ -2,6 +2,7 @@
 divisor data, integralization, the norm-of-one formula."""
 
 import heapq
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,10 +12,11 @@ from types import SimpleNamespace
 import mpmath as mp
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import pencilred as pr
 from pencilred import linalg, orbits, polys
-from helpers import (A0, B0, _grow_candidates_reference,
+from helpers import (A0, B0, _grow_candidates_reference, form_mul,
                      integralize_reference, mp_matrix_of,
                      orbit_pencil_reference, rand_monic_form,
                      rand_pencil, rand_point_divisor, rand_symmetric,
@@ -177,6 +179,89 @@ def test_datum_from_divisor_validity_random():
         ds = rand_point_divisor(rng)
         assert pr.validate_datum(pr.datum_from_divisor(ds))
 
+
+
+def _norm_by_resultant(f, U):
+    """(N(U(X,1) mod f(X,1)), U(X,1)) with N = Res(f(X,1), U(X,1))/f0^deg U,
+    from sympy; f and U are descending integer coefficients."""
+    x = sympy.Symbol("x")
+    F, P = sympy.Poly(f, x), sympy.Poly(U, x)
+    N = Fraction(int(sympy.resultant(F, P))) / Fraction(f[0]) ** P.degree()
+    return N, P
+
+
+def _weierstrass_oracle(ds):
+    """(exception type, message) that datum_from_divisor must raise, or
+    None: sympy's gcd of f(X,1) and U(X,1) first, then the norm equation
+    z^2 N = f0^(n+1)."""
+    f, U = [int(c) for c in ds.f.coeffs], [int(c) for c in ds.U.coeffs]
+    N, P = _norm_by_resultant(f, U)
+    if sympy.gcd(sympy.Poly(f, P.gen), P).degree() > 0:
+        return pr.DivisorMeetsWeierstrass, "U shares a factor with f"
+    n, f0 = ds.f.degree, Fraction(f[0])
+    z = f0 ** (n - 1) / (Fraction(int(P.LC())) ** (ds.genus + 1) * ds.w)
+    if z * z * N != f0 ** (n + 1):
+        return pr.InconsistentW, "w is inconsistent with U on the curve"
+    return None
+
+
+def _pmul(a, b):
+    """Product of two descending coefficient lists."""
+    a, b = (pr.BinaryForm(len(c) - 1, tuple(c)) for c in (a, b))
+    return list(form_mul(a, b).coeffs)
+
+
+@settings(deadline=None, max_examples=240, derandomize=True)
+@given(n=st.sampled_from((4, 6, 8)),
+       case=st.sampled_from(("shared", "consistent", "wrong")),
+       shape=st.sampled_from(("full", "infinity", "constant")),
+       shared=st.integers(1, 2), lead=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from((2, 3, Fraction(1, 2))))
+def test_weierstrass_check_reads_the_norm(n, case, shape, shared, lead, seed,
+                                          scale):
+    """datum_from_divisor tells a divisor meeting a Weierstrass point (U
+    sharing a linear or quadratic factor with f) from a wrong w by the
+    norm alone, with the type and message of a gcd-then-norm oracle.  U
+    may have a root at infinity (zero leading coefficient) or be constant
+    in X; w is the consistent one or a multiple of it."""
+    rng = random.Random(seed)
+    cs, more = ([rng.randint(-5, 5) for _ in range(10)] for _ in range(2))
+    k = n - 3                        # deg U = 2g - 1
+    if case == "shared" and shape != "constant":
+        L = [lead, cs[k] or 1] + more[:min(shared, k) - 1]
+        m = [int(shape == "full")] + cs[:k + 1 - len(L)]
+        m[-1] = m[-1] or 1
+        U = _pmul(L, m)
+        f = _pmul(L, [lead] + more[1:n + 2 - len(L)])
+        w = Fraction(more[-1] or 1)
+    else:
+        if shape == "constant":
+            U = [0] * k + [1]
+        else:
+            U = [lead * (shape == "full")] + cs[:k - 1] + [cs[k - 1] or 1]
+        # f = U V + W^2: each root of U(X,1) lies under a rational point,
+        # and z^2 N = f0^(n+1) has a rational solution w
+        V = [more[0] or 1] + more[1:4]
+        W = [lead] + more[4:4 + n // 2]
+        f = [a + b for a, b in zip(_pmul(U, V), _pmul(W, W))]
+        if f[0] == 0:
+            return
+        N, P = _norm_by_resultant(f, U)
+        w2 = Fraction(f[0]) ** (n - 3) * N / Fraction(int(P.LC())) ** n
+        w = Fraction(math.isqrt(w2.numerator), math.isqrt(w2.denominator))
+        assert w * w == w2
+        w = (w or 1) * (scale if case == "wrong" else 1)
+    c = polys.content(U)
+    ds = pr.DivisorSpec(pr.BinaryForm(n, tuple(f)),
+                        pr.BinaryForm(k, tuple(x // c for x in U)), w)
+    expected = _weierstrass_oracle(ds)
+    try:
+        d = pr.datum_from_divisor(ds)
+    except (pr.DivisorMeetsWeierstrass, pr.InconsistentW) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None and pr.validate_datum(d)
 
 
 def test_lf_arithmetic_against_sympy():
@@ -363,9 +448,11 @@ def test_shrink_seed_integral():
 
 
 def test_fp_lines_stop_at_cap():
-    """The first _LINE_CAP projective points in enumeration order (leading
-    1 first, the tail in lexicographic order), returned at once even for a
-    prime near 10^8."""
+    """The first _LINE_CAP nonzero combinations of the basis in enumeration
+    order (leading coefficient 1 first, the tail in lexicographic order),
+    returned at once even for a prime near 10^8.  Bases: the identity, the
+    F_p kernel of a seeded Gram pair of rank 2 mod p (as `_grow_candidates`
+    uses it), random independent bases and, at p = 3, dependent ones."""
     def lines(k, p):
         for lead in range(k):
             # the last coordinate varies fastest, so the first _LINE_CAP
@@ -374,11 +461,42 @@ def test_fp_lines_stop_at_cap():
             for tail in product(digits, repeat=k - lead - 1):
                 yield [0] * lead + [1] + list(tail)
 
-    for k, p in ((4, 3), (2, 7), (4, 999983), (4, 10 ** 8 + 7)):
+    def combinations(basis, p):
+        for c in lines(len(basis), p):
+            vec = [sum(x * b[j] for x, b in zip(c, basis)) % p
+                   for j in range(len(basis[0]))]
+            if any(vec):
+                yield vec
+
+    def rank(basis, p):
+        return len(basis) - len(linalg.fp_nullspace(linalg.transpose(basis),
+                                                    p))
+
+    rng = random.Random(365)
+    cases = [(linalg.identity_matrix(k), p) for k, p in
+             ((4, 3), (2, 7), (4, 999983), (4, 10 ** 8 + 7))]
+    for p in (3, 7, 999983, 10 ** 8 + 7):
+        C = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(6)]
+        GA, GB = ([[x + p * y for x, y in zip(r, rr)] for r, rr in zip(
+            linalg.gram(C, rand_symmetric(rng, 2, 9)),
+            rand_symmetric(rng, 6, 9))] for _ in range(2))
+        cases.append((linalg.fp_nullspace(GA + GB, p), p))
+        for k in (2, 3, 4):
+            while True:
+                basis = [[rng.randint(-2 * p, 2 * p) for _ in range(5)]
+                         for _ in range(k)]
+                if rank(basis, p) == k:
+                    break
+            cases.append((basis, p))
+    for _ in range(3):
+        basis = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(2)]
+        cases.append((basis + [[x - 2 * y for x, y in zip(*basis)]], 3))
+    for basis, p in cases:
         start = time.perf_counter()
-        out = orbits._fp_lines(linalg.identity_matrix(k), p)
+        out = orbits._fp_lines(basis, p)
         assert time.perf_counter() - start < 0.5
-        assert out == list(islice(lines(k, p), orbits._LINE_CAP))
+        assert out == list(islice(combinations(basis, p),
+                                  orbits._LINE_CAP)), (basis, p)
 
 
 def test_integralize_prime_denominator():
