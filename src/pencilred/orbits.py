@@ -17,7 +17,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
+from operator import mul
 
 import mpmath as mp
 
@@ -311,12 +313,59 @@ class IntegralizeResult:
 _LINE_CAP = 64
 
 
-def _lattice_key(d, basis, rows=()):
-    """The lattice spanned by basis/d and rows/d (`linalg.hnf_insert`) as
-    (d, H), H its row HNF, both divided by gcd(d, H) to be canonical."""
-    H = linalg.hnf_insert(basis, rows)
-    g = gcd(d, *(x for row in H for x in row))
-    return d // g, tuple(tuple(x // g for x in row) for row in H)
+def _lattice_key(d, B):
+    """The key (d', H) of the lattice (row span of B)/d, for B upper
+    triangular with a positive diagonal: H is the row HNF of B, both divided
+    by gcd(d, H) to be canonical.  Also returns the row operations
+    (j, i, m), row j -= m·row i with j < i, that take B to H: the reduction
+    of the HNF of a triangular basis (Cohen, GTM 138, 2.4), column by
+    column, each entry above a pivot into [0, pivot)."""
+    B = list(B)
+    ops = []
+    for i in range(1, len(B)):
+        row = B[i]
+        piv = row[i]
+        for j in range(i):
+            m = B[j][i] // piv
+            if m:
+                B[j] = [u - m * v for u, v in zip(B[j], row)]
+                ops.append((j, i, m))
+    g = d
+    for row in B:
+        g = gcd(g, *row)
+        if g == 1:
+            return (d, tuple(map(tuple, B))), ops
+    return (d // g, tuple(tuple(x // g for x in row) for row in B)), ops
+
+
+def _congruence(G, ops):
+    """Mirror the row operations of `_lattice_key` on a Gram, in place:
+    row j -= m·row i, then column j -= m·column i."""
+    for j, i, m in ops:
+        G[j] = [u - m * v for u, v in zip(G[j], G[i])]
+        for row in G:
+            row[j] -= m * row[i]
+    return G
+
+
+def _grams_of(K, grams, s):
+    """The Grams K·G·Kᵀ/s of the rows of K, as fresh lists."""
+    return [[[x // s for x in row] for row in linalg.gram(K, G)]
+            for G in grams]
+
+
+def _replace_row_and_column(grams, c, cols, diags):
+    """Copies of the Grams with row and column c replaced by cols and the
+    entry (c, c) by diags."""
+    out = []
+    for G, col, diag in zip(grams, cols, diags):
+        G = [list(row) for row in G]
+        G[c] = list(col)
+        for row, v in zip(G, col):
+            row[c] = v
+        G[c][c] = diag
+        out.append(G)
+    return out
 
 
 def _shrink_to_integral(grams, s, known):
@@ -371,29 +420,53 @@ def _primes(m, known):
 
 
 def _grow_candidates(H, GA, GB, p):
-    """Index-p overlattices L + (1/p)u keeping both forms integral, for
-    L = (row span of H)/d with integral Grams GA, GB.  Each is returned as
-    the integer row u = x·H, with L + (1/p)u = (row span of pH and u)/(d p).
+    """Index-p overlattices L + (1/p)·x·H keeping both forms integral, for
+    L = (row span of H)/d with integral Grams GA, GB, each as (B, grams):
+    B = C·H is a basis of the overlattice times d·p and grams() returns its
+    two Grams over a·(d·p)^2.
 
-    u must pair into pZ with the whole lattice (x in the kernel of both
+    x must pair into pZ with the whole lattice (x in the kernel of both
     Grams mod p) and have both self-pairings divisible by p^2.  No other
     representative of the line helps: as G·x = 0 mod p,
-    q(x + p·w) = q(x) + 2p·w·Gx + p^2·q(w) = q(x) mod p^2, and the
-    overlattice of x + p·w adds only w·H, which lies in L.
+    q(λx + p·w) = λ^2·q(x) + 2pλ·w·Gx + p^2·q(w) = λ^2·q(x) mod p^2 for
+    every λ, and the overlattice of λx + p·w adds only w·H, which lies
+    in L.  So x is scaled to x' with x'_c = 1 at its first nonzero
+    coordinate c, and the basis and Grams of the overlattice are the
+    rank-one replacement that `integralize` describes.
     """
     Ht = linalg.transpose(H)
+    pH = [[p * v for v in row] for row in H]
     pp = p * p
-    return [linalg.mat_vec(Ht, x)
-            for x in _fp_lines(linalg.fp_nullspace(GA + GB, p), p)
-            if linalg.quad(GA, x) % pp == 0
-            and linalg.quad(GB, x) % pp == 0]
+    out = []
+    for x in _fp_lines(linalg.fp_nullspace(GA + GB, p), p):
+        c = next(i for i, v in enumerate(x) if v)
+        inv = pow(x[c], -1, p)
+        x = [v * inv % p for v in x]
+        cols, diags = [], []
+        for G in (GA, GB):
+            Gx = linalg.mat_vec(G, x)
+            qx = sum(map(mul, x, Gx))
+            if qx % pp:
+                break
+            cols.append([v // p for v in Gx])
+            diags.append(qx // pp)
+        else:
+            B = list(pH)
+            B[c] = linalg.mat_vec(Ht, x)
+            out.append((B, partial(_replace_row_and_column, (GA, GB), c,
+                                   cols, diags)))
+    return out
 
 
-def _sublattice_candidates(H, p):
+def _sublattice_candidates(H, GA, GB, p):
     """Index-p sublattices K·H of the row span of H, K the HNF kernel of a
-    line mod p, so K·H is upper triangular with a positive diagonal."""
-    return [linalg.mat_mul(linalg.kernel_mod([lam], p, {p: 1}), H)
-            for lam in _fp_lines(linalg.identity_matrix(len(H)), p)]
+    line mod p, so K·H is upper triangular with a positive diagonal, each
+    as (K·H, grams) with grams() its Grams K·G·Kᵀ."""
+    out = []
+    for lam in _fp_lines(linalg.identity_matrix(len(H)), p):
+        K = linalg.kernel_mod([lam], p, {p: 1})
+        out.append((linalg.mat_mul(K, H), partial(_grams_of, K, (GA, GB), 1)))
+    return out
 
 
 def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
@@ -404,15 +477,31 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     drops below 1).  A state is a lattice (d, H), the row span of H/d with
     H in row HNF, so its covolume is prod H_ii / d^n.  With the pencil
     written as (A/a, B/a) over one common denominator a, the Grams of a
-    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2.  Its HNF, the repeat check
-    and the Grams are computed once, when the state first reaches the top
-    of the heap; a state that is pushed but never explored costs only its
-    covolume, its parent's times or over the index q.  Every lattice on
-    the heap pairs integrally under both forms: the seeds are shrunk to
-    integral, an overlattice is kept only if both forms stay integral and
-    a sublattice inherits it.  Raises NotFound once the state budget is
-    exhausted, or when a denominator or covolume cannot be factored by
-    trial division; that is not a disproof.
+    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2; only the seeds compute them
+    so.  Every other state is pushed as an upper-triangular basis with a
+    positive diagonal, built from its parent's H, with its Grams in that
+    basis built from its parent's Grams:
+    - an overlattice by the line x mod q, scaled to x' with x'_c = 1 at
+      its first nonzero coordinate c, has the basis C·H over d·q, C = q·I
+      with row c replaced by x' (the HNF of qZ^n + Zx), and the parent's
+      Grams G with row and column c replaced by G·x'/q and the entry (c, c)
+      by x'ᵀGx'/q^2.  These are integers exactly when x' passes the q^2
+      test of `_grow_candidates`, since G·x' = 0 mod q: a rank-one
+      replacement, one G·x' per form;
+    - a sublattice K·H (K the HNF kernel of a line mod q) has the Grams
+      K·G·Kᵀ.
+    When a state first reaches the top of the heap, its basis is reduced
+    to HNF by unit upper-triangular row operations and its key checked
+    against the states seen, before any Gram work (`_lattice_key`); only
+    a new state gets its Grams, by mirroring each row operation on both
+    Grams as a congruence (`_congruence`).  A state that is pushed but
+    never explored costs its candidate test and its covolume, its parent's
+    times or over the index q.  Every lattice on the heap pairs integrally
+    under both forms: the seeds are shrunk to integral, an overlattice is
+    kept only if both forms stay integral and a sublattice inherits it.
+    Raises NotFound once the state budget is exhausted, or when a
+    denominator or covolume cannot be factored by trial division; that is
+    not a disproof.
     """
     f = invariant_form(p)
     if not f.is_integral:
@@ -429,38 +518,37 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     heap = []
     counter = 0
 
-    # An entry is (|log covol|, 0, 0, counter, covol, (d, basis, rows))
-    # until it first reaches the top, then, keyed and unless a repeat,
+    # An entry is (|log covol|, 0, 0, counter, covol, (d, B, grams)) until
+    # it first reaches the top, then, keyed and unless a repeat,
     # (|log covol|, 1, log size, counter, covol, key, GA, GB): evaluated
     # entries still leave in (|log covol|, log size, counter) order, as
     # every entry with a smaller primary is evaluated first, and a repeat
     # (same covol, later counter) reaches the top after its first copy.
-    def push(covol, d, basis, rows=()):
+    def push(covol, d, B, grams):
         nonlocal counter
         primary = abs(math.log(covol.numerator) - math.log(covol.denominator))
-        heapq.heappush(heap, (primary, 0, 0, counter, covol, (d, basis, rows)))
+        heapq.heappush(heap, (primary, 0, 0, counter, covol, (d, B, grams)))
         counter += 1
 
-    # seeds: the integral hull of Z^n and of its q-refinements, in HNF; the
-    # Grams of the standard basis are (A, B) themselves
+    # seeds: the integral hull of Z^n and of its q-refinements, in HNF, with
+    # the Grams K·A·Kᵀ and K·B·Kᵀ over a·q^2
     for q in [1, *_primes(a, known)]:
         K = _shrink_to_integral((A, B), a * q * q, known)
-        push(Fraction(math.prod(K[i][i] for i in range(n)), q ** n), q, K)
+        push(Fraction(math.prod(K[i][i] for i in range(n)), q ** n), q, K,
+             partial(_grams_of, K, (A, B), a * q * q))
     explored = 0
     while heap and explored < max_states:
         primary, evaluated, _, count, covol, *state = heapq.heappop(heap)
         if not evaluated:
-            key = _lattice_key(*state[0])
+            d, basis, grams = state[0]
+            key, ops = _lattice_key(d, basis)
             if key in seen:
                 continue
             seen.add(key)
-            d, H = key
-            s = a * d * d
-            GA, GB = ([[x // s for x in row] for row in linalg.gram(H, M)]
-                      for M in (A, B))
+            GA, GB = (_congruence(G, ops) for G in grams())
             # then prefer small Gram entries (more reduced states)
-            size = max(1, max(abs(x) for G in (GA, GB) for row in G
-                              for x in row))
+            size = max(1, *(max(map(abs, row)) for G in (GA, GB)
+                            for row in G))
             heapq.heappush(heap, (primary, 1, math.log(size), count, covol,
                                   key, GA, GB))
             continue
@@ -471,13 +559,12 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         if covol > 1:
             # x != 0 mod q, so each overlattice has index exactly q
             for q in _primes(covol.numerator, known):
-                qH = [[q * x for x in row] for row in H]
-                for u in _grow_candidates(H, GA, GB, q):
-                    push(covol / q, d * q, qH, [u])
+                for child in _grow_candidates(H, GA, GB, q):
+                    push(covol / q, d * q, *child)
         else:
             for q in _primes(covol.denominator, known):
-                for KH in _sublattice_candidates(H, q):
-                    push(covol * q, d, KH)
+                for child in _sublattice_candidates(H, GA, GB, q):
+                    push(covol * q, d, *child)
     raise NotFound("no integral representative within the search budget")
 
 

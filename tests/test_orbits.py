@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 import pencilred as pr
 from pencilred import linalg, orbits, polys
 from helpers import (A0, B0, _grow_candidates_reference, form_mul,
-                     integralize_reference, mp_matrix_of,
-                     orbit_pencil_reference, rand_monic_form,
+                     integralize_reference, kernel_mod_reference,
+                     mp_matrix_of, orbit_pencil_reference, rand_monic_form,
                      rand_pencil, rand_point_divisor, rand_symmetric,
-                     rand_unimodular, rand_valid_datum, scaled_pencil)
+                     rand_unimodular, rand_valid_datum, row_hnf_reference,
+                     scaled_pencil)
 
 X4Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 1))
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
@@ -532,15 +533,27 @@ def test_integralize_factors_each_modulus_once(monkeypatch):
 def test_integralize_keys_lattices_at_first_pop(monkeypatch):
     """A pushed lattice is keyed (HNF and repeat check) only when it first
     reaches the top of the heap: _lattice_key runs once per first pop, and
-    on some searches fewer times than there are pushes."""
-    keys = []
+    on some searches fewer times than there are pushes.  An overlattice
+    child's Grams come from its parent's, so linalg.gram runs only for the
+    seeds, the states pushed before the first pop (and for sublattice
+    children, of which these searches have none)."""
+    keys, grams, sublattices = [], [], []
     lattice_key = orbits._lattice_key
     monkeypatch.setattr(orbits, "_lattice_key",
                         lambda *args: keys.append(args) or lattice_key(*args))
-    pushes, first_pops = [], []
+    gram = linalg.gram
+    monkeypatch.setattr(linalg, "gram",
+                        lambda *args: grams.append(args) or gram(*args))
+    sublattice_candidates = orbits._sublattice_candidates
+    monkeypatch.setattr(orbits, "_sublattice_candidates",
+                        lambda *args: sublattices.append(args)
+                        or sublattice_candidates(*args))
+    pushes, first_pops, seeds = [], [], []
 
     def heappush(heap, entry):
         pushes.append(entry[1] == 0)
+        if not first_pops:
+            seeds.append(entry)
         heapq.heappush(heap, entry)
 
     def heappop(heap):
@@ -551,17 +564,20 @@ def test_integralize_keys_lattices_at_first_pop(monkeypatch):
     monkeypatch.setattr(orbits, "heapq", SimpleNamespace(
         heappush=heappush, heappop=heappop))
     rng = random.Random(60)
-    saved = 0
+    saved = grown = 0
     for _ in range(12):
         p = pr.pencil_from_datum(pr.datum_from_divisor(
             rand_point_divisor(rng)))[0]
-        for counts in (keys, pushes, first_pops):
+        for counts in (keys, grams, sublattices, pushes, first_pops, seeds):
             counts.clear()
         pr.integralize(p)
         assert len(keys) == sum(first_pops)
         assert len(keys) <= sum(pushes)
         saved = max(saved, sum(pushes) - len(keys))
-    assert saved > 0
+        assert not sublattices
+        assert len(grams) <= 2 * len(seeds)
+        grown = max(grown, len(keys) - len(seeds))
+    assert saved > 0 and grown > 0
 
 
 def test_integralize_unfactorable_denominator():
@@ -606,8 +622,8 @@ def test_integralize_matches_eager_reference():
 def test_overlattice_shift_is_dead():
     """For x in the common kernel of two integral Grams mod p,
     q(x + p·w) = q(x) mod p^2 under both forms, so only x itself can pass
-    the p^2 test; the overlattices found equal those of the search that
-    also tried the shift."""
+    the p^2 test; the overlattices found (their HNF) equal those of the
+    search that also tried the shift."""
     rng = random.Random(59)
     for p in (3, 5, 7):
         for _ in range(6):
@@ -634,8 +650,124 @@ def test_overlattice_shift_is_dead():
                         % (p * p) == 0
             H = [[int(i == j) * rng.randint(1, 4) + (j > i) * rng.randint(
                 0, 3) for j in range(n)] for i in range(n)]
-            assert orbits._grow_candidates(H, GA, GB, p) == [
-                M[-1] for M in _grow_candidates_reference(H, GA, GB, p)]
+            assert [row_hnf_reference(B) for B, _ in
+                    orbits._grow_candidates(H, GA, GB, p)] == [
+                row_hnf_reference(M)
+                for M in _grow_candidates_reference(H, GA, GB, p)]
+
+
+def _update_parents(rng):
+    """Seeded parent states (q, d, H, GA, GB, a, A, B): H/d a canonical
+    lattice state (H in row HNF, gcd(d, H) = 1) whose Grams H·A·Hᵀ/(a·d^2),
+    H·B·Hᵀ/(a·d^2) are the integral GA, GB.  GA and GB share a kernel
+    mod q of dimension k >= 1: U·G0·Uᵀ for a unimodular U, with G0 ≡ 0
+    mod q on its first k rows and columns and mostly ≡ 0 mod q^2 on the
+    k×k block, so some lines pass the q^2 test and some do not."""
+    for n in range(2, 7):
+        for q in (2, 3, 5, 7, 999983):
+            for _ in range(2):
+                k = rng.randint(1, n)
+                U = rand_unimodular(rng, n).entries
+                grams = []
+                for _ in range(2):
+                    G0 = [list(r) for r in rand_symmetric(rng, n, 9)]
+                    for i in range(k):
+                        for j in range(i, n):
+                            m = q * q if j < k and (
+                                i != j or rng.random() < 0.7) else q
+                            G0[i][j] *= m
+                            G0[j][i] = G0[i][j]
+                    grams.append([list(r) for r in linalg.gram(U, G0)])
+                GA, GB = grams
+                H = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    H[i][i] = rng.randint(1, 6)
+                    for j in range(i):
+                        H[j][i] = rng.randrange(H[i][i])
+                d = rng.randint(1, 6)
+                g = math.gcd(d, *(x for row in H for x in row))
+                d, H = d // g, [[x // g for x in row] for row in H]
+                det, adj = linalg.det_adj(H)
+                # (A, B)/a = d^2·H^-1·(GA, GB)·H^-T
+                dHinv = [[Fraction(d * x, det) for x in row] for row in adj]
+                A, B = (linalg.gram(dHinv, G) for G in grams)
+                a = math.lcm(*(x.denominator for M in (A, B)
+                               for row in M for x in row))
+                A, B = ([[int(a * x) for x in row] for row in M]
+                        for M in (A, B))
+                yield q, d, H, GA, GB, a, A, B
+
+
+def _reference_state(d, rows, a, A, B):
+    """The canonical state (d', H') of the lattice (row span of rows)/d
+    from row_hnf_reference, and its Grams H'·(A, B)·H'ᵀ/(a·d'^2)."""
+    H = row_hnf_reference(rows)
+    g = math.gcd(d, *(x for row in H for x in row))
+    d, H = d // g, tuple(tuple(x // g for x in row) for row in H)
+    return (d, H), [[[Fraction(x, a * d * d) for x in row]
+                     for row in linalg.gram(H, M)] for M in (A, B)]
+
+
+def test_child_key_and_grams_from_parent():
+    """Each overlattice child of a state, built from the parent's HNF and
+    Grams by the rank-one row and column replacement and the mirrored
+    reduction, has the key of the reference HNF of (q·H, x·H) over d·q and
+    the Grams H'·(A, B)·H'ᵀ/(a·d'^2) computed from scratch; the same holds
+    for the sublattice children K·H."""
+    rng = random.Random(61)
+    overlattices = reduced = 0
+    for q, d, H, GA, GB, a, A, B in _update_parents(rng):
+        assert [[Fraction(x, a * d * d) for x in row]
+                for row in linalg.gram(H, A)] == GA
+        got = orbits._grow_candidates(H, GA, GB, q)
+        want = _grow_candidates_reference(H, GA, GB, q)
+        assert len(got) == len(want)
+        for (basis, grams), rows in zip(got, want):
+            key, ops = orbits._lattice_key(d * q, basis)
+            assert (key, [orbits._congruence(G, ops) for G in grams()]) \
+                == _reference_state(d * q, rows, a, A, B)
+            overlattices += 1
+            reduced += bool(ops)
+        for lam, (basis, grams) in zip(
+                orbits._fp_lines(linalg.identity_matrix(len(H)), q),
+                orbits._sublattice_candidates(H, GA, GB, q)):
+            rows = linalg.mat_mul(kernel_mod_reference([lam], q, {q: 1}), H)
+            key, ops = orbits._lattice_key(d, basis)
+            assert (key, [orbits._congruence(G, ops) for G in grams()]) \
+                == _reference_state(d, rows, a, A, B)
+    assert overlattices > 200 and reduced > 30
+
+
+def _scaled(p, c):
+    """c·(A, B)."""
+    return pr.Pencil(p.n, *(tuple(tuple(c * x for x in row) for row in M)
+                            for M in (p.A, p.B)))
+
+
+def test_integralize_sublattice_branch_matches_eager_reference(monkeypatch):
+    """An integral lattice of covolume c carries the form c^2·f, so a search
+    explores a state of covolume < 1 only when the content of f has a
+    square factor: c·S·(A, B)·S with c = 8 or 27.  On such pencils the
+    search runs its index-q sublattice step and still agrees with the eager
+    reference at every budget."""
+    sublattices = []
+    sublattice_candidates = orbits._sublattice_candidates
+    monkeypatch.setattr(orbits, "_sublattice_candidates",
+                        lambda *args: sublattices.append(args)
+                        or sublattice_candidates(*args))
+    rng = random.Random(62)
+    pencils = [scaled_pencil(_scaled(P0, 8), 4),
+               scaled_pencil(_scaled(P0, 27), 9),
+               scaled_pencil(_scaled(rand_pencil(rng, 6), 8), 12)]
+    for p in pencils:
+        sublattices.clear()
+        assert not p.is_integral
+        outcomes = set()
+        for budget in (1, 2, 3, 5, 8, 400):
+            got = _search_outcome(pr.integralize, p, budget)
+            assert got == _search_outcome(integralize_reference, p, budget)
+            outcomes.add(got is None)
+        assert sublattices and outcomes == {True, False}
 
 
 def test_integralize_precondition():
