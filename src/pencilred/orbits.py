@@ -29,7 +29,7 @@ from .errors import (DivisorMeetsWeierstrass, InconsistentW, InvalidDatum,
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     parse_number)
 from .pencil import Pencil, integral, invariant_form
-from .roots import to_mpf
+from .roots import horner, man_exp
 
 
 @dataclass(frozen=True)
@@ -265,33 +265,39 @@ def datum_from_divisor(ds: DivisorSpec) -> OrbitDatum:
 def norm_of_one_formula(ds: DivisorSpec, precision=DEFAULT_PRECISION):
     """Root-sum formula for the covariant norm of the distinguished vector:
     sum |U(w,1)|/|f_x(w,1)| over roots inside the unit circle plus
-    sum |U(1,1/w)|/|f_y(1,1/w)| over the rest."""
+    sum |U(1,1/w)|/|f_y(1,1/w)| over the rest.
+
+    The certified roots are exact dyadics w = (x + iy)/2^s, so U, f_x and
+    f_y are evaluated there exactly, by Gaussian-integer Horner on their
+    integer coefficients (`roots.horner`).  Outside the circle the terms
+    use U(1,1/w) = w^-m·U(w,1) and f_y(1,1/w) = w^-(n-1)·f_y(w,1), m the
+    degree of U: the same quantity at the same point.  Each squared term
+    is then a quotient of integers, times 2^(2sk) inside and |x + iy|^(2k)
+    outside, k = n - 1 - m, and costs one square root."""
     f = ds.f
     if f.coeffs[0] == 0:
         raise PreconditionError("f0 must be nonzero")
     rs = complex_roots(f, precision)
-    fx = f.partial_x()
-    fy = f.partial_y()
+    du, (U,) = linalg.clear_denominators([ds.U.coeffs])
+    df, (fx, fy) = linalg.clear_denominators(
+        [f.partial_x().coeffs, f.partial_y().coeffs])
+    k = f.degree - 1 - ds.U.degree
     with mp.workprec(precision + 32):
         total = mp.mpf(0)
         for e in rs.entries:
-            if not e.outside:
-                w = e.value
-                total += abs(_eval_mp(ds.U, w, 1)) / abs(_eval_mp(fx, w, 1))
+            (x, ex), (y, ey) = man_exp(e.value.real), man_exp(e.value.imag)
+            s = max(0, -ex, -ey)
+            x, y = x << ex + s, y << ey + s
+            ur, ui = horner(U, x, y, s, exact=True)[:2]
+            dr, di = horner(fy if e.outside else fx, x, y, s, exact=True)[:2]
+            num, den = ur * ur + ui * ui, dr * dr + di * di
+            if e.outside:
+                r2 = x * x + y * y
+                num, den = num * r2 ** max(0, k), den * r2 ** max(0, -k)
             else:
-                winv = mp.mpc(0) if e.at_infinity else 1 / e.value
-                total += abs(_eval_mp(ds.U, 1, winv)) / abs(_eval_mp(fy, 1, winv))
-        return mp.mpf(total)
-
-
-def _eval_mp(form: BinaryForm, x, y):
-    n = form.degree
-    acc = mp.mpc(0)
-    x = mp.mpc(x)
-    y = mp.mpc(y)
-    for i, c in enumerate(form.coeffs):
-        acc += to_mpf(c) * x ** (n - i) * y ** i
-    return acc
+                num, den = num << max(0, 2 * s * k), den << max(0, -2 * s * k)
+            total += mp.sqrt(mp.mpf(num) / den)
+        return mp.mpf(total * df / du)
 
 
 # ----------------------------------------------------------------------------
@@ -474,13 +480,23 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
 
     Best-effort: a shrink-to-integral pass followed by a best-first search
     over index-p overlattices (and index-p sublattices when the covolume
-    drops below 1).  A state is a lattice (d, H), the row span of H/d with
-    H in row HNF, so its covolume is prod H_ii / d^n.  With the pencil
-    written as (A/a, B/a) over one common denominator a, the Grams of a
-    state are H·A·Hᵀ and H·B·Hᵀ over a·d^2; only the seeds compute them
-    so.  Every other state is pushed as an upper-triangular basis with a
-    positive diagonal, built from its parent's H, with its Grams in that
-    basis built from its parent's Grams:
+    drops below 1), one prime at a time: a state is expanded only at the
+    smallest prime q of its covolume's numerator (below covolume 1, of its
+    denominator), so it finishes prime 2 before it touches prime 3 and the
+    search costs a sum over the primes, not a product.  This loses no
+    solution: an index-q move leaves L ⊗ Z_l unchanged for every prime
+    l != q, so integrality at l and the l-adic valuation of the covolume do
+    not depend on the q-moves, and whether the search can finish at l does
+    not depend on the solution it took at q (a lattice is the intersection
+    of its completions; Cohen, GTM 138, 2.4).
+
+    A state is a lattice (d, H), the row span of H/d with H in row HNF, so
+    its covolume is prod H_ii / d^n.  With the pencil written as (A/a, B/a)
+    over one common denominator a, the Grams of a state are H·A·Hᵀ and
+    H·B·Hᵀ over a·d^2; only the seeds compute them so.  Every other state
+    is pushed as an upper-triangular basis with a positive diagonal, built
+    from its parent's H, with its Grams in that basis built from its
+    parent's Grams:
     - an overlattice by the line x mod q, scaled to x' with x'_c = 1 at
       its first nonzero coordinate c, has the basis C·H over d·q, C = q·I
       with row c replaced by x' (the HNF of qZ^n + Zx), and the parent's
@@ -556,15 +572,17 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         explored += 1
         if covol == 1:
             return _finish(p, d, H, GA, GB)
-        if covol > 1:
+        # one prime at a time: the smallest prime of the covolume
+        grow = covol > 1
+        q = min(_primes(covol.numerator if grow else covol.denominator,
+                        known))
+        if grow:
             # x != 0 mod q, so each overlattice has index exactly q
-            for q in _primes(covol.numerator, known):
-                for child in _grow_candidates(H, GA, GB, q):
-                    push(covol / q, d * q, *child)
+            for child in _grow_candidates(H, GA, GB, q):
+                push(covol / q, d * q, *child)
         else:
-            for q in _primes(covol.denominator, known):
-                for child in _sublattice_candidates(H, GA, GB, q):
-                    push(covol * q, d, *child)
+            for child in _sublattice_candidates(H, GA, GB, q):
+                push(covol * q, d, *child)
     raise NotFound("no integral representative within the search budget")
 
 

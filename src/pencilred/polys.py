@@ -185,9 +185,11 @@ def pm_factor(f, p, rng=None):
     """Factor a squarefree f mod p (p odd) into monic irreducibles, sorted
     by (degree, coefficients).  Zassenhaus's split (Cohen, GTM 138, 3.4):
     a random g in Berlekamp's space `pm_fixed_space` is a constant c_i mod
-    each factor, and gcd(h, g^((p-1)/2) - 1) keeps the factors of h whose
-    c_i is a nonzero square.  Rounds repeat until there are as many factors
-    as the space has dimensions; rng changes only the work, not the result.
+    each factor, so each h splits three ways: gcd(h, g) keeps the factors
+    with c_i = 0, gcd(h, g^((p-1)/2) - 1) those with c_i a nonzero square,
+    and the cofactor the rest.  Rounds repeat until there are as many
+    factors as the space has dimensions; rng changes only the work, not
+    the result.
     """
     if rng is None:
         rng = random.Random(0xC0FFEE)
@@ -205,11 +207,9 @@ def pm_factor(f, p, rng=None):
         G = pm_sub(pm_powmod(g, (p - 1) // 2, f, p), [1], p)
         split = []
         for h in factors:
-            d = pm_gcd(h, G, p)
-            if 1 < len(d) < len(h):
-                split += [d, pm_divmod(h, d, p)[0]]
-            else:
-                split.append(h)
+            zero, square = pm_gcd(h, g, p), pm_gcd(h, G, p)
+            rest = pm_divmod(h, pm_mul(zero, square, p), p)[0]
+            split += [d for d in (zero, square, rest) if len(d) > 1]
         factors = split
     factors.sort(key=lambda g: (len(g), g))
     return factors

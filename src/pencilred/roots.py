@@ -114,7 +114,7 @@ def _seeds(c):
     return out
 
 
-def _horner(c, x, y, s, exact=False):
+def horner(c, x, y, s, exact=False):
     """(p, p') at z = (x + iy)/2^s as Gaussian integers (re, im, re, im),
     exact and scaled by 2^(sn), 2^(s(n-1)), or truncated at the point 2^s."""
     t = 0 if exact else s
@@ -139,7 +139,7 @@ def _polish(c, zs, s):
     for _ in range(_SWEEPS):
         done = True
         for i, (x, y) in enumerate(zs):
-            pr, pi, dr, di = _horner(c, x, y, s)
+            pr, pi, dr, di = horner(c, x, y, s)
             if not (dr or di):
                 continue
             nr, ni = _gdiv(pr, pi, dr, di, s)            # p / p'
@@ -176,7 +176,7 @@ def _certify(c, zs, s, precision):
         return None
     pts = []
     for x, y in sorted(upper, key=lambda z: -z[1]) + real:
-        pr, pi, dr, di = _horner(c, x, y, s, exact=True)
+        pr, pi, dr, di = horner(c, x, y, s, exact=True)
         if not (dr or di):
             return None
         q = -(-n * n * (pr * pr + pi * pi) // (dr * dr + di * di))

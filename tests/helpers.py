@@ -118,6 +118,29 @@ def orbit_pencil_reference(d):
     return pr.Pencil(n, matrix(0), matrix(1))
 
 
+def norm_of_one_reference(ds, precision):
+    """The root-sum formula of `norm_of_one_formula` in mpc arithmetic: U
+    and f_x at each certified root w inside the unit circle, U and f_y at
+    (1, 1/w) outside, each form summed term by term at precision + 32."""
+    def value(form, x, y):
+        n = form.degree
+        x, y = mp.mpc(x), mp.mpc(y)
+        return sum(mp.mpf(Fraction(c).numerator) / Fraction(c).denominator
+                   * x ** (n - i) * y ** i for i, c in enumerate(form.coeffs))
+
+    f = ds.f
+    fx, fy = f.partial_x(), f.partial_y()
+    with mp.workprec(precision + 32):
+        total = mp.mpf(0)
+        for e in pr.complex_roots(f, precision).entries:
+            w = e.value
+            if e.outside:
+                total += abs(value(ds.U, 1, 1 / w)) / abs(value(fy, 1, 1 / w))
+            else:
+                total += abs(value(ds.U, w, 1)) / abs(value(fx, w, 1))
+        return +total
+
+
 def rand_point_divisor(rng, coef=6, beta_max=5, f0_choices=(1, 1, 1, 2)):
     """Quartic with a planted rational point (a : 1 : beta); U = x - a*y."""
     while True:
@@ -829,7 +852,9 @@ def _grow_candidates_reference(H, GA, GB, p):
 def integralize_reference(p, max_states=8000):
     """orbits.integralize as an eager search, the reference for its order:
     every state is scored (Grams and all) when it is pushed, keys come from
-    row_hnf_reference, and the overlattice step also tries the shift.
+    row_hnf_reference, and the overlattice step also tries the shift.  Like
+    the search, it expands a state only at the smallest prime of its
+    covolume.
     Returns the IntegralizeResult, or raises NotFound at the same budget."""
     n = p.n
     a = common_denominator(p.A + p.B)
@@ -870,13 +895,13 @@ def integralize_reference(p, max_states=8000):
         explored += 1
         if covol == 1:
             return orbits._finish(p, d, H, GA, GB)
+        # only the smallest prime of the covolume, as in the search
+        q = min(orbits._primes(covol.numerator if covol > 1
+                               else covol.denominator, known))
         if covol > 1:
-            for q in orbits._primes(covol.numerator, known):
-                for M in _grow_candidates_reference(H, GA, GB, q):
-                    push(d * q, M)
+            for M in _grow_candidates_reference(H, GA, GB, q):
+                push(d * q, M)
         else:
-            for q in orbits._primes(covol.denominator, known):
-                for lam in orbits._fp_lines(linalg.identity_matrix(n), q):
-                    push(d, linalg.mat_mul(
-                        linalg.kernel_mod([lam], q, {q: 1}), H))
+            for lam in orbits._fp_lines(linalg.identity_matrix(n), q):
+                push(d, linalg.mat_mul(linalg.kernel_mod([lam], q, {q: 1}), H))
     raise pr.NotFound("no integral representative within the search budget")

@@ -18,7 +18,8 @@ import pencilred as pr
 from pencilred import linalg, orbits, polys
 from helpers import (A0, B0, _grow_candidates_reference, form_mul,
                      integralize_reference, kernel_mod_reference,
-                     mp_matrix_of, orbit_pencil_reference, rand_monic_form,
+                     mp_matrix_of, norm_of_one_reference,
+                     orbit_pencil_reference, rand_monic_form,
                      rand_pencil, rand_point_divisor, rand_symmetric,
                      rand_unimodular, rand_valid_datum, row_hnf_reference,
                      scaled_pencil)
@@ -580,6 +581,30 @@ def test_integralize_keys_lattices_at_first_pop(monkeypatch):
     assert saved > 0 and grown > 0
 
 
+def test_integralize_two_primes_one_at_a_time():
+    """The orbit pencil of f = (4, 3, 0, 1, 9), U = x, w = 3 has Gram
+    denominators 2^12 and 3: its search meets two primes.  Expanding each
+    state only at the smallest prime of its covolume finishes prime 2
+    before it touches prime 3, and finds an integral pencil in 18 states
+    (searching the product of the two local state spaces took 750).  The
+    result is checked without reference to the order: act(g, p) is the
+    returned pencil exactly, |det g| = 1 and the form is unchanged."""
+    ds = pr.DivisorSpec(pr.BinaryForm(4, (4, 3, 0, 1, 9)),
+                        pr.BinaryForm(1, (1, 0)), Fraction(3))
+    p = pr.pencil_from_datum(pr.datum_from_divisor(ds))[0]
+    assert {q for M in (p.A, p.B) for row in M for x in row
+            for q in (2, 3) if Fraction(x).denominator % q == 0} == {2, 3}
+    res = pr.integralize(p, max_states=50)
+    R = res.pencil
+    assert R.is_integral
+    g = sympy.Matrix(res.transform)
+    assert abs(g.det()) == 1
+    U = [[Fraction(int(x.p), int(x.q)) for x in row]
+         for row in g.inv().T.tolist()]
+    assert (linalg.gram(U, p.A), linalg.gram(U, p.B)) == (R.A, R.B)
+    assert pr.invariant_form(R) == pr.invariant_form(p)
+
+
 def test_integralize_unfactorable_denominator():
     # a = 1000003^2 has no prime below 10^6: NotFound, not a ValueError
     with pytest.raises(pr.NotFound):
@@ -825,6 +850,34 @@ def test_norm_of_one_boundary_consistency():
             t1b = abs(U(w, 1)) / abs(fx(w, 1))
             assert abs(t1 - t1b) < 1e-40
             assert abs(t1b - t2) < 1e-40
+
+
+def test_norm_of_one_exact_root_sum_matches_mpc_reference():
+    """The exact root sum agrees with the mpc evaluation of the same terms
+    to 2^-(precision - 8) relative: on a U with Fraction coefficients
+    (denominators cleared and divided back out), at n = 6 with m = 3, on
+    x^4 + y^4 (every root on the unit circle), on forms with f_n = 0 (a
+    root at 0, with roots on both sides) and on planted-point quartics."""
+    rng = random.Random(63)
+    B = pr.BinaryForm
+    cases = [pr.DivisorSpec(X4_3Y4, B(1, (Fraction(1, 3), Fraction(-2, 5))),
+                            Fraction(7)),
+             pr.DivisorSpec(B(6, (2, -1, 0, 3, 1, -4, 5)),
+                            B(3, (1, Fraction(-1, 2), 3, 2)), Fraction(1, 3)),
+             pr.DivisorSpec(X4Y4, B(1, (1, 0)), Fraction(1)),
+             pr.DivisorSpec(X4Y4, B(1, (3, -2)), Fraction(1)),
+             pr.DivisorSpec(B(4, (2, 0, 0, 3, 0)), B(1, (1, -1)), Fraction(1)),
+             pr.DivisorSpec(B(4, (1, 0, 0, 1, 0)), B(1, (0, 1)), Fraction(2))]
+    cases += [rand_point_divisor(rng) for _ in range(8)]
+    assert any(e.value == 0 for e in pr.complex_roots(cases[4].f).entries)
+    for ds in cases:
+        assert pr.discriminant(ds.f) != 0
+        for precision in (96, 160):
+            got = pr.norm_of_one_formula(ds, precision)
+            want = norm_of_one_reference(ds, precision)
+            with mp.workprec(precision + 32):
+                tol = abs(want) * mp.mpf(2) ** (8 - precision)
+                assert abs(got - want) <= tol
 
 
 def test_orbit_json_roundtrip():
