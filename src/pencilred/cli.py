@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import mpmath as mp
@@ -147,11 +148,13 @@ def cmd_height_check(args):
 
 
 def cmd_sample(args):
-    batch = sample_pencils(args.n, args.box_bound, args.count, args.seed,
-                           args.precision)
     eps_list = [float(e) for e in args.eps_list.split(",")] if args.eps_list \
         else [0.8, 0.4, 0.2, 0.1, 0.05]
+    if not all(0 < e < math.inf for e in eps_list):
+        raise RangeError("--eps-list values must be positive and finite")
     eps_list = sorted(eps_list, reverse=True)
+    batch = sample_pencils(args.n, args.box_bound, args.count, args.seed,
+                           args.precision)
     freq = small_vector_frequency(batch, eps_list)
     hist = component_histogram(batch)
     payload = {"metadata": {"n": args.n, "box_bound": args.box_bound,

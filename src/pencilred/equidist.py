@@ -8,6 +8,7 @@ splitmix64(s XOR golden*i), so any item can be regenerated from (seed, index)
 alone, without drawing the items before it.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -147,10 +148,10 @@ def density_trend(n, delta, X_list, samples_per_X, seed):
             continue
         hits = 0
         fp = FamilyParams(X, delta)
+        bound = math.ceil(X) - 1    # the largest height below X
         for idx in range(samples_per_X):
             rng = item_rng(seed ^ (0xD1CE + xi), idx)
-            coeffs = [rng.randint(-(int(X) - 1), int(X) - 1)
-                      for _ in range(n + 1)]
+            coeffs = [rng.randint(-bound, bound) for _ in range(n + 1)]
             f = BinaryForm(n, tuple(coeffs))
             if family_membership(f, fp, precision=96):
                 hits += 1

@@ -17,7 +17,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from operator import mul
 
@@ -428,8 +427,8 @@ def _primes(m, known):
 def _grow_candidates(H, GA, GB, p):
     """Index-p overlattices L + (1/p)·x·H keeping both forms integral, for
     L = (row span of H)/d with integral Grams GA, GB, each as (B, grams):
-    B = C·H is a basis of the overlattice times d·p and grams() returns its
-    two Grams over a·(d·p)^2.
+    B = C·H is a basis of the overlattice times d·p and grams its two
+    Grams over a·(d·p)^2.
 
     x must pair into pZ with the whole lattice (x in the kernel of both
     Grams mod p) and have both self-pairings divisible by p^2.  No other
@@ -459,19 +458,19 @@ def _grow_candidates(H, GA, GB, p):
         else:
             B = list(pH)
             B[c] = linalg.mat_vec(Ht, x)
-            out.append((B, partial(_replace_row_and_column, (GA, GB), c,
-                                   cols, diags)))
+            out.append((B, _replace_row_and_column((GA, GB), c, cols,
+                                                   diags)))
     return out
 
 
 def _sublattice_candidates(H, GA, GB, p):
     """Index-p sublattices K·H of the row span of H, K the HNF kernel of a
     line mod p, so K·H is upper triangular with a positive diagonal, each
-    as (K·H, grams) with grams() its Grams K·G·Kᵀ."""
+    as (K·H, grams) with grams its Grams K·G·Kᵀ."""
     out = []
     for lam in _fp_lines(linalg.identity_matrix(len(H)), p):
         K = linalg.kernel_mod([lam], p, {p: 1})
-        out.append((linalg.mat_mul(K, H), partial(_grams_of, K, (GA, GB), 1)))
+        out.append((linalg.mat_mul(K, H), _grams_of(K, (GA, GB), 1)))
     return out
 
 
@@ -506,15 +505,15 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
       replacement, one G·x' per form;
     - a sublattice K·H (K the HNF kernel of a line mod q) has the Grams
       K·G·Kᵀ.
-    When a state first reaches the top of the heap, its basis is reduced
-    to HNF by unit upper-triangular row operations and its key checked
-    against the states seen, before any Gram work (`_lattice_key`); only
-    a new state gets its Grams, by mirroring each row operation on both
-    Grams as a congruence (`_congruence`).  A state that is pushed but
-    never explored costs its candidate test and its covolume, its parent's
-    times or over the index q.  Every lattice on the heap pairs integrally
-    under both forms: the seeds are shrunk to integral, an overlattice is
-    kept only if both forms stay integral and a sublattice inherits it.
+    When a state is pushed, its basis is reduced to HNF by unit
+    upper-triangular row operations and its key checked against the states
+    seen (`_lattice_key`); a repeat is dropped there.  A new state mirrors
+    each row operation on both Grams as a congruence (`_congruence`), reads
+    its covolume off the key and enters the heap once, ordered by
+    (|log covol|, log of its largest Gram entry, push order).  Every lattice
+    on the heap pairs integrally under both forms: the seeds are shrunk to
+    integral, an overlattice is kept only if both forms stay integral and a
+    sublattice inherits it.
     Raises NotFound once the state budget is exhausted, or when a
     denominator or covolume cannot be factored by trial division; that is
     not a disproof.
@@ -532,43 +531,30 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
     seen = set()
     known = set()
     heap = []
-    counter = 0
 
-    # An entry is (|log covol|, 0, 0, counter, covol, (d, B, grams)) until
-    # it first reaches the top, then, keyed and unless a repeat,
-    # (|log covol|, 1, log size, counter, covol, key, GA, GB): evaluated
-    # entries still leave in (|log covol|, log size, counter) order, as
-    # every entry with a smaller primary is evaluated first, and a repeat
-    # (same covol, later counter) reaches the top after its first copy.
-    def push(covol, d, B, grams):
-        nonlocal counter
-        primary = abs(math.log(covol.numerator) - math.log(covol.denominator))
-        heapq.heappush(heap, (primary, 0, 0, counter, covol, (d, B, grams)))
-        counter += 1
+    def push(d, B, grams):
+        key, ops = _lattice_key(d, B)
+        if key in seen:
+            return
+        seen.add(key)
+        GA, GB = (_congruence(G, ops) for G in grams)
+        d, H = key
+        covol = Fraction(math.prod(H[i][i] for i in range(n)), d ** n)
+        # prefer a covolume near 1, then small Gram entries (more reduced),
+        # then the earlier push (len(seen) counts them)
+        size = max(1, *(max(map(abs, row)) for G in (GA, GB) for row in G))
+        heapq.heappush(heap, (
+            abs(math.log(covol.numerator) - math.log(covol.denominator)),
+            math.log(size), len(seen), covol, key, GA, GB))
 
     # seeds: the integral hull of Z^n and of its q-refinements, in HNF, with
     # the Grams K·A·Kᵀ and K·B·Kᵀ over a·q^2
     for q in [1, *_primes(a, known)]:
         K = _shrink_to_integral((A, B), a * q * q, known)
-        push(Fraction(math.prod(K[i][i] for i in range(n)), q ** n), q, K,
-             partial(_grams_of, K, (A, B), a * q * q))
+        push(q, K, _grams_of(K, (A, B), a * q * q))
     explored = 0
     while heap and explored < max_states:
-        primary, evaluated, _, count, covol, *state = heapq.heappop(heap)
-        if not evaluated:
-            d, basis, grams = state[0]
-            key, ops = _lattice_key(d, basis)
-            if key in seen:
-                continue
-            seen.add(key)
-            GA, GB = (_congruence(G, ops) for G in grams())
-            # then prefer small Gram entries (more reduced states)
-            size = max(1, *(max(map(abs, row)) for G in (GA, GB)
-                            for row in G))
-            heapq.heappush(heap, (primary, 1, math.log(size), count, covol,
-                                  key, GA, GB))
-            continue
-        (d, H), GA, GB = state
+        *_, covol, (d, H), GA, GB = heapq.heappop(heap)
         explored += 1
         if covol == 1:
             return _finish(p, d, H, GA, GB)
@@ -579,10 +565,10 @@ def integralize(p: Pencil, max_states=8000) -> IntegralizeResult:
         if grow:
             # x != 0 mod q, so each overlattice has index exactly q
             for child in _grow_candidates(H, GA, GB, q):
-                push(covol / q, d * q, *child)
+                push(d * q, *child)
         else:
             for child in _sublattice_candidates(H, GA, GB, q):
-                push(covol * q, d, *child)
+                push(d, *child)
     raise NotFound("no integral representative within the search budget")
 
 

@@ -178,6 +178,21 @@ def test_sample_csv_and_json():
     assert len(out["small_vector_frequency"]) == 2
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "1e400", "0", "-1",
+                                 "0.5,nan"])
+def test_sample_rejects_eps_not_finite_and_positive(eps, monkeypatch,
+                                                    capsys):
+    """An eps that is not finite and > 0 is a RangeError (exit 2, JSON error
+    object), raised before any pencil is sampled: a NaN or infinite eps
+    would be written as NaN or Infinity, which is not JSON."""
+    sampled = []
+    monkeypatch.setattr(cli, "sample_pencils",
+                        lambda *args: sampled.append(args))
+    assert cli.main(["sample", "--count", "2", "--eps-list=" + eps]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "RangeError" and not sampled
+
+
 def test_density_command():
     res = run_cli("density", "--n", "4", "--delta", "0.3",
                   "--cutoff-X-list", "10,100", "--count", "25", "--seed", "4")

@@ -78,6 +78,23 @@ def test_density_trend():
     assert pr.density_trend(4, 0.3, [10], 0, seed=1) == []
 
 
+def test_density_trend_draws_every_height_below_X(monkeypatch):
+    """At a cutoff X the coefficients reach ceil(X) - 1, the largest height
+    below X: X = 10.5 draws forms of height 10.  For 0 < X < 1 the only
+    such form is 0, which fails the filter."""
+    heights = []
+    membership = pencilred.equidist.family_membership
+    monkeypatch.setattr(pencilred.equidist, "family_membership",
+                        lambda f, fp, precision: heights.append(
+                            pencilred.forms.height(f))
+                        or membership(f, fp, precision))
+    pr.density_trend(4, 0.3, [10.5], 60, seed=12)
+    assert max(heights) == 10
+    heights.clear()
+    assert pr.density_trend(4, 0.3, [0.5], 3, seed=12) == [(0.5, 0.0, 3)]
+    assert heights == [0, 0, 0]
+
+
 def test_density_delta_zero_edge():
     strict = pr.density_trend(4, 0.0, [30], 60, seed=13)
     loose = pr.density_trend(4, 0.5, [30], 60, seed=13)

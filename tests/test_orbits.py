@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import pencilred as pr
 from pencilred import linalg, orbits, polys
+import helpers
 from helpers import (A0, B0, _grow_candidates_reference, form_mul,
                      integralize_reference, kernel_mod_reference,
                      mp_matrix_of, norm_of_one_reference,
@@ -531,54 +532,80 @@ def test_integralize_factors_each_modulus_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-def test_integralize_keys_lattices_at_first_pop(monkeypatch):
-    """A pushed lattice is keyed (HNF and repeat check) only when it first
-    reaches the top of the heap: _lattice_key runs once per first pop, and
-    on some searches fewer times than there are pushes.  An overlattice
-    child's Grams come from its parent's, so linalg.gram runs only for the
-    seeds, the states pushed before the first pop (and for sublattice
-    children, of which these searches have none)."""
-    keys, grams, sublattices = [], [], []
+def test_integralize_keys_each_lattice_when_pushed(monkeypatch):
+    """A lattice is keyed (HNF and repeat check) once, when it is pushed:
+    _lattice_key runs once per seed and per candidate child, each heap
+    entry carries the key computed just before it, and no key enters the
+    heap twice, so a repeat is dropped before it reaches the heap (on some
+    searches there are repeats).  A child's Grams come from its parent's,
+    so linalg.gram runs only for the seeds (and for sublattice children,
+    of which these searches have none)."""
+    events, grams, children, sublattices = [], [], [], []
     lattice_key = orbits._lattice_key
-    monkeypatch.setattr(orbits, "_lattice_key",
-                        lambda *args: keys.append(args) or lattice_key(*args))
+
+    def keying(*args):
+        out = lattice_key(*args)
+        events.append(("key", out[0]))
+        return out
+
+    monkeypatch.setattr(orbits, "_lattice_key", keying)
     gram = linalg.gram
     monkeypatch.setattr(linalg, "gram",
                         lambda *args: grams.append(args) or gram(*args))
+    grow_candidates = orbits._grow_candidates
+
+    def growing(*args):
+        out = grow_candidates(*args)
+        children.extend(out)
+        return out
+
+    monkeypatch.setattr(orbits, "_grow_candidates", growing)
     sublattice_candidates = orbits._sublattice_candidates
     monkeypatch.setattr(orbits, "_sublattice_candidates",
                         lambda *args: sublattices.append(args)
                         or sublattice_candidates(*args))
-    pushes, first_pops, seeds = [], [], []
 
     def heappush(heap, entry):
-        pushes.append(entry[1] == 0)
-        if not first_pops:
-            seeds.append(entry)
+        events.append(("push", entry[4]))
         heapq.heappush(heap, entry)
 
     def heappop(heap):
-        entry = heapq.heappop(heap)
-        first_pops.append(entry[1] == 0)
-        return entry
+        events.append(("pop", None))
+        return heapq.heappop(heap)
 
     monkeypatch.setattr(orbits, "heapq", SimpleNamespace(
         heappush=heappush, heappop=heappop))
     rng = random.Random(60)
-    saved = grown = 0
+    dropped = grown = 0
     for _ in range(12):
         p = pr.pencil_from_datum(pr.datum_from_divisor(
             rand_point_divisor(rng)))[0]
-        for counts in (keys, grams, sublattices, pushes, first_pops, seeds):
+        for counts in (events, grams, children, sublattices):
             counts.clear()
         pr.integralize(p)
-        assert len(keys) == sum(first_pops)
-        assert len(keys) <= sum(pushes)
-        saved = max(saved, sum(pushes) - len(keys))
+        keys = [k for e, k in events if e == "key"]
+        pushed = [k for e, k in events if e == "push"]
+        first_pop = (events + [("pop", None)]).index(("pop", None))
+        seeds = sum(e == "key" for e, _ in events[:first_pop])
+        assert len(keys) == seeds + len(children)
+        for i, (e, k) in enumerate(events):
+            if e == "push":
+                assert events[i - 1] == ("key", k)
+            elif e == "key" and events[i + 1:i + 2] != [("push", k)]:
+                assert ("push", k) in events[:i]    # a dropped repeat
+        assert len(set(pushed)) == len(pushed)
         assert not sublattices
-        assert len(grams) <= 2 * len(seeds)
-        grown = max(grown, len(keys) - len(seeds))
-    assert saved > 0 and grown > 0
+        assert len(grams) <= 2 * seeds
+        dropped = max(dropped, len(keys) - len(pushed))
+        grown = max(grown, len(keys) - seeds)
+    assert dropped > 0 and grown > 0
+
+
+def _two_primes_pencil():
+    """The orbit pencil of f = (4, 3, 0, 1, 9), U = x, w = 3."""
+    ds = pr.DivisorSpec(pr.BinaryForm(4, (4, 3, 0, 1, 9)),
+                        pr.BinaryForm(1, (1, 0)), Fraction(3))
+    return pr.pencil_from_datum(pr.datum_from_divisor(ds))[0]
 
 
 def test_integralize_two_primes_one_at_a_time():
@@ -589,9 +616,7 @@ def test_integralize_two_primes_one_at_a_time():
     (searching the product of the two local state spaces took 750).  The
     result is checked without reference to the order: act(g, p) is the
     returned pencil exactly, |det g| = 1 and the form is unchanged."""
-    ds = pr.DivisorSpec(pr.BinaryForm(4, (4, 3, 0, 1, 9)),
-                        pr.BinaryForm(1, (1, 0)), Fraction(3))
-    p = pr.pencil_from_datum(pr.datum_from_divisor(ds))[0]
+    p = _two_primes_pencil()
     assert {q for M in (p.A, p.B) for row in M for x in row
             for q in (2, 3) if Fraction(x).denominator % q == 0} == {2, 3}
     res = pr.integralize(p, max_states=50)
@@ -619,11 +644,9 @@ def _search_outcome(search, p, budget):
     return res.pencil, res.transform
 
 
-def test_integralize_matches_eager_reference():
-    """Grams computed when a state first reaches the top of the heap, and
-    keys from the insertion HNF, explore the states of the eager search in
-    the same order: the same (pencil, transform), and the same NotFound at
-    every budget."""
+def _eager_reference_pencils():
+    """100 non-integral orbit pencils of rational points, 8 of degree-6
+    data and 4 scaled pencils, seeded."""
     rng = random.Random(58)
     pencils = []
     while len(pencils) < 100:
@@ -634,8 +657,16 @@ def test_integralize_matches_eager_reference():
     pencils += [pr.pencil_from_datum(rand_valid_datum(
         rng, rand_monic_form(rng, 6, 3), 1))[0] for _ in range(8)]
     pencils += [scaled_pencil(rand_pencil(rng, 6), s) for s in (2, 3, 4, 6)]
+    return pencils
+
+
+def test_integralize_matches_eager_reference():
+    """Keys and Grams computed when a state is pushed, from its parent's
+    HNF and Grams, explore the states of the eager search in the same
+    order: the same (pencil, transform), and the same NotFound at every
+    budget."""
     outcomes = set()
-    for p in pencils:
+    for p in _eager_reference_pencils():
         assert not p.is_integral
         for budget in (1, 2, 3, 5, 8, 400):
             got = _search_outcome(pr.integralize, p, budget)
@@ -749,7 +780,7 @@ def test_child_key_and_grams_from_parent():
         assert len(got) == len(want)
         for (basis, grams), rows in zip(got, want):
             key, ops = orbits._lattice_key(d * q, basis)
-            assert (key, [orbits._congruence(G, ops) for G in grams()]) \
+            assert (key, [orbits._congruence(G, ops) for G in grams]) \
                 == _reference_state(d * q, rows, a, A, B)
             overlattices += 1
             reduced += bool(ops)
@@ -758,7 +789,7 @@ def test_child_key_and_grams_from_parent():
                 orbits._sublattice_candidates(H, GA, GB, q)):
             rows = linalg.mat_mul(kernel_mod_reference([lam], q, {q: 1}), H)
             key, ops = orbits._lattice_key(d, basis)
-            assert (key, [orbits._congruence(G, ops) for G in grams()]) \
+            assert (key, [orbits._congruence(G, ops) for G in grams]) \
                 == _reference_state(d, rows, a, A, B)
     assert overlattices > 200 and reduced > 30
 
@@ -767,6 +798,14 @@ def _scaled(p, c):
     """c·(A, B)."""
     return pr.Pencil(p.n, *(tuple(tuple(c * x for x in row) for row in M)
                             for M in (p.A, p.B)))
+
+
+def _sublattice_pencils():
+    """c·S·(A, B)·S with c = 8 or 27: searches that reach covolume < 1."""
+    rng = random.Random(62)
+    return [scaled_pencil(_scaled(P0, 8), 4),
+            scaled_pencil(_scaled(P0, 27), 9),
+            scaled_pencil(_scaled(rand_pencil(rng, 6), 8), 12)]
 
 
 def test_integralize_sublattice_branch_matches_eager_reference(monkeypatch):
@@ -780,11 +819,7 @@ def test_integralize_sublattice_branch_matches_eager_reference(monkeypatch):
     monkeypatch.setattr(orbits, "_sublattice_candidates",
                         lambda *args: sublattices.append(args)
                         or sublattice_candidates(*args))
-    rng = random.Random(62)
-    pencils = [scaled_pencil(_scaled(P0, 8), 4),
-               scaled_pencil(_scaled(P0, 27), 9),
-               scaled_pencil(_scaled(rand_pencil(rng, 6), 8), 12)]
-    for p in pencils:
+    for p in _sublattice_pencils():
         sublattices.clear()
         assert not p.is_integral
         outcomes = set()
@@ -793,6 +828,33 @@ def test_integralize_sublattice_branch_matches_eager_reference(monkeypatch):
             assert got == _search_outcome(integralize_reference, p, budget)
             outcomes.add(got is None)
         assert sublattices and outcomes == {True, False}
+
+
+def test_integralize_explores_in_reference_order(monkeypatch):
+    """The search pops the states of the eager reference, keys (d, H), in
+    the same order, on the pencils of the three reference tests above:
+    the same sequence of explored states, not only the same outcome."""
+    popped = {}
+
+    def recording(name, key_at):
+        def heappop(heap):
+            entry = heapq.heappop(heap)
+            popped[name].append(entry[key_at])
+            return entry
+        return SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+
+    monkeypatch.setattr(orbits, "heapq", recording("search", 4))
+    monkeypatch.setattr(helpers, "heapq", recording("reference", 2))
+    pencils = [_two_primes_pencil(), *_eager_reference_pencils(),
+               *_sublattice_pencils()]
+    explored = 0
+    for p in pencils:
+        popped.update(search=[], reference=[])
+        got = _search_outcome(pr.integralize, p, 400)
+        assert got == _search_outcome(integralize_reference, p, 400)
+        assert popped["search"] == popped["reference"]
+        explored += len(popped["search"])
+    assert explored > 2 * len(pencils)
 
 
 def test_integralize_precondition():
