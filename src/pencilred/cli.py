@@ -80,6 +80,8 @@ def cmd_covariant(args):
 
 
 def cmd_reduce(args):
+    if not 0.25 < args.delta_lll < 1:
+        raise RangeError("--delta-lll must lie in (0.25, 1)")
     p = _read_input(args, Pencil.from_json_dict)
     res = lll_reduce(p, delta=args.delta_lll, precision=args.precision,
                      sl_normalize=args.sl_normalize)

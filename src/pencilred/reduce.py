@@ -1,16 +1,22 @@
 """Lattice reduction of pencils, short vectors, and Siegel coordinates.
 
 One integer Gram runs from the covariant to the shortest vector: H is
-M 2^e with M an integer matrix.  LLL runs exactly on its rationalization,
-the integer symmetric G over a power of two s that rounds M on the grid
+M 2^e with M an integer matrix.  LLL runs exactly on a rationalization of
+it, the integer symmetric G over a power of two s that rounds M on the grid
 2^-bits (relative to max |H_ij| when that is below 1); the unimodular
 change of basis is exact integers, so reducing a pencil never perturbs it.
-The rebased Gram U M U^T and v^T M v are exact integer products.  Every
-other lattice answer reads one `Lattice`, the state LLL ends in on
-`exact_gram(H)` (H rationalized at precision bits, at most 192): the basis
-U, G, s and the integral Gram-Schmidt data (d, lam) of U G U^T, so
-det(G / s) = d_n / s^n.  Short vectors come from Fincke-Pohst enumeration
-in integers on (d, lam).  Iwasawa coordinates follow the convention
+The rebased Gram U M U^T and v^T M v are exact integer products.
+`lll_reduce` reduces in low precision and certifies in exact arithmetic
+(Schnorr, J. Algorithms 1988; Nguyen-Stehle, SIAM J. Comput. 2009): a
+coarse LLL on H at 64 bits finds the basis, and LLL on `exact_gram` of H
+rebased into it (H rationalized at precision bits, at most 192) repeats
+until it leaves the basis alone.  So the basis is LLL-reduced for
+`exact_gram(gram_reduced)`, and that last pass ends in the `Lattice` every
+other lattice answer reads: the basis U, G, s and the integral
+Gram-Schmidt data (d, lam) of U G U^T, so det(G / s) = d_n / s^n.  The
+last few lattices are kept, so a Gram is reduced once for its answers.
+Short vectors come from Fincke-Pohst enumeration in integers on (d, lam).
+Iwasawa coordinates follow the convention
 H = (nu t)^-T (nu t)^-1 with nu unit upper triangular and t positive
 diagonal of product 1 (H rescaled to det 1), read off as
 t_i = d_n^(1/2n) sqrt(d_i / d_{i+1}) and nu = L^-T, with
@@ -26,6 +32,7 @@ bits and returned as exact dyadic mpf: the ratio within relative
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import mpmath as mp
@@ -40,6 +47,8 @@ from .roots import dyadic, man_exp, to_mpf
 
 # Covering Siegel constant sqrt(3)/2; the cusp estimates need c < 1.
 SIEGEL_C = 0.86602540378443864676
+# The widest rationalization `exact_gram` makes.
+_EXACT_BITS = 192
 # Bits beyond the working precision of each integer root of the lattice
 # scalars (`Lattice.ratio`, `Lattice.iwasawa_t`).
 _BITS = 36
@@ -69,7 +78,10 @@ def _nearest(a, b):
 
 def _round_even(m, k):
     """m / 2^k rounded to the nearest integer, ties to even."""
-    return m << -k if k <= 0 else _nearest(m, 1 << k)
+    if k <= 0:
+        return m << -k
+    q, r, half = m >> k, m & ((1 << k) - 1), 1 << k - 1
+    return q + (r > half or (r == half and q & 1))
 
 
 def _iroot(x, k):
@@ -175,9 +187,11 @@ class Lattice:
     def shortest(self):
         """(v, N): the canonical shortest nonzero vector, in the coordinates
         of G, and its norm N = v^T G v."""
-        norm, minima = _enumerate_minima(self.d, self.lam,
-                                         linalg.gram(self.U, self.G))
-        Ut = linalg.transpose(self.U)
+        U, G = self.U, self.G
+        # the Gram of the basis U, which LLL often leaves at the identity
+        Q = G if U == linalg.identity_matrix(len(U)) else linalg.gram(U, G)
+        norm, minima = _enumerate_minima(self.d, self.lam, Q)
+        Ut = linalg.transpose(U)
         return _canonical_minimizer(tuple(linalg.mat_vec(Ut, list(x)))
                                     for x in minima), norm
 
@@ -276,20 +290,45 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     """Reduce a nondegenerate integral pencil via LLL on its covariant.
 
     The returned g satisfies reduced = act(g, p) exactly; gram_reduced is the
-    covariant Gram in the new basis, LLL-reduced by construction.  With
-    sl_normalize the sign of the first basis vector is flipped if needed to
-    force det(g) = +1 (this preserves LLL-reducedness).  A degenerate pencil
-    raises DegeneratePencil from reduction_covariant.
+    covariant Gram H in the new basis.  A coarse LLL runs on H rationalized
+    at 64 bits, doubled up to precision while that Gram is not positive
+    definite.  Then LLL runs on `exact_gram` of H rebased into that basis
+    until it leaves the basis alone; its swaps and size reductions are
+    composed into the basis.  So U = g^-T is (delta, 1/2)-LLL-reduced for
+    `exact_gram(gram_reduced, precision)`, the Gram at min(precision, 192)
+    bits that shortest_vector, epsilon_small_test and cusp_membership read,
+    and with the default delta they reuse the lattice of that last pass.
+    With sl_normalize the sign of the first basis vector is flipped if
+    needed to force det(g) = +1 (this preserves LLL-reducedness).  A delta
+    outside (0.25, 1) raises RangeError before any work; a degenerate
+    pencil raises DegeneratePencil from reduction_covariant.
     """
+    if not 0.25 < delta < 1:
+        raise RangeError("delta must lie in (0.25, 1)")
     H = reduction_covariant(p, precision)
-    U = lll_gram(*rationalize_gram(H, precision), delta).U
+    bits = min(64, precision)
+    while True:
+        try:
+            U = lll_gram(*rationalize_gram(H, bits), delta).U
+            break
+        except ValueError:          # not positive definite at this width
+            if bits >= precision:
+                raise
+            bits = min(2 * bits, precision)
+    while True:
+        gram = rebase_gram(H, U)
+        V = _lattice(gram, precision, delta).U
+        if V == linalg.identity_matrix(p.n):
+            break
+        U = linalg.mat_mul(V, U)
     if sl_normalize and linalg.det_bareiss(U) == -1:
         U = [[-x for x in U[0]]] + [list(r) for r in U[1:]]
+        gram = rebase_gram(H, U)
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))
     g = UnimodularMatrix(p.n, tuple(tuple(r) for r in g_entries))
     # act(g, p) = (g^-T A g^-1, g^-T B g^-1) with g^-1 = U^T
     reduced = Pencil(p.n, linalg.gram(U, p.A), linalg.gram(U, p.B))
-    return ReductionResult(g, reduced, rebase_gram(H, U), g.det)
+    return ReductionResult(g, reduced, gram, g.det)
 
 
 def rebase_gram(H: GramMatrix, U) -> GramMatrix:
@@ -309,7 +348,23 @@ def exact_gram(H: GramMatrix, precision=DEFAULT_PRECISION):
     """(G, s): H rationalized at precision bits, at most 192, the exact Gram
     G / s behind shortest vectors, Iwasawa coordinates, the cusp test and
     the sampler."""
-    return rationalize_gram(H, min(precision, 192))
+    return rationalize_gram(H, min(precision, _EXACT_BITS))
+
+
+def _lattice(H: GramMatrix, precision, delta=0.99):
+    """The `Lattice` LLL ends in on `exact_gram(H, precision)`; callers
+    share it, so they read it and never change it."""
+    return _lll_at(H, min(precision, _EXACT_BITS), delta)
+
+
+@lru_cache(maxsize=8)
+def _lll_at(H, bits, delta):
+    """`_lattice` at a width, kept for the last few (H, bits, delta): the
+    lattice of `lll_reduce`'s exact pass is the one that shortest_vector,
+    epsilon_small_test and cusp_membership then read on its gram_reduced,
+    and a Gram asked twice is reduced once.  The memo is bounded, so the
+    lattices do not stay alive with the results that keep their Grams."""
+    return lll_gram(*rationalize_gram(H, bits), delta)
 
 
 def _enumerate_minima(d, lam, Q):
@@ -388,7 +443,7 @@ def shortest_vector(H: GramMatrix, precision=DEFAULT_PRECISION):
     """
     if H.n > 12:
         raise DimensionTooLarge("exact enumeration supports n <= 12")
-    v, _ = lll_gram(*exact_gram(H, precision)).shortest()
+    v, _ = _lattice(H, precision).shortest()
     return v, form_norm(H, v, precision)
 
 
@@ -396,7 +451,7 @@ def epsilon_small_test(H: GramMatrix, eps, precision=DEFAULT_PRECISION) -> bool:
     """True iff the shortest vector satisfies (v,v)^(1/2) < eps*det(H)^(1/2n)."""
     if H.n > 12:
         raise DimensionTooLarge("exact enumeration supports n <= 12")
-    lattice = lll_gram(*exact_gram(H, precision))
+    lattice = _lattice(H, precision)
     return bool(lattice.ratio(lattice.shortest()[1], precision) < mp.mpf(eps))
 
 
@@ -418,7 +473,7 @@ def cusp_membership(H: GramMatrix, eps, c=SIEGEL_C,
     verbatim.
     """
     n = H.n
-    lattice = lll_gram(*exact_gram(H, precision))
+    lattice = _lattice(H, precision)
     norm = lattice.shortest()[1] if n <= 12 else lattice.d[1]
     with mp.workprec(precision + 32):
         threshold = mp.mpf(eps) / mp.mpf(c) ** (n - 1)

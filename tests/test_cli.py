@@ -193,6 +193,19 @@ def test_sample_rejects_eps_not_finite_and_positive(eps, monkeypatch,
     assert err["type"] == "RangeError" and not sampled
 
 
+@pytest.mark.parametrize("delta", ["1.5", "0.25", "nan"])
+def test_reduce_rejects_delta_lll_outside_range(delta, monkeypatch, capsys):
+    """A --delta-lll outside (0.25, 1) is a RangeError (exit 2, JSON error
+    object), raised before the input is read or any covariant is built."""
+    work = []
+    monkeypatch.setattr(cli, "_read_input", lambda *args: work.append(args))
+    monkeypatch.setattr(cli, "lll_reduce", lambda *args, **kw: work.append(args))
+    assert cli.main(["reduce", "--delta-lll", delta,
+                     "--input-json", json.dumps(WORKED_PENCIL)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "RangeError" and not work
+
+
 def test_density_command():
     res = run_cli("density", "--n", "4", "--delta", "0.3",
                   "--cutoff-X-list", "10,100", "--count", "25", "--seed", "4")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pencilred as pr
+import pencilred.reduce
 from pencilred.reduce import (Lattice, _enumerate_minima, _iroot, exact_gram,
                               form_norm, lll_gram, rationalize_gram,
                               rebase_gram)
@@ -73,12 +74,21 @@ def test_lll_reduce_reducedness_certified():
 
 
 def test_lll_reduce_sl_normalize():
+    """det g = +1, and a flipped first vector leaves the basis reduced for
+    the new gram_reduced, whose own lattice the lattice answers then read."""
     rng = random.Random(42)
+    flipped = 0
     for _ in range(10):
         p = rand_pencil(rng, 4, 3)
         res = pr.lll_reduce(p, precision=128, sl_normalize=True)
         assert res.det_g == 1
         assert res.reduced == pr.act(res.g, p)
+        flipped += pr.lll_reduce(p, precision=128).det_g == -1
+        G, _ = exact_gram(res.gram_reduced, 128)
+        assert is_reduced_oracle(pr.linalg.identity_matrix(4), G)
+        kept, fresh = _exact_pass_lattice(res.gram_reduced, 128)
+        assert kept == fresh
+    assert flipped
 
 
 def test_lll_reduce_reduced_is_act():
@@ -100,6 +110,117 @@ def test_lll_reduce_rejects_degenerate():
     for p in (pr.Pencil(4, I4, I4), pr.Pencil(4, Z, DIAG_B[:3] + Z[3:])):
         with pytest.raises(pr.DegeneratePencil):
             pr.lll_reduce(p)
+
+
+@pytest.mark.parametrize("delta", [1.5, 0.25, float("nan")])
+def test_lll_reduce_rejects_bad_delta_before_covariant(delta, monkeypatch):
+    """A delta outside (0.25, 1) is a RangeError, raised before the
+    covariant is built."""
+    built = []
+    monkeypatch.setattr(pencilred.reduce, "reduction_covariant",
+                        lambda *args: built.append(args))
+    with pytest.raises(pr.RangeError):
+        pr.lll_reduce(DIAG_PENCIL, delta=delta)
+    assert not built
+
+
+def _exact_pass_lattice(H, precision):
+    """The lattice the lattice answers read for H, and a fresh one."""
+    return (pencilred.reduce._lattice(H, precision),
+            lll_gram(*exact_gram(H, precision)))
+
+
+def test_lll_reduce_reduced_for_exact_gram():
+    """gram_reduced is LLL-reduced as it stands (its basis U is reduced) for
+    exact_gram(gram_reduced, P), the Gram every later lattice answer reads,
+    and those answers read the exact pass's lattice, which equals a fresh
+    lll_gram on that Gram field by field."""
+    rng = random.Random(60)
+    for n in (6, 8, 10):
+        for P in (128, 256, 512):
+            p = pr.act(rand_unimodular(rng, n, ops=10, coeff=3),
+                       rand_pencil(rng, n, 3))
+            pencilred.reduce._lll_at.cache_clear()
+            res = pr.lll_reduce(p, precision=P)
+            assert res.reduced == pr.act(res.g, p)
+            G, s = exact_gram(res.gram_reduced, P)
+            assert is_reduced_oracle(pr.linalg.identity_matrix(n), G)
+            hits = pencilred.reduce._lll_at.cache_info().hits
+            kept, fresh = _exact_pass_lattice(res.gram_reduced, P)
+            assert pencilred.reduce._lll_at.cache_info().hits == hits + 1
+            assert (kept.U, kept.d, kept.lam, kept.s, kept.G) == \
+                (fresh.U, fresh.d, fresh.lam, fresh.s, fresh.G)
+
+
+def _skewed_pencil():
+    rng = random.Random(1)
+    return pr.act(rand_unimodular(rng, 4, ops=120, coeff=9),
+                  rand_pencil(rng, 4, 3))
+
+
+def test_lll_reduce_escalates_and_corrects(monkeypatch):
+    """On a skewed pencil H rationalized at 64 bits is not positive definite,
+    so the coarse pass doubles to 128 bits, and the exact pass then changes
+    the coarse basis (one more exact pass leaves it alone).  g is still
+    exact and U reduced for the exact Gram, with or without sl_normalize,
+    and the lattice answers read the lattice of exact_gram(gram_reduced)."""
+    widths, moved = [], []
+    rationalize, lll = pencilred.reduce.rationalize_gram, lll_gram
+
+    def recording_rationalize(H, bits):
+        widths.append(bits)
+        return rationalize(H, bits)
+
+    def recording_lll(G, s=1, delta=0.99):
+        lattice = lll(G, s, delta)
+        moved.append(lattice.U != pr.linalg.identity_matrix(len(G)))
+        return lattice
+
+    monkeypatch.setattr(pencilred.reduce, "rationalize_gram",
+                        recording_rationalize)
+    monkeypatch.setattr(pencilred.reduce, "lll_gram", recording_lll)
+    p = _skewed_pencil()
+    for P, sl in ((128, False), (256, False), (256, True)):
+        widths.clear()
+        moved.clear()
+        pencilred.reduce._lll_at.cache_clear()
+        res = pr.lll_reduce(p, precision=P, sl_normalize=sl)
+        exact = min(P, 192)
+        assert widths == [64, 128, exact, exact]
+        # coarse pass (after the failed 64-bit one), corrected exact pass,
+        # confirming exact pass
+        assert moved == [True, True, False]
+        assert res.det_g in (1, -1) and res.det_g == res.g.det
+        assert res.det_g == 1 or not sl
+        assert res.reduced == pr.act(res.g, p)
+        G, _ = exact_gram(res.gram_reduced, P)
+        assert is_reduced_oracle(pr.linalg.identity_matrix(4), G)
+        kept, fresh = _exact_pass_lattice(res.gram_reduced, P)
+        assert kept == fresh
+
+
+def test_one_lll_per_gram(monkeypatch):
+    """lll_reduce runs LLL twice (coarse and exact pass) on a benign pencil,
+    and the cusp and eps-small tests on its gram_reduced reuse the exact
+    pass; on a Gram from elsewhere the eps-small test and the cusp test
+    share one LLL."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lll_gram(*args, **kwargs)
+
+    monkeypatch.setattr(pencilred.reduce, "lll_gram", counting)
+    pencilred.reduce._lll_at.cache_clear()
+    res = pr.lll_reduce(rand_pencil(random.Random(62), 6, 3))
+    pr.cusp_membership(res.gram_reduced, 0.5)
+    pr.epsilon_small_test(res.gram_reduced, 0.5)
+    assert len(calls) == 2
+    calls.clear()
+    H = planted_gram(random.Random(63), 6, mp.mpf(1) / 50)
+    pr.epsilon_small_test(H, 0.5)
+    pr.cusp_membership(H, 0.5)
+    assert len(calls) == 1
 
 
 def test_lll_quality_after_big_transform():
