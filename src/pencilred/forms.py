@@ -20,7 +20,7 @@ import mpmath as mp
 
 from . import linalg, polys
 from .errors import DegenerateForm
-from .roots import certified_roots, to_mpf
+from .roots import certified_roots, dyadic, man_exp, to_mpf
 
 DEFAULT_PRECISION = 256
 # as many digits as int() reads from a string by default
@@ -207,9 +207,12 @@ def complex_roots(f: BinaryForm, precision=DEFAULT_PRECISION) -> RootSet:
     """Certified projective roots of f; f0 = 0 contributes a root at infinity.
 
     Roots are split into the {|rho| <= 1} and {|rho| > 1} classes with a
-    boundary tolerance of 2^(-precision/2); boundary roots keep their side
-    but are flagged.  The RootSet is frozen and cached per (f, precision):
-    one item's real-root count, covariant and Mahler measure share it.
+    boundary tolerance of 2^-ceil(precision/2); boundary roots keep their
+    side but are flagged.  A centre z is outside when |z| > 1 +
+    2^-(precision + 16), so an exact root on the circle stays inside, and
+    each class is one integer comparison of |z|^2 (`_classes`).  The RootSet
+    is frozen and cached per (f, precision): one item's real-root count,
+    covariant and Mahler measure share it.
     """
     if discriminant(f) == 0:
         raise DegenerateForm("form has zero discriminant")
@@ -223,18 +226,23 @@ def complex_roots(f: BinaryForm, precision=DEFAULT_PRECISION) -> RootSet:
         coeffs.pop()
         n_zero += 1
     pairs = certified_roots(coeffs, precision) if len(coeffs) > 1 else []
-    with mp.workprec(precision + 16):
-        tol = mp.mpf(2) ** (-precision // 2)
-        entries = []
-        for _ in range(n_zero):
-            entries.append(RootEntry(mp.mpc(0), mp.mpf(0), False, False))
-        for z, r in pairs:
-            mag = abs(z)
-            boundary = abs(mag - 1) <= tol
-            entries.append(RootEntry(z, r, bool(mag > 1), bool(boundary)))
-        for _ in range(n_inf):
-            entries.append(RootEntry(None, mp.mpf(0), True, False))
-        return RootSet(f.degree, coeffs[0], tuple(entries), tol)
+    h = -(-precision // 2)
+    entries = [RootEntry(mp.mpc(0), mp.mpf(0), False, False)] * n_zero
+    entries += [RootEntry(z, r, *_classes(z, precision + 16, h))
+                for z, r in pairs]
+    entries += [RootEntry(None, mp.mpf(0), True, False)] * n_inf
+    return RootSet(f.degree, coeffs[0], tuple(entries), dyadic(1, -h))
+
+
+def _classes(z, t, h):
+    """(|z| > 1 + 2^-t, ||z| - 1| <= 2^-h) for an mpc z and t >= h >= 1, on
+    |z|^2 / 2^e as an integer."""
+    (a, ea), (b, eb) = man_exp(z.real), man_exp(z.imag)
+    e = min(2 * ea, 2 * eb, -2 * t)
+    q = (a * a << 2 * ea - e) + (b * b << 2 * eb - e)
+    u = -2 * h - e
+    return (q > ((1 << t) + 1) ** 2 << -2 * t - e,
+            ((1 << h) - 1) ** 2 << u <= q <= ((1 << h) + 1) ** 2 << u)
 
 
 def mahler_measure_with_error(f: BinaryForm, precision=DEFAULT_PRECISION):

@@ -40,7 +40,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 from . import linalg
 from .covariant import GramMatrix, reduction_covariant
-from .errors import DimensionTooLarge, RangeError
+from .errors import DimensionTooLarge, PrecisionExhausted, RangeError
 from .forms import DEFAULT_PRECISION
 from .pencil import Pencil, UnimodularMatrix
 from .roots import dyadic, man_exp, to_mpf
@@ -291,13 +291,15 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
 
     The returned g satisfies reduced = act(g, p) exactly; gram_reduced is the
     covariant Gram H in the new basis.  A coarse LLL runs on H rationalized
-    at 64 bits, doubled up to precision while that Gram is not positive
-    definite.  Then LLL runs on `exact_gram` of H rebased into that basis
-    until it leaves the basis alone; its swaps and size reductions are
-    composed into the basis.  So U = g^-T is (delta, 1/2)-LLL-reduced for
-    `exact_gram(gram_reduced, precision)`, the Gram at min(precision, 192)
-    bits that shortest_vector, epsilon_small_test and cusp_membership read,
-    and with the default delta they reuse the lattice of that last pass.
+    at 64 bits, doubled while that Gram is not positive definite, up to
+    H's own grid of -H.e bits (or precision, if more), past which it raises
+    PrecisionExhausted.  Then LLL runs on `exact_gram` of H rebased into
+    that basis until it leaves the basis alone; its swaps and size
+    reductions are composed into the basis.  So U = g^-T is
+    (delta, 1/2)-LLL-reduced for `exact_gram(gram_reduced, precision)`, the
+    Gram at min(precision, 192) bits that shortest_vector,
+    epsilon_small_test and cusp_membership read, and with the default delta
+    they reuse the lattice of that last pass.
     With sl_normalize the sign of the first basis vector is flipped if
     needed to force det(g) = +1 (this preserves LLL-reducedness).  A delta
     outside (0.25, 1) raises RangeError before any work; a degenerate
@@ -306,15 +308,17 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
     if not 0.25 < delta < 1:
         raise RangeError("delta must lie in (0.25, 1)")
     H = reduction_covariant(p, precision)
-    bits = min(64, precision)
+    # H is M 2^e: -H.e bits is its own grid
+    bits, top = min(64, precision), max(precision, -H.e)
     while True:
         try:
             U = lll_gram(*rationalize_gram(H, bits), delta).U
             break
         except ValueError:          # not positive definite at this width
-            if bits >= precision:
-                raise
-            bits = min(2 * bits, precision)
+            if bits >= top:
+                raise PrecisionExhausted(
+                    "covariant Gram not positive definite at %d bits" % bits)
+            bits = min(2 * bits, top)
     while True:
         gram = rebase_gram(H, U)
         V = _lattice(gram, precision, delta).U

@@ -2,13 +2,16 @@
 and Robol, JCAM 2014), on ints and floats.  Seeds: Aberth on builtin complex
 numbers from the circles of the Newton polygon, the coefficients shifted to
 at most 60 bits so that no float overflows.  Polish: Gauss-Seidel Aberth in
-fixed point, z = (x + iy)/2^s with int x, y and s doubling from 52 up to
-wp = precision + 32.  Certificate: near-real roots are snapped to the real
-axis and conjugate pairs made exact; p and p' are evaluated exactly at each
-dyadic point (Gaussian-integer Horner), so Henrici's radius n|p(z)/p'(z)|,
-rounded up to a dyadic, has no rounding error: each disk holds a root, and
-n pairwise disjoint disks hold one each.  Smallness and disjointness are
-decided in integers; wp doubles when either fails.
+fixed point, z = (x + iy)/2^s with int x, y, on a ladder that fits Aberth's
+cubic order: from the seeds' s = 52, each width is three times the last
+(156, 468, ...), capped at wp = precision + 32; a width stops once every
+correction is below 2^(-s/3), which leaves the points good to about s bits.
+Certificate: near-real roots are snapped to the real axis and conjugate
+pairs made exact; p and p' are evaluated exactly at each dyadic point
+(Gaussian-integer Horner), so Henrici's radius n|p(z)/p'(z)|, rounded up to
+a dyadic, has no rounding error: each disk holds a root, and n pairwise
+disjoint disks hold one each.  Smallness and disjointness are decided in
+integers; wp doubles when either fails.
 """
 
 import cmath
@@ -23,7 +26,7 @@ from .errors import PrecisionExhausted
 from .linalg import clear_denominators
 
 _MAX_ESCALATIONS = 5
-_SWEEPS = 64            # most Aberth sweeps per precision level
+_SWEEPS = 64            # most Aberth sweeps per width; a cluster needs many
 
 
 def to_mpf(x):
@@ -60,11 +63,13 @@ def _certified_roots_cached(coeffs, precision):
     if len(coeffs) <= 1:
         return ()
     c = clear_denominators([coeffs])[1][0]
-    zs, s, wp = _polish(c, _seeds(c), 52), 52, precision + 32
+    zs, s, wp = _seeds(c), 52, precision + 32
     for _ in range(_MAX_ESCALATIONS):
-        while s < wp:
-            t = min(2 * s, wp)
+        while True:                 # at least one width: seeds are not polished
+            t = min(3 * s, max(wp, s))
             zs, s = _polish(c, [(x << t - s, y << t - s) for x, y in zs], t), t
+            if s >= wp:
+                break
         out = _certify(c, zs, s, precision)
         if out is not None:
             return out
@@ -134,7 +139,8 @@ def _gdiv(ar, ai, br, bi, s):
 
 def _polish(c, zs, s):
     """Gauss-Seidel Aberth sweeps at the fixed point 2^s, until every
-    correction is below 2^(-s/2)(1 + |z|) or after _SWEEPS sweeps."""
+    correction is at most 2^(-floor(s/3))(1 + |z|) or after _SWEEPS sweeps;
+    by cubic convergence the points are then good to the full width."""
     zs, one = list(zs), 1 << s
     for _ in range(_SWEEPS):
         done = True
@@ -153,7 +159,7 @@ def _polish(c, zs, s):
             if qr or qi:
                 nr, ni = _gdiv(nr, ni, qr, qi, s)
             zs[i] = (x - nr, y - ni)
-            done &= (abs(nr) + abs(ni)) << (s // 2) <= one + abs(x) + abs(y)
+            done &= (abs(nr) + abs(ni)) << (s // 3) <= one + abs(x) + abs(y)
         if done:
             break
     return zs

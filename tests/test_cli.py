@@ -4,6 +4,8 @@ import contextlib
 import copy
 import io
 import json
+import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import pencilred as pr
 from pencilred import cli, orbits
+from helpers import rand_pencil, rand_unimodular
 
 WORKED_PENCIL = {
     "n": 4,
@@ -36,6 +39,18 @@ def test_invariant_worked_pencil():
     out = json.loads(res.stdout)
     assert out["form"]["coeffs"] == ["1", "0", "0", "0", "1"]
     assert out["form"]["degree"] == 4
+
+
+def test_python_m_pencilred_runs_cli_main(capsys):
+    """`python -m pencilred` runs from a checkout, with src on the path, and
+    prints what cli.main prints."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    args = ["invariant", "--input-json", json.dumps(WORKED_PENCIL)]
+    res = subprocess.run([sys.executable, "-m", "pencilred"] + args,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert cli.main(args) == 0 == res.returncode
+    assert res.stdout == capsys.readouterr().out
 
 
 def test_reduce_already_reduced():
@@ -204,6 +219,24 @@ def test_reduce_rejects_delta_lll_outside_range(delta, monkeypatch, capsys):
                      "--input-json", json.dumps(WORKED_PENCIL)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "RangeError" and not work
+
+
+def test_reduce_skewed_pencil_exit0(capsys):
+    """A skewed pencil whose covariant rationalized at the precision is not
+    positive definite still reduces (exit 0), with g exact."""
+    rng = random.Random(9)
+    p = pr.act(rand_unimodular(rng, 4, ops=80, coeff=9),
+               rand_pencil(rng, 4, 3))
+    payload = {"n": 4, "A": [[str(x) for x in row] for row in p.A],
+               "B": [[str(x) for x in row] for row in p.B]}
+    assert cli.main(["--precision", "128", "reduce",
+                     "--input-json", json.dumps(payload)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    g = pr.UnimodularMatrix(4, tuple(tuple(r) for r in out["g"]))
+    reduced = pr.act(g, p)
+    assert out["reduced"] == {
+        "n": 4, "A": [[str(x) for x in row] for row in reduced.A],
+        "B": [[str(x) for x in row] for row in reduced.B]}
 
 
 def test_density_command():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import pencilred as pr
 from pencilred import forms
 from helpers import (disc_product_oracle, form_mul, rand_squarefree_poly,
-                     sturm_real_root_count)
+                     reference_roots, sturm_real_root_count)
 
 X4Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 1))
 X4_3Y4 = pr.BinaryForm(4, (1, 0, 0, 0, 3))
@@ -87,6 +87,51 @@ def test_complex_roots_split_classes():
                      for e in rs.entries if e.outside)
     assert inside == [-1, 1]
     assert outside == [2, 3]
+
+
+def test_complex_root_classes_match_reference():
+    """A centre z is outside iff |z| > 1 + 2^-(P+16), boundary iff
+    ||z| - 1| <= 2^-ceil(P/2).  Against a reference root w with radius rho
+    at 4P bits, |z| lies within rho + r of |w| (r the certified radius), so
+    each class is asserted wherever that band decides it, and an exact root
+    on the unit circle (x^2 - y^2, x^4 + y^4, SPLIT's 1 and -1, the
+    palindromic quartic's pair) is boundary and inside."""
+    rng = random.Random(24)
+    fixed = [pr.BinaryForm(2, (1, 0, -1)), X4Y4, SPLIT,
+             # (x^2 + x + 1)(2x^2 - 5x + 2): roots on the circle, 2 and 1/2
+             pr.BinaryForm(4, (2, -3, -1, -3, 2))]
+    seeded = [pr.BinaryForm(n, tuple(rand_squarefree_poly(rng, n, 6)))
+              for n in (2, 3, 4, 5, 6, 8) for _ in range(3)]
+    decided = {"outside": 0, "inside": 0, "boundary": 0, "off": 0,
+               "circle": 0}
+    for precision in (95, 96, 256):
+        for f in fixed + seeded:
+            rs = pr.complex_roots(f, precision)
+            ref = reference_roots(list(f.coeffs), precision)
+            with mp.workprec(4 * precision):
+                one = mp.mpf(1)
+                outer = one + mp.mpf(2) ** -(precision + 16)
+                tol = mp.mpf(2) ** -(-(-precision // 2))
+                assert rs.boundary_tol == tol
+                for e in rs.entries:
+                    w, rho = min(ref, key=lambda wr: abs(e.value - wr[0]))
+                    band, m = rho + e.radius, abs(w)
+                    if m - band > outer:
+                        assert e.outside
+                        decided["outside"] += 1
+                    elif m + band <= outer:
+                        assert not e.outside
+                        decided["inside"] += 1
+                    if abs(m - 1) + band <= tol:
+                        assert e.boundary
+                        decided["boundary"] += 1
+                    elif abs(m - 1) - band > tol:
+                        assert not e.boundary
+                        decided["off"] += 1
+                    if f in fixed and abs(m - 1) <= rho:
+                        assert e.boundary and not e.outside
+                        decided["circle"] += 1
+    assert all(decided.values()), decided
 
 
 def test_complex_roots_radical_moduli():

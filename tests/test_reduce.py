@@ -199,6 +199,58 @@ def test_lll_reduce_escalates_and_corrects(monkeypatch):
         assert kept == fresh
 
 
+def _skewed_pencils():
+    """Skewed pencils whose covariant, rationalized at 128 bits, is not
+    positive definite; on their own grid, -H.e bits, it is."""
+    for ops, seed in ((80, 9), (100, 11), (120, 7)):
+        rng = random.Random(seed)
+        yield pr.act(rand_unimodular(rng, 4, ops=ops, coeff=9),
+                     rand_pencil(rng, 4, 3))
+
+
+def _record_widths(monkeypatch):
+    """The widths `lll_reduce` rationalizes at, in order."""
+    widths = []
+    rationalize = pencilred.reduce.rationalize_gram
+
+    def recording_rationalize(H, bits):
+        widths.append(bits)
+        return rationalize(H, bits)
+
+    monkeypatch.setattr(pencilred.reduce, "rationalize_gram",
+                        recording_rationalize)
+    return widths
+
+
+def test_lll_reduce_skewed_escalates_past_precision(monkeypatch):
+    """At P = 128 the coarse pass doubles past the precision, to 256 bits,
+    and the pencil reduces: g exact and U reduced on the exact Gram."""
+    widths = _record_widths(monkeypatch)
+    for p in _skewed_pencils():
+        widths.clear()
+        pencilred.reduce._lll_at.cache_clear()
+        res = pr.lll_reduce(p, precision=128)
+        assert widths == [64, 128, 256, 128]
+        assert res.det_g in (1, -1) and res.reduced == pr.act(res.g, p)
+        G, _ = exact_gram(res.gram_reduced, 128)
+        assert is_reduced_oracle(pr.linalg.identity_matrix(4), G)
+
+
+def test_lll_reduce_not_positive_definite_on_own_grid(monkeypatch):
+    """A covariant Gram that is not positive definite even on its own grid,
+    -H.e bits, raises PrecisionExhausted, not lll_gram's ValueError."""
+    widths = _record_widths(monkeypatch)
+
+    def not_positive_definite(G, s=1, delta=0.99):
+        raise ValueError("Gram matrix is not positive definite")
+
+    monkeypatch.setattr(pencilred.reduce, "lll_gram", not_positive_definite)
+    p = next(_skewed_pencils())
+    with pytest.raises(pr.PrecisionExhausted):
+        pr.lll_reduce(p, precision=128)
+    assert widths == [64, 128, 256, -pr.reduction_covariant(p, 128).e]
+
+
 def test_one_lll_per_gram(monkeypatch):
     """lll_reduce runs LLL twice (coarse and exact pass) on a benign pencil,
     and the cusp and eps-small tests on its gram_reduced reuse the exact

@@ -13,6 +13,7 @@ import mpmath as mp
 import pytest
 
 import pencilred as pr
+from pencilred import roots
 from helpers import (form_mul, rand_squarefree_poly, reference_roots,
                      sturm_real_root_count)
 from pencilred.roots import certified_roots
@@ -85,6 +86,65 @@ def test_root_set_shape():
                     with mp.workprec(96 + 32):
                         assert roots and roots.pop(0) == mp.conj(z)
             assert real == sturm_real_root_count(c)
+
+
+def _record_ladder(monkeypatch):
+    """Record [width, sweeps] for each `_polish` call (a sweep runs one
+    rounded Horner per point) and the width of each `_certify` call."""
+    widths, certificates = [], []
+    polish, horner, certify = roots._polish, roots.horner, roots._certify
+
+    def recording_polish(c, zs, s):
+        widths.append([s, 0])
+        return polish(c, zs, s)
+
+    def recording_horner(c, x, y, s, exact=False):
+        widths[-1][1] += not exact
+        return horner(c, x, y, s, exact)
+
+    def recording_certify(c, zs, s, precision):
+        certificates.append(s)
+        return certify(c, zs, s, precision)
+
+    monkeypatch.setattr(roots, "_polish", recording_polish)
+    monkeypatch.setattr(roots, "horner", recording_horner)
+    monkeypatch.setattr(roots, "_certify", recording_certify)
+    roots._certified_roots_cached.cache_clear()
+    return widths, certificates
+
+
+def test_cubic_ladder_widths_and_sweeps(monkeypatch):
+    """The float seeds go straight to the first width, each width is three
+    times the last up to precision + 32, and Aberth's cubic order leaves one
+    sweep to each width after the first: at P = 96 two sweeps at 128 bits,
+    at P = 256 two at 156 and one at 288, and one certificate per form."""
+    widths, certificates = _record_ladder(monkeypatch)
+    rng = random.Random(24)
+    for n in (4, 6, 8, 10):
+        for precision, ladder in ((96, [[128, 2]]),
+                                  (256, [[156, 2], [288, 1]])):
+            for _ in range(5):
+                c = rand_squarefree_poly(rng, n)
+                widths.clear()
+                certificates.clear()
+                certified_roots(c, precision)
+                assert [[s, k / n] for s, k in widths] == ladder, c
+                assert certificates == [precision + 32]
+
+
+@pytest.mark.parametrize("precision", [96, 256])
+def test_cluster_certifies_through_more_sweeps(monkeypatch, precision):
+    """Two real roots 2^-60 apart: Aberth converges only linearly until it
+    resolves them, so the last width takes more than one sweep; the disks
+    certify honestly or PrecisionExhausted is raised."""
+    widths, _ = _record_ladder(monkeypatch)
+    T = 1 << 60
+    c = _poly_mul([T, -T], [T, -T - 1], [1, 1, 1])
+    try:
+        assert_radii_hold(c, precision)
+    except pr.PrecisionExhausted:
+        return
+    assert widths[-1][1] > len(c) - 1
 
 
 def test_fraction_coefficients_match_scaled_integers():
