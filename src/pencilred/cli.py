@@ -150,6 +150,10 @@ def cmd_height_check(args):
 
 
 def cmd_sample(args):
+    if args.n < 1 or args.n % 2:
+        raise RangeError("--n must be a positive even integer")
+    if args.box_bound < 0 or args.count < 1:
+        raise RangeError("--box-bound must be at least 0, --count at least 1")
     eps_list = [float(e) for e in args.eps_list.split(",")] if args.eps_list \
         else [0.8, 0.4, 0.2, 0.1, 0.05]
     if not all(0 < e < math.inf for e in eps_list):

@@ -6,23 +6,26 @@ forms, (b_i, b_i)_H = max(|(b_i,b_i)_A|, |(b_i,b_i)_B|) and off-diagonals
 vanish.  H is real, positive definite, independent of the basis scaling, and
 transforms like the pencil under the unimodular action.
 
-With P = [v_1 .. v_n] and P^T M P = diag(d_i) for M = A and M = B, row i of
-P^-1 is (M v_i)^T / d_i, so H = P^-H diag P^-1 is the rank-one sum
+The basis is kept real, as LAPACK's dgeev keeps eigenvectors: a real root
+gives one unit column of R, a conjugate pair v, conj(v) = p +- iq the two
+columns p and q.  Every d_i = v_i^T M v_i and residual v_i^T M v_j is exact
+in the integer Grams G = R^T M R, M = A, B: d = G_rr at a real column r and
+G_pp - G_qq +- 2i G_pq at a pair; |v_i^T M v_j|^2 is G_rs^2 between real
+columns, G_rp^2 + G_rq^2 between r and a pair, (G_pp + G_qq)^2 within a pair
+and (G_pr -+ G_qt)^2 + (G_pt +- G_qr)^2 between the pairs (p, q), (r, t).
 
-    H = sum_i diag_i / |d_i|^2 * conj(w_i) w_i^T,   w_i = M_i v_i,
+With P = [v_1 .. v_n], row i of P^-1 is (M v_i)^T / d_i, so H = P^-H diag
+P^-1 = sum_i diag_i / |d_i|^2 conj(w_i) w_i^T, w_i = M_i v_i, M_i whichever
+of A, B gives the larger |d_i|.  A pair's two terms add up to
+2 diag / |d|^2 (w_p w_p^T + w_q w_q^T), so H is the real rank-one sum
+sum_j t_j w_j w_j^T over the columns w_j of M_j R, with no inverse.
 
-where M_i is whichever of A, B gives the larger |d_i|.  No matrix is
-inverted, and H is Hermitian term by term.
-
-Everything from the certified roots to H runs on Python ints at one fixed
-point 2^s, s = precision + 2n + 32.  The roots are exact dyadics; each unit
-column v_i is the integer adjugate pencil evaluated at its root (Gaussian
-integers; plain ints, zero imaginary parts, at a real root) and normalized
-with an integer square root.  With a the common denominator of the pencil,
-M v_i, d_i and the residuals v_i^T M v_j are exact integer products with the
-integral pencil (aA, aB), the certificate compares squared magnitudes in
-integers on the scale of (A, B), and H of (aA, aB), which is a H, is divided
-by a once at the end.
+All of it runs on Python ints at one fixed point 2^s, s = precision + 2n +
+32: the roots are exact dyadics, a column is the integer adjugate pencil at
+its root (once per real root or pair) normalized by an integer square root,
+and M R and G are exact products with the integral pencil (aA, aB), a the
+common denominator of (A, B).  The certificate compares squared magnitudes
+on the scale of (A, B); H of (aA, aB), a H, is divided by a at the end.
 """
 
 from dataclasses import dataclass
@@ -35,7 +38,7 @@ import mpmath as mp
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     discriminant, mahler_measure_with_error)
-from .linalg import det_bareiss, symmetric
+from .linalg import det_bareiss, gram_of_product, mat_vec
 from .pencil import Pencil, adjugate_pencil, integral, invariant_form
 from .roots import dyadic, man_exp
 
@@ -72,35 +75,37 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class DiagonalizingBasis:
-    """A common diagonalizing basis in fixed point.
-
-    A vector is a pair (re, im) of int lists over 2^s, a scalar a pair of
-    ints over 2^(2s).  v holds the unit columns; Av, Bv, vAv = v^T (aA) v and
-    vBv belong to the integral pencil (aA, aB), a times those of (A, B).
-    `columns`, `dA` and `dB` are the columns and (b_i, b_i)_A, (b_i, b_i)_B
-    of (A, B) in mpmath: mpf where the imaginary part is 0, else mpc.
-    """
+    """A common diagonalizing basis in fixed point, on real columns: R
+    (int columns over 2^s), `blocks` ((r, None) per real root and (p, q) per
+    pair p +- iq, in root order), MR = ((aA)R, (aB)R) over 2^s and
+    G = (R^T (aA) R, R^T (aB) R) over 2^(2s).  `columns`, `dA` and `dB` are
+    the complex columns and (b_i, b_i)_A, (b_i, b_i)_B of (A, B) in mpmath:
+    mpf where the imaginary part is 0, else mpc."""
     n: int
     s: int
     a: int
-    v: tuple
-    Av: tuple
-    Bv: tuple
-    vAv: tuple
-    vBv: tuple
+    blocks: tuple
+    R: tuple
+    MR: tuple
+    G: tuple
 
     @cached_property
     def columns(self):
-        return tuple(tuple(_mp(x, y, -self.s) for x, y in zip(*v))
-                     for v in self.v)
+        out = []
+        for p, q in self.blocks:
+            im = [0] * self.n if q is None else self.R[q]
+            for c in (1,) if q is None else (1, -1):
+                out.append(tuple(_mp(x, c * y, -self.s)
+                                 for x, y in zip(self.R[p], im)))
+        return tuple(out)
 
     @cached_property
     def dA(self):
-        return self._scalars(self.vAv)
+        return self._scalars(_diagonal(self.G[0], self.blocks))
 
     @cached_property
     def dB(self):
-        return self._scalars(self.vBv)
+        return self._scalars(_diagonal(self.G[1], self.blocks))
 
     def _scalars(self, zs):
         with mp.workprec(2 * self.s):
@@ -116,21 +121,34 @@ def _abs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _dot(u, w):
-    """u^T w (no conjugation) of Gaussian-integer vectors."""
-    (ur, ui), (wr, wi) = u, w
-    return (sum(map(mul, ur, wr)) - sum(map(mul, ui, wi)),
-            sum(map(mul, ur, wi)) + sum(map(mul, ui, wr)))
+def _diagonal(G, blocks):
+    """The d_i as Gaussian integers (re, im), read off G."""
+    d = []
+    for p, q in blocks:
+        if q is None:
+            d.append((G[p][p], 0))
+        else:
+            x, y = G[p][p] - G[q][q], 2 * G[p][q]
+            d += [(x, y), (x, -y)]
+    return d
 
 
-def _apply(M, v):
-    """M v for an integer matrix M and a Gaussian-integer vector v."""
-    return tuple([sum(map(mul, row, x)) for row in M] for x in v)
+def _off_diagonal(G, blocks):
+    """The |v_i^T M v_j|^2, i < j, read off G, a missing q as a zero column:
+    for two blocks, |v^T M u|^2 and |v^T M conj(u)|^2."""
+    for k, (p, q) in enumerate(blocks):
+        if q is not None:
+            yield (G[p][p] + G[q][q]) ** 2
+        for r, t in blocks[k + 1:]:
+            x, y, u, w = (0 if i is None or j is None else G[i][j]
+                          for i, j in ((p, r), (p, t), (q, r), (q, t)))
+            yield (x - w) ** 2 + (y + u) ** 2
+            yield (x + w) ** 2 + (y - u) ** 2
 
 
-def _d2(db):
-    """max(|vAv_i|, |vBv_i|)^2: the squared |d_i| of the assembly."""
-    return [max(_abs2(x), _abs2(y)) for x, y in zip(db.vAv, db.vBv)]
+def _moduli(db):
+    """(|dA_i|^2, |dB_i|^2) per column, on the scale of db."""
+    return list(zip(*(map(_abs2, _diagonal(G, db.blocks)) for G in db.G)))
 
 
 def _limit(n, one, scale2, precision):
@@ -191,12 +209,10 @@ def simultaneous_diagonalize(p: Pencil,
     Columns are null vectors of x0*A - y0*B over the projective roots
     (x0 : y0) of the invariant form, read off the exact adjugate pencil
     adj(xA - yB) = sum_k x^k y^(n-1-k) D_k at the fixed point 2^s,
-    s = precision + 2n + 32: in plain ints at a real root, and as the
-    conjugate of its partner's for the second root of a conjugate pair.
-    With Av_i and Bv_i formed once per column, the off-diagonal residuals
-    v_i^T M v_j of the two transformed Gram matrices certify the output: each
-    is at most tol = n 2^(-precision/2) max(scale, 1), scale the largest
-    |d_i|, and each |d_i| exceeds it.  Else the precision doubles.
+    s = precision + 2n + 32, once per real root or conjugate pair.  The two
+    Grams R^T M R certify the output: each residual v_i^T M v_j is at most
+    tol = n 2^(-precision/2) max(scale, 1), scale the largest |d_i|, and
+    each |d_i| exceeds it.  Else the precision doubles.
     """
     f, D = adjugate_pencil(p)
     if discriminant(f) == 0:
@@ -207,84 +223,59 @@ def simultaneous_diagonalize(p: Pencil,
     prec = precision
     for _ in range(_MAX_ESCALATIONS):
         s = prec + 2 * n + 32
-        v, Av, Bv, prev = [], [], [], None
-        for root in complex_roots(f, prec).entries:
+        R, blocks = [], []
+        roots = iter(complex_roots(f, prec).entries)
+        for root in roots:
             z = _fixed(root.value, s)
-            # complex_roots lists a conjugate pair as consecutive roots
-            if z is not None and z[1] and prev == (z[0], -z[1]):
-                col, a_, b_ = ((x, [-t for t in y])
-                               for x, y in (v[-1], Av[-1], Bv[-1]))
-            else:
-                col = _adjugate_column(C, n, z, s)
-                a_, b_ = _apply(A, col), _apply(B, col)
-            v.append(col)
-            Av.append(a_)
-            Bv.append(b_)
-            prev = z
-        db = DiagonalizingBasis(n, s, a, tuple(v), tuple(Av), tuple(Bv),
-                                tuple(map(_dot, v, Av)),
-                                tuple(map(_dot, v, Bv)))
-        d2 = _d2(db)
+            re, im = _adjugate_column(C, n, z, s)
+            # a non-real root is followed by its exact conjugate
+            if pair := bool(root.value is not None and root.value.imag):
+                next(roots)
+            blocks.append((len(R), len(R) + 1 if pair else None))
+            R += [re, im] if pair else [re]
+        MR = tuple([mat_vec(M, r) for r in R] for M in (A, B))
+        db = DiagonalizingBasis(n, s, a, tuple(blocks), tuple(R), MR,
+                                tuple(gram_of_product(X, R) for X in MR))
+        d2 = list(map(max, _moduli(db)))
         lim, e = _limit(n, a << 2 * s, max(d2), prec)
         if min(d2) << e > lim and all(
-                _abs2(_dot(v[i], W[j])) << e <= lim for W in (Av, Bv)
-                for i in range(n) for j in range(i + 1, n)):
+                x << e <= lim for G in db.G
+                for x in _off_diagonal(G, db.blocks)):
             return db
         prec *= 2
     raise PrecisionExhausted("simultaneous diagonalization did not certify")
 
 
 def _assemble_gram(db: DiagonalizingBasis, diag2, precision):
-    """H = sum_i diag_i / |d_i|^2 * conj(w_i) w_i^T with w_i = M_i v_i.
-
-    This is P^-H diag(diag) P^-1 without the inverse: since P^T M P is
-    diagonal for M = A and M = B, row i of P^-1 is w_i^T / d_i, where M_i is
-    whichever of A, B has the larger |d_i| = |v_i^T M_i v_i|; w_i is the
-    stored Av_i or Bv_i.  diag2 holds the squares of the diag_i on the scale
-    of db.  Each term is Hermitian, so only the imaginary part of the sum is
-    checked.  Returns the real GramMatrix, or None when the imaginary part
-    is not negligible.
-    """
-    n, s = db.n, db.s
-    terms = []
-    for Av, Bv, d2A, d2B, t2 in zip(db.Av, db.Bv, map(_abs2, db.vAv),
-                                    map(_abs2, db.vBv), diag2):
-        (wr, wi), d2 = (Av, d2A) if d2A >= d2B else (Bv, d2B)
-        # u = diag / |d|^2 conj(w) over 2^s
-        c = isqrt(t2) << 2 * s
-        terms.append((wr, wi, [x * c // d2 for x in wr],
-                       [-x * c // d2 for x in wi]))
-    # entry k of wr, wi, ur, ui across the terms
-    WR, WI, UR, UI = (list(zip(*part)) for part in zip(*terms))
-    # the sum over 2^(2s) is a H; H over 2^s
-    q = db.a << s
-    H = {(k, l): ((sum(map(mul, UR[k], WR[l])) - sum(map(mul, UI[k], WI[l])))
-                  // q,
-                  (sum(map(mul, UR[k], WI[l])) + sum(map(mul, UI[k], WR[l])))
-                  // q)
-         for k in range(n) for l in range(k, n)}
-    scale2 = max(map(_abs2, H.values()))
-    imag = max(abs(y) for _, y in H.values())
-    lim, e = _limit(n, 1 << s, scale2, precision)
-    if imag * imag << e > lim:
-        return None
-    # imag + max(scale, 1) 2^(-precision/2), rounded up
-    h = e // 2
-    err = dyadic((imag << h) + max(isqrt(scale2) + 1, 1 << s), -s - h)
-    return GramMatrix(symmetric([[H[k, l][0] for l in range(k, n)]
-                                 for k in range(n)]), -s, err)
+    """H = sum_j t_j w_j w_j^T, w_j column j of the stored M_j R, as a
+    GramMatrix: P^-H diag(diag) P^-1 without the inverse.  t_j is
+    diag_j / |d_j|^2, twice that at a pair's columns, where |d_j| is the
+    larger of |dA_j|, |dB_j| and names M_j; diag2 holds the squared diag_j
+    on the scale of db."""
+    s = db.s
+    paired = {j for b in db.blocks if b[1] is not None for j in b}
+    U, W = [], []
+    for j, ((x, y), t2) in enumerate(zip(_moduli(db), diag2)):
+        w, d2 = (db.MR[0][j], x) if x >= y else (db.MR[1][j], y)
+        # u = t w / a over 2^s within one unit: t / a over 2^k, |w| < 2^(k-2)
+        k = max(map(abs, w)).bit_length() + 2
+        t = (isqrt(t2) << 2 * s + k + (j in paired)) // (d2 * db.a)
+        U.append([v * t >> k for v in w])
+        W.append(w)
+    # H over 2^(2s) is sum_j u_j w_j^T = W^T diag(t / a) W, and U^T is the
+    # product W^T diag(t / a)
+    H = tuple(tuple(x >> s for x in row)
+              for row in gram_of_product(list(zip(*U)), list(zip(*W))))
+    scale = max(abs(x) for row in H for x in row)
+    # max(scale, 1) 2^(-precision/2), rounded up
+    err = dyadic(max(scale + 1, 1 << s), -precision // 2 - s)
+    return GramMatrix(H, -s, err)
 
 
 def reduction_covariant(p: Pencil, precision=DEFAULT_PRECISION) -> GramMatrix:
     """The positive definite Gram matrix H_{A,B} in the standard basis."""
-    prec = precision
-    for _ in range(_MAX_ESCALATIONS):
-        db = simultaneous_diagonalize(p, prec)
-        H = _assemble_gram(db, _d2(db), prec)
-        if H is not None:
-            return H
-        prec *= 2
-    raise PrecisionExhausted("covariant assembly did not certify")
+    db = simultaneous_diagonalize(p, precision)
+    return _assemble_gram(db, list(map(max, _moduli(db))), precision)
 
 
 def covariant_variant(p: Pencil, which: str,
@@ -297,14 +288,12 @@ def covariant_variant(p: Pencil, which: str,
     if which not in ("R1", "R2"):
         raise ValueError("variant must be 'R1' or 'R2'")
     db = simultaneous_diagonalize(p, precision)
-    diag2 = [_abs2(z) for z in (db.vAv if which == "R1" else db.vBv)]
-    lim, e = _limit(p.n, db.a << 2 * db.s, max(_d2(db)), precision)
+    moduli = _moduli(db)
+    diag2 = [m[which == "R2"] for m in moduli]
+    lim, e = _limit(p.n, db.a << 2 * db.s, max(map(max, moduli)), precision)
     if min(diag2) << e <= lim:
         raise SingularVariant("%s has a zero diagonal value" % which)
-    H = _assemble_gram(db, diag2, precision)
-    if H is None:
-        raise PrecisionExhausted("variant assembly did not certify")
-    return H
+    return _assemble_gram(db, diag2, precision)
 
 
 def gram_det_with_error(H: GramMatrix):

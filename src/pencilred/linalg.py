@@ -46,8 +46,13 @@ def gram(U, M):
     """U·M·Uᵀ for a symmetric M, exactly, as a tuple of rows: the rows of
     U are the coordinates of the new basis.  One product U·M, then the
     upper triangle, mirrored."""
+    return gram_of_product(mat_mul(U, M), U)
+
+
+def gram_of_product(UM, U):
+    """U·M·Uᵀ from the product UM = U·M of a symmetric M: the upper
+    triangle of UM·Uᵀ, mirrored."""
     n = len(U)
-    UM = mat_mul(U, M)
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

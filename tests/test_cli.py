@@ -208,6 +208,23 @@ def test_sample_rejects_eps_not_finite_and_positive(eps, monkeypatch,
     assert err["type"] == "RangeError" and not sampled
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--box-bound", "-2"), ("--count", "0"), ("--count", "-1"),
+    ("--n", "3"), ("--n", "0"), ("--n", "-2")])
+def test_sample_rejects_out_of_range_arguments(option, value, monkeypatch,
+                                               capsys):
+    """A negative --box-bound, a --count below 1 or an --n that is not a
+    positive even integer is a RangeError (exit 2, JSON error object),
+    raised before any pencil is sampled."""
+    sampled = []
+    monkeypatch.setattr(cli, "sample_pencils",
+                        lambda *args: sampled.append(args))
+    assert cli.main(["sample", "--count", "2", option, value]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "RangeError" and option in err["message"]
+    assert not sampled
+
+
 @pytest.mark.parametrize("delta", ["1.5", "0.25", "nan"])
 def test_reduce_rejects_delta_lll_outside_range(delta, monkeypatch, capsys):
     """A --delta-lll outside (0.25, 1) is a RangeError (exit 2, JSON error

@@ -9,11 +9,11 @@ import pytest
 import pencilred as pr
 from helpers import (A0, B0, assemble_gram_reference, covariant_reference,
                      gram_from_mp, gram_of_basis, mp_matrix_of,
-                     nullvector_reference, rand_pencil, rand_unimodular,
-                     scaled_pencil)
+                     nullvector_reference, rand_pencil, rand_symmetric,
+                     rand_unimodular, scaled_pencil)
 from pencilred import covariant
 from pencilred.reduce import form_norm, lll_reduce, rationalize_gram
-from pencilred.roots import _certified_roots_cached
+from pencilred.roots import _certified_roots_cached, dyadic
 
 I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_B = tuple(tuple((2, 3, 0, -1)[i] * int(i == j) for j in range(4))
@@ -246,36 +246,155 @@ def test_diagonalization_escalates_precision():
         pr.reduction_covariant(_diagonal_pencil(2 ** 200), 16)
 
 
-def test_assembly_escalation_doubles_precision(monkeypatch):
-    """When the assembly does not certify, reduction_covariant calls
-    simultaneous_diagonalize again at twice the precision, where a tracer
-    sees it, and gives up with PrecisionExhausted after _MAX_ESCALATIONS
-    levels."""
-    calls, failures = [], [1]
-    diagonalize, assemble = (covariant.simultaneous_diagonalize,
-                             covariant._assemble_gram)
+def test_one_diagonalization_per_covariant(monkeypatch):
+    """The assembly is a real sum with no certificate of its own:
+    reduction_covariant and covariant_variant call simultaneous_diagonalize
+    once.  A pencil that needs doubling certifies through that function's
+    own loop, and the basis the assembly reads is at the doubled width; the
+    R2 variant of DIAG_PENCIL still raises SingularVariant."""
+    calls, bases = [], []
+    diagonalize = covariant.simultaneous_diagonalize
 
     def traced(p, precision):
         calls.append(precision)
-        return diagonalize(p, precision)
-
-    def flaky(db, diag2, precision):
-        if failures[0]:
-            failures[0] -= 1
-            return None
-        return assemble(db, diag2, precision)
+        bases.append(diagonalize(p, precision))
+        return bases[-1]
 
     monkeypatch.setattr(covariant, "simultaneous_diagonalize", traced)
-    monkeypatch.setattr(covariant, "_assemble_gram", flaky)
     H = pr.reduction_covariant(WORKED, 96)
-    assert calls == [96, 192]
+    assert calls == [96] and bases[0].s == 96 + 2 * 4 + 32
     with mp.workprec(160):
         assert abs(H.entries[0][0] - 1) < 1e-25
     calls.clear()
-    failures[0] = covariant._MAX_ESCALATIONS
-    with pytest.raises(pr.PrecisionExhausted):
-        pr.reduction_covariant(WORKED, 96)
-    assert calls == [96, 192, 384, 768]
+    bases.clear()
+    p = _diagonal_pencil(2 ** 20)
+    H = pr.reduction_covariant(p, 16)
+    assert calls == [16] and bases[0].s == 64 + 2 * 4 + 32
+    assert H.e == -bases[0].s
+    calls.clear()
+    with pytest.raises(pr.SingularVariant):
+        pr.covariant_variant(DIAG_PENCIL, "R2", 128)
+    assert calls == [128]
+
+
+def _root_kinds(p, precision=96):
+    return {"infinity" if e.at_infinity else "pair" if mp.im(e.value)
+            else "real" for e in pr.complex_roots(pr.invariant_form(p),
+                                                  precision).entries}
+
+
+def _covariance_cases(n):
+    """Four seeded nondegenerate pencils of size n: A positive definite
+    (strictly diagonally dominant), so every root is real; one with a
+    conjugate pair; f0 = 0 (a root at infinity); fn = 0 (a root at 0)."""
+    rng = random.Random(41 + n)
+    while True:
+        A = tuple(tuple(x + 4 * n * (i == j) for j, x in enumerate(row))
+                  for i, row in enumerate(rand_symmetric(rng, n, 2)))
+        real = pr.Pencil(n, A, rand_symmetric(rng, n, 3))
+        if pr.pencil_discriminant(real) != 0:
+            break
+    paired = rand_pencil(rng, n, 3)
+    while "pair" not in _root_kinds(paired):
+        paired = rand_pencil(rng, n, 3)
+    assert _root_kinds(real) == {"real"}
+    return [real, paired, _pencil_with_zero_end(rng, 0, n),
+            _pencil_with_zero_end(rng, -1, n)]
+
+
+@pytest.mark.parametrize("precision", (96, 256))
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_covariance_within_error_bounds(n, precision):
+    """H_{g.p} = g^-T H_p g^-1 entrywise within
+    Hg.error_bound + n^2 max|g^-1|^2 H.error_bound: the covariant of the
+    moved pencil against the exact transform of the covariant, for real
+    roots only, a conjugate pair, a root at infinity and a root at 0."""
+    rng = random.Random(43 + n)
+    for p in _covariance_cases(n):
+        g = rand_unimodular(rng, n)
+        ginv = g.inverse().entries
+        H = pr.reduction_covariant(p, precision)
+        Hg = pr.reduction_covariant(pr.act(g, p), precision)
+        # g^-T M g^-1 in integers, over 2^H.e
+        E = [[sum(ginv[k][i] * H.M[k][l] * ginv[l][j]
+                  for k in range(n) for l in range(n)) for j in range(n)]
+             for i in range(n)]
+        e = min(H.e, Hg.e)
+        big = max(abs(x) for row in ginv for x in row)
+        with mp.workprec(4 * precision):
+            tol = Hg.error_bound + n * n * big * big * H.error_bound
+            for i in range(n):
+                for j in range(n):
+                    diff = (Hg.M[i][j] << Hg.e - e) - (E[i][j] << H.e - e)
+                    assert dyadic(abs(diff), e) <= tol, (p, i, j)
+
+
+def _residual_tolerance(db, n):
+    """The tolerance simultaneous_diagonalize certified db at: n 2^(-P/2)
+    max(scale, 1), P the precision its width s was made for and scale the
+    largest |d_i|."""
+    precision = db.s - 2 * n - 32
+    scale = max(max(abs(a), abs(b)) for a, b in zip(db.dA, db.dB))
+    return n * mp.mpf(2) ** -(-(-precision // 2)) * max(scale, 1)
+
+
+@pytest.mark.parametrize("precision", (96, 256))
+def test_certificate_matches_mpmath_residuals(precision):
+    """Every d_i = v_i^T M v_i and residual v_i^T M v_j recomputed in mpmath
+    at 4P from db.columns: dA and dB agree within 2^-P, every residual is
+    within the certified tolerance, and every max(|dA_i|, |dB_i|) exceeds
+    it."""
+    for p in _assembly_cases():
+        db = pr.simultaneous_diagonalize(p, precision)
+        n = p.n
+        with mp.workprec(4 * precision):
+            cols = db.columns
+            tol = _residual_tolerance(db, n)
+            ds = []
+            for M, lib in ((p.A, db.dA), (p.B, db.dB)):
+                Mv = [[mp.fsum(M[k][l] * v[l] for l in range(n))
+                       for k in range(n)] for v in cols]
+                F = [[mp.fsum(x * y for x, y in zip(cols[i], Mv[j]))
+                      for j in range(n)] for i in range(n)]
+                ds.append([F[i][i] for i in range(n)])
+                for i in range(n):
+                    assert abs(F[i][i] - lib[i]) <= mp.mpf(2) ** -precision \
+                        * max(1, abs(lib[i])), (p, i)
+                    assert all(abs(F[i][j]) <= tol
+                               for j in range(i + 1, n)), (p, i)
+            assert all(max(abs(a), abs(b)) > tol for a, b in zip(*ds)), p
+
+
+@pytest.mark.parametrize("every_level", (False, True))
+def test_certificate_rejects_rotated_pair_column(every_level, monkeypatch):
+    """A pair's column rotated by about 2^-20 in its first two coordinates
+    is no null vector: simultaneous_diagonalize doubles its precision and
+    certifies at the next width when only the first width is rotated, and
+    raises PrecisionExhausted when every width is."""
+    adjugate = covariant._adjugate_column
+    rotated = set()
+
+    def rotate(C, n, z, s):
+        re, im = adjugate(C, n, z, s)
+        if z and z[1] and s not in rotated and (every_level or not rotated):
+            rotated.add(s)
+            for part in (re, im):
+                part[0], part[1] = (part[0] - (part[1] >> 20),
+                                    part[1] + (part[0] >> 20))
+        return re, im
+
+    monkeypatch.setattr(covariant, "_adjugate_column", rotate)
+    cases = [p for p in _assembly_cases() if "pair" in _root_kinds(p)]
+    assert cases
+    for p in cases:
+        rotated.clear()
+        if every_level:
+            with pytest.raises(pr.PrecisionExhausted):
+                pr.simultaneous_diagonalize(p, 96)
+            assert len(rotated) == covariant._MAX_ESCALATIONS
+        else:
+            db = pr.simultaneous_diagonalize(p, 96)
+            assert db.s == 192 + 2 * p.n + 32, p
 
 
 def test_covariant_and_lll_reduce_use_no_mpmath_linear_algebra(monkeypatch):
