@@ -135,7 +135,7 @@ def _diagonal(G, blocks):
 
 def _off_diagonal(G, blocks):
     """The |v_i^T M v_j|^2, i < j, read off G, a missing q as a zero column:
-    for two blocks, |v^T M u|^2 and |v^T M conj(u)|^2."""
+    |v^T M u|^2, and |v^T M conj(u)|^2 when both blocks are pairs."""
     for k, (p, q) in enumerate(blocks):
         if q is not None:
             yield (G[p][p] + G[q][q]) ** 2
@@ -143,7 +143,8 @@ def _off_diagonal(G, blocks):
             x, y, u, w = (0 if i is None or j is None else G[i][j]
                           for i, j in ((p, r), (p, t), (q, r), (q, t)))
             yield (x - w) ** 2 + (y + u) ** 2
-            yield (x + w) ** 2 + (y - u) ** 2
+            if q is not None and t is not None:
+                yield (x + w) ** 2 + (y - u) ** 2
 
 
 def _moduli(db):
@@ -257,14 +258,14 @@ def _assemble_gram(db: DiagonalizingBasis, diag2, precision):
     U, W = [], []
     for j, ((x, y), t2) in enumerate(zip(_moduli(db), diag2)):
         w, d2 = (db.MR[0][j], x) if x >= y else (db.MR[1][j], y)
-        # u = t w / a over 2^s within one unit: t / a over 2^k, |w| < 2^(k-2)
+        # u = t w over 2^s within one unit: t over 2^k, |w| < 2^(k-2)
         k = max(map(abs, w)).bit_length() + 2
-        t = (isqrt(t2) << 2 * s + k + (j in paired)) // (d2 * db.a)
+        t = (isqrt(t2) << 2 * s + k + (j in paired)) // d2
         U.append([v * t >> k for v in w])
         W.append(w)
-    # H over 2^(2s) is sum_j u_j w_j^T = W^T diag(t / a) W, and U^T is the
-    # product W^T diag(t / a)
-    H = tuple(tuple(x >> s for x in row)
+    # a H over 2^(2s) is sum_j u_j w_j^T = W^T diag(t) W, and U^T is the
+    # product W^T diag(t); H over 2^s is that sum floored by a 2^s
+    H = tuple(tuple((x >> s) // db.a for x in row)
               for row in gram_of_product(list(zip(*U)), list(zip(*W))))
     scale = max(abs(x) for row in H for x in row)
     # max(scale, 1) 2^(-precision/2), rounded up

@@ -2,6 +2,7 @@
 construction, the determinant identity, equivariance."""
 
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -218,6 +219,35 @@ def test_covariant_matches_independent_reference_at_256():
                       else "pair" if mp.im(e.value) else
                       "outside" if e.outside else "inside")
     assert kinds == {"infinity", "zero", "pair", "outside", "inside"}
+
+
+@pytest.mark.parametrize("precision", (96, 256))
+@pytest.mark.parametrize("den", (2 ** 120, 2 ** 200, 3 ** 100))
+def test_covariant_of_large_denominator_pencil(den, precision):
+    """With one entry of A0 or B0 moved by 1/den, the common denominator a
+    of the pencil is den, far wider than the covariant's fixed point at 96
+    bits: H and its R1/R2 variants still lie within error_bound of the
+    inverse reference, the common denominator entering H only once."""
+    for which in (0, 1):
+        rows = [[list(r) for r in A0], [list(r) for r in B0]]
+        rows[which][1][1] += Fraction(1, den)
+        p = pr.Pencil(4, *(tuple(map(tuple, M)) for M in rows))
+        db = pr.simultaneous_diagonalize(p, precision)
+        assert db.a == den
+        H = pr.reduction_covariant(p, precision)
+        R, _ = covariant_reference(p, precision)
+        assert R is not None, p
+        with mp.workprec(precision + 64):
+            assert max(abs(H.entries[i][j] - R[i, j]) for i in range(4)
+                       for j in range(4)) <= H.error_bound, (den, which)
+        for variant in ("R1", "R2"):
+            Hv = pr.covariant_variant(p, variant, precision)
+            with mp.workprec(precision + 2 * p.n + 32):
+                diag = [abs(x if variant == "R1" else y)
+                        for x, y in zip(db.dA, db.dB)]
+                Rv, _ = assemble_gram_reference(db, diag, precision)
+                assert max(abs(Hv.entries[i][j] - Rv[i, j]) for i in range(4)
+                           for j in range(4)) <= Hv.error_bound, (den, variant)
 
 
 def _diagonal_pencil(K):
