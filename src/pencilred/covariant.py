@@ -34,11 +34,12 @@ from math import isqrt
 from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     discriminant, mahler_measure_with_error)
-from .linalg import det_bareiss, gram_of_product, mat_vec
+from .linalg import bareiss, gram_of_product, mat_vec
 from .pencil import Pencil, adjugate_pencil, integral, invariant_form
 from .roots import dyadic, man_exp
 
@@ -113,8 +114,10 @@ class DiagonalizingBasis:
 
 
 def _mp(x, y, e):
-    """(x + iy)·2^e, exactly: an mpf when y = 0, else an mpc."""
-    return mp.mpc(dyadic(x, e), dyadic(y, e)) if y else dyadic(x, e)
+    """(x + iy)·2^e, exactly at any working precision: an mpf when y = 0,
+    else an mpc."""
+    return (mp.make_mpc((from_man_exp(x, e), from_man_exp(y, e))) if y
+            else dyadic(x, e))
 
 
 def _abs2(z):
@@ -305,7 +308,7 @@ def gram_det_with_error(H: GramMatrix):
     with mp.extraprec(64):
         norm = dyadic(max(abs(x) for row in H.M for x in row), e)
         err = n * n * max(norm, mp.mpf(1)) ** (n - 1) * H.error_bound
-    return dyadic(det_bareiss(H.M), n * e), err
+    return dyadic(bareiss(H.M)[0], n * e), err
 
 
 def det_identity(H: GramMatrix, f: BinaryForm, precision=DEFAULT_PRECISION):

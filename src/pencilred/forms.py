@@ -161,7 +161,7 @@ def _univariate_disc(coeffs):
             c = a[i] * b[j] - a[j] * b[i]
             for k in range(j - i):
                 B[i + k][j - 1 - k] -= c
-    out = Fraction(linalg.det_bareiss(B), a[n] ** 2 * den ** (2 * n - 2))
+    out = Fraction(linalg.bareiss(B)[0], a[n] ** 2 * den ** (2 * n - 2))
     return int(out) if out.denominator == 1 else out
 
 

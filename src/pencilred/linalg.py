@@ -2,10 +2,10 @@
 
 Matrices are lists (or tuples) of rows; rows are lists/tuples of ints or
 Fractions.  Everything here is exact; multiprecision floats live elsewhere.
-This module owns the exact kernels the others share: the Gram U·M·Uᵀ of a
-change of basis (`gram`), the quadratic form xᵀGx (`quad`), the symmetric
-matrix of an upper triangle (`symmetric`) and clearing denominators
-(`clear_denominators`).
+This module owns the exact kernels the others share: U·M·Uᵀ (`gram`), xᵀGx
+(`quad`), the symmetric matrix of an upper triangle (`symmetric`), clearing
+denominators (`clear_denominators`), (det M, adj(M)·W) by one fraction-free
+elimination (`bareiss`) and the row HNF of a triangular basis (`hnf_reduce`).
 """
 
 from fractions import Fraction
@@ -72,76 +72,64 @@ def clear_denominators(M):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in M]
 
 
-def det_bareiss(M):
-    """Fraction-free determinant of a square integer matrix."""
-    a = [list(row) for row in M]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+def bareiss(M, W=None):
+    """(det M, adj(M)·W) of a square integer matrix M and an integer block W
+    with as many rows (Bareiss, Math. Comp. 1968; Cohen, GTM 138, 2.2);
+    the block is None when W is None (det M alone) or M is singular.
+
+    Forward elimination of [M | W], a zero pivot swapped for a lower row,
+    leaves [U | Y], each entry a minor of the row-permuted [M | W], so each
+    division is exact; U_nn = ±det M.  X = adj(M)·W is integral and
+    U_ii·X_i = det M·Y_i - sum_{j>i} U_ij·X_j, so back substitution divides
+    exactly too."""
+    n = len(M)
+    a = ([list(r) for r in M] if W is None
+         else [list(r) + list(w) for r, w in zip(M, W)])
+    m = len(a[0]) if n else 0
+    sign, prev = 1, 1
+    for k in range(n):
+        rk = a[k]
+        if not rk[k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0, None
+            a[k], a[piv] = a[piv], rk
+            rk = a[k]
+            sign = -sign
+        pk = rk[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            ri = a[i]
+            c = ri[k]
+            for j in range(k + 1, m):
+                ri[j] = (ri[j] * pk - c * rk[j]) // prev
+        prev = pk
+    det = sign * prev
+    if W is None:
+        return det, None
+    X = [None] * n
+    for i in range(n - 1, -1, -1):
+        ri = a[i]
+        x = [det * y for y in ri[n:]]
+        for j in range(i + 1, n):
+            u = ri[j]
+            if u:
+                xj = X[j]
+                for t in range(m - n):
+                    x[t] -= u * xj[t]
+        X[i] = [s // ri[i] for s in x]
+    return det, X
 
 
 def det_exact(M):
     """Exact determinant; ints go through Bareiss, Fractions are scaled first."""
     d, scaled = clear_denominators(M)
-    det = det_bareiss(scaled)
+    det = bareiss(scaled)[0]
     return det if d == 1 else Fraction(det, d ** len(M))
-
-
-def det_adj(M):
-    """(det M, adj M) of a square integer matrix by fraction-free
-    Gauss-Jordan elimination (Bareiss; Cohen, GTM 138, 2.2) in place.
-
-    On [M | I] each entry is a minor of the row-permuted [M | I], so each
-    division is exact, and the right block ends as adj(PM).  Before pivot k
-    only its columns < k and the left columns >= k are not multiples of unit
-    vectors, so pivot k writes right column k over left column k.  Undoing
-    the swaps, adj M = sign·adj(PM)·P.  adj is None when M is singular.
-    """
-    n = len(M)
-    a = [list(row) for row in M]
-    perm = list(range(n))
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            perm[k], perm[piv] = perm[piv], perm[k]
-            sign = -sign
-        rk = a[k]
-        pk = rk[k]
-        for i in range(n):
-            if i != k:
-                c = a[i][k]
-                a[i] = r = [(pk * x - c * y) // prev for x, y in zip(a[i], rk)]
-                r[k] = -c
-        rk[k] = prev
-        prev = pk
-    inv = sorted(range(n), key=perm.__getitem__)
-    return sign * prev, [[sign * row[j] for j in inv] for row in a]
 
 
 def inverse_unimodular(M):
     """Exact inverse of an integer matrix with det = +-1, as integers."""
-    d, adj = det_adj(M)
+    d, adj = bareiss(M, identity_matrix(len(M)))
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return [[d * x for x in row] for row in adj]
@@ -255,7 +243,7 @@ def hnf_insert(basis, rows):
     with positive diagonal and further rows.  Each row is folded in column
     by column: an extended gcd with the pivot turns the pivot row and the
     row into a unimodular pair, the gcd on the pivot and 0 in the row.
-    Entries above each pivot are then reduced into [0, pivot)."""
+    `hnf_reduce` then reduces the entries above each pivot."""
     B = [list(r) for r in basis]
     k = len(B)
     for row in rows:
@@ -274,10 +262,22 @@ def hnf_insert(basis, rows):
                 bg, xg = b // g, x // g
                 B[c] = [s * v + t * u for v, u in zip(piv, r)]
                 r = [bg * u - xg * v for u, v in zip(r, piv)]
-    for i in range(k):
-        p = B[i][i]
-        for j in range(i):
-            q = B[j][i] // p
-            if q:
-                B[j] = [u - q * v for u, v in zip(B[j], B[i])]
+    hnf_reduce(B)
     return B
+
+
+def hnf_reduce(B):
+    """Reduce a list of rows B, upper triangular with a positive diagonal,
+    to its row HNF in place (Cohen, GTM 138, 2.4): column by column, each
+    entry above a pivot into [0, pivot).  Returns the row operations
+    (j, i, m), row j -= m·row i with j < i, in the order applied."""
+    ops = []
+    for i in range(1, len(B)):
+        row = B[i]
+        piv = row[i]
+        for j in range(i):
+            m = B[j][i] // piv
+            if m:
+                B[j] = [u - m * v for u, v in zip(B[j], row)]
+                ops.append((j, i, m))
+    return ops

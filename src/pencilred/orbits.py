@@ -320,21 +320,12 @@ _LINE_CAP = 64
 
 def _lattice_key(d, B):
     """The key (d', H) of the lattice (row span of B)/d, for B upper
-    triangular with a positive diagonal: H is the row HNF of B, both divided
-    by gcd(d, H) to be canonical.  Also returns the row operations
-    (j, i, m), row j -= m·row i with j < i, that take B to H: the reduction
-    of the HNF of a triangular basis (Cohen, GTM 138, 2.4), column by
-    column, each entry above a pivot into [0, pivot)."""
+    triangular with a positive diagonal: H is the row HNF of B
+    (`linalg.hnf_reduce`), both divided by gcd(d, H) to be canonical.  Also
+    returns the row operations (j, i, m), row j -= m·row i with j < i, that
+    take B to H, for `_congruence`."""
     B = list(B)
-    ops = []
-    for i in range(1, len(B)):
-        row = B[i]
-        piv = row[i]
-        for j in range(i):
-            m = B[j][i] // piv
-            if m:
-                B[j] = [u - m * v for u, v in zip(B[j], row)]
-                ops.append((j, i, m))
+    ops = linalg.hnf_reduce(B)
     g = d
     for row in B:
         g = gcd(g, *row)
@@ -579,6 +570,7 @@ def _finish(p, d, H, GA, GB):
                  tuple(tuple(row) for row in GB))
     if invariant_form(out) != invariant_form(p):
         raise NotFound("search produced a pencil with the wrong form")
-    det, adj = linalg.det_adj(linalg.transpose(H))
+    det, adj = linalg.bareiss(linalg.transpose(H),
+                              linalg.identity_matrix(len(H)))
     return IntegralizeResult(out, tuple(tuple(Fraction(d * x, det)
                                               for x in row) for row in adj))

@@ -3,8 +3,8 @@
 The group acts by g . (A, B) = (g^-T A g^-1, g^-T B g^-1), the Grams
 `linalg.gram` of the basis g^-T; the invariant binary form is
 f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By).  Both it and the adjugate
-pencil adj(Ax - By) are interpolated from fraction-free integer eliminations
-at integer nodes, on the integral pencil (aA, aB) of `integral`.
+pencil adj(Ax - By) are interpolated from `linalg.bareiss` at integer nodes,
+on the integral pencil (aA, aB) of `integral`.
 """
 
 from dataclasses import dataclass, field
@@ -67,7 +67,7 @@ class UnimodularMatrix:
         entries = tuple(tuple(int(x) for x in row) for row in self.entries)
         if len(entries) != self.n or any(len(r) != self.n for r in entries):
             raise DimensionMismatch("matrix must be n x n")
-        d = linalg.det_bareiss([list(r) for r in entries])
+        d = linalg.bareiss(entries)[0]
         if d not in (1, -1):
             raise ValueError("determinant must be +-1, got %s" % d)
         object.__setattr__(self, "entries", entries)
@@ -149,11 +149,11 @@ def invariant_form(p: Pencil) -> BinaryForm:
 
     With a the common denominator of the entries, (aA, aB) is integral, and
     f interpolates the fraction-free determinants det(k·aA - aB)
-    (linalg.det_bareiss) at the n + 1 integer nodes k = 0, 1, -1, 2, ...
+    (`linalg.bareiss`) at the n + 1 integer nodes k = 0, 1, -1, 2, ...
     """
     a, A, B = integral(p)
     nodes = [_node(i) for i in range(p.n + 1)]
-    return _form(p.n, a, nodes, [linalg.det_bareiss(_at(A, B, k))
+    return _form(p.n, a, nodes, [linalg.bareiss(_at(A, B, k))[0]
                                  for k in nodes])
 
 
@@ -161,27 +161,26 @@ def invariant_form(p: Pencil) -> BinaryForm:
 def adjugate_pencil(p: Pencil):
     """(f, D): the invariant form and the adjugate pencil.
 
-    det(k·aA - aB) and adj(k·aA - aB) come from one fraction-free
-    Gauss-Jordan pass (linalg.det_adj) at each integer node k = 0, 1, -1,
-    2, ... until n nodes are nonsingular (all but at most n of them are
-    when f != 0); one more determinant (linalg.det_bareiss) completes the
-    n + 1 that give f.  Newton interpolation of the upper triangles of the
-    n adjugates (each is symmetric), mirrored, gives the integer n x n
-    matrices D_0..D_{n-1} (as row-major tuples, since the result is cached
-    and shared) with adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None
-    when f = 0.  The sampler reads f here and `simultaneous_diagonalize`
-    reads D, so each pencil's nodes are eliminated once; callers that need f
-    alone use `invariant_form`, about a quarter of the cost.
+    det(k·aA - aB) and adj(k·aA - aB) come from one `linalg.bareiss` with
+    the block I at each integer node k = 0, 1, -1, 2, ... until n nodes are
+    nonsingular (all but at most n of them are when f != 0); one more
+    determinant (no block) completes the n + 1 that give f.  Newton
+    interpolation of the upper triangles of the n adjugates (each is
+    symmetric), mirrored, gives the integer n x n matrices D_0..D_{n-1} (as
+    row-major tuples, since the result is cached and shared) with
+    adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.  The
+    sampler reads f here and `simultaneous_diagonalize` reads D, so each
+    pencil's nodes are eliminated once; callers that need f alone use
+    `invariant_form`, about a quarter of the cost.
     """
     n = p.n
     a, A, B = integral(p)
     nodes, dets, adj_nodes, adjs = [], [], [], []
     upper = [(i, j) for i in range(n) for j in range(i, n)]
+    I = linalg.identity_matrix(n)
     while len(nodes) <= n or (len(adjs) < n and any(dets)):
         k = _node(len(nodes))
-        M = _at(A, B, k)
-        d, adj = ((linalg.det_bareiss(M), None) if len(adjs) == n
-                  else linalg.det_adj(M))
+        d, adj = linalg.bareiss(_at(A, B, k), None if len(adjs) == n else I)
         nodes.append(k)
         dets.append(d)
         if adj is not None:

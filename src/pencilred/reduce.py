@@ -325,7 +325,7 @@ def lll_reduce(p: Pencil, delta=0.99, precision=DEFAULT_PRECISION,
         if V == linalg.identity_matrix(p.n):
             break
         U = linalg.mat_mul(V, U)
-    if sl_normalize and linalg.det_bareiss(U) == -1:
+    if sl_normalize and linalg.bareiss(U)[0] == -1:
         U = [[-x for x in U[0]]] + [list(r) for r in U[1:]]
         gram = rebase_gram(H, U)
     g_entries = linalg.inverse_unimodular(linalg.transpose(U))

@@ -253,7 +253,7 @@ def sylvester_resultant(p, q):
         rows.append([0] * i + pi + [0] * (size - n - 1 - i))
     for i in range(n):
         rows.append([0] * i + qi + [0] * (size - m - 1 - i))
-    res = linalg.det_bareiss(rows)
+    res = linalg.bareiss(rows)[0]
     if den == 1:
         return res
     return Fraction(res, den ** size)
@@ -282,7 +282,7 @@ def discriminant_sylvester(f):
 def det_adj_reference(M):
     """(det M, adj M) by fraction-free Gauss-Jordan on the augmented
     [M | I]: at the end the right block is det(PM)·(PM)^-1.  Reference for
-    the in-place linalg.det_adj."""
+    linalg.bareiss with the block I."""
     n = len(M)
     a = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(M)]
@@ -302,6 +302,30 @@ def det_adj_reference(M):
                 a[i] = [(pk * x - c * y) // prev for x, y in zip(a[i], rk)]
         prev = pk
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def fraction_solve(M, W=()):
+    """(det M, adj(M)·W) by Gaussian elimination over Fractions, W given
+    as rows; the block is None when M is singular.  Reference for
+    linalg.bareiss."""
+    n = len(M)
+    a = [[Fraction(x) for x in row] + [Fraction(x) for x in w]
+         for row, w in zip(M, W or [()] * n)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                c = a[i][k]
+                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
+    return int(det), [[int(det * x) for x in row[n:]] for row in a]
 
 
 def planted_gram(rng, n, s, precision=192):

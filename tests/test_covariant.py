@@ -395,6 +395,21 @@ def test_certificate_matches_mpmath_residuals(precision):
             assert all(max(abs(a), abs(b)) > tol for a, b in zip(*ds)), p
 
 
+def test_columns_exact_whatever_the_first_read_precision():
+    """The columns are exact dyadics whatever precision they are first
+    read at: f = x^2 + y^2 has a conjugate pair, its columns read once at
+    53 bits still give v^T A v = dA within 2^-256 at 384 bits."""
+    p = pr.Pencil(2, ((0, 1), (1, 0)), ((1, 0), (0, -1)))
+    db = pr.simultaneous_diagonalize(p, 256)
+    with mp.workprec(53):
+        db.columns
+    with mp.workprec(384):
+        for v, d in zip(db.columns, db.dA):
+            vAv = mp.fsum(v[k] * p.A[k][l] * v[l]
+                          for k in range(2) for l in range(2))
+            assert abs(vAv - d) <= mp.mpf(2) ** -256 * max(1, abs(d))
+
+
 @pytest.mark.parametrize("every_level", (False, True))
 def test_certificate_rejects_rotated_pair_column(every_level, monkeypatch):
     """A pair's column rotated by about 2^-20 in its first two coordinates

@@ -145,32 +145,29 @@ def _clear_node_caches():
 
 def test_one_adjugate_pass_per_item(monkeypatch):
     """The sampler reads f off the adjugate pass, so each matrix k·A - B is
-    eliminated by linalg.det_adj at most once per item, a nondegenerate
-    item needs n nonsingular ones for its null vectors, and the only
-    Bareiss determinants left are the (n+1)-th node and the discriminant's
-    Bezout matrix."""
-    calls, bareiss = [], []
-    det_adj, det_bareiss = pencilred.linalg.det_adj, \
-        pencilred.linalg.det_bareiss
+    eliminated by linalg.bareiss with the block I at most once per item, a
+    nondegenerate item needs n nonsingular ones for its null vectors, and
+    the only determinants without a block left are the (n+1)-th node and
+    the discriminant's Bezout matrix."""
+    calls, dets = [], []
+    kernel = pencilred.linalg.bareiss
 
-    def counting(M):
-        d, adj = det_adj(M)
-        calls.append((tuple(map(tuple, M)), adj is not None))
+    def counting(M, W=None):
+        d, adj = kernel(M, W)
+        if W is None:
+            dets.append(M)
+        else:
+            calls.append((tuple(map(tuple, M)), adj is not None))
         return d, adj
 
-    def counting_bareiss(M):
-        bareiss.append(M)
-        return det_bareiss(M)
-
     _clear_node_caches()
-    monkeypatch.setattr(pencilred.linalg, "det_adj", counting)
-    monkeypatch.setattr(pencilred.linalg, "det_bareiss", counting_bareiss)
+    monkeypatch.setattr(pencilred.linalg, "bareiss", counting)
     batch = pr.sample_pencils(4, 3, 12, seed=5, precision=96)
     good = len(batch.nondegenerate_items())
     assert good > 0
     assert len(calls) == len(set(calls))
     assert sum(ok for _, ok in calls) == 4 * good
-    assert len(bareiss) <= 2 * good
+    assert len(dets) <= 2 * good
 
 
 def test_escalated_diagonalization_reuses_node_pass(monkeypatch):
@@ -180,13 +177,14 @@ def test_escalated_diagonalization_reuses_node_pass(monkeypatch):
     _clear_node_caches()
     pr.simultaneous_diagonalize(p, 96)
     calls = []
-    det_adj = pencilred.linalg.det_adj
+    kernel = pencilred.linalg.bareiss
 
-    def counting(M):
-        calls.append(M)
-        return det_adj(M)
+    def counting(M, W=None):
+        if W is not None:
+            calls.append(M)
+        return kernel(M, W)
 
-    monkeypatch.setattr(pencilred.linalg, "det_adj", counting)
+    monkeypatch.setattr(pencilred.linalg, "bareiss", counting)
     pr.simultaneous_diagonalize(p, 192)
     assert calls == []
 

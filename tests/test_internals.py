@@ -14,17 +14,55 @@ from hypothesis import given, settings, strategies as st
 import pencilred as pr
 from pencilred import linalg, polys
 from helpers import (det_adj_reference, discriminant_sylvester,
-                     kernel_mod_reference, pderiv,
+                     fraction_solve, kernel_mod_reference, pderiv,
                      pm_is_irreducible_reference, row_hnf_reference,
                      sturm_real_root_count, sylvester_resultant)
 
 
 def test_det_bareiss_matches_fraction_gauss():
+    """The determinant alone (no block) of linalg.bareiss is the Fraction
+    Gauss determinant, and det_exact agrees."""
     rng = random.Random(1)
     for _ in range(40):
         n = rng.randint(1, 5)
         M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert linalg.det_bareiss(M) == linalg.det_exact(M)
+        d, block = linalg.bareiss(M)
+        assert block is None
+        assert d == fraction_solve(M)[0] == linalg.det_exact(M)
+
+
+def _rand_square(rng, n, b):
+    """A random n x n integer matrix, entries in [-b, b]: as drawn, with a
+    zero leading pivot, with a zero leading column block (row swaps), or
+    with a repeated row (singular)."""
+    M = [[rng.randint(-b, b) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 1 and n:
+        M[0][0] = 0
+    elif kind == 2 and n:
+        for row in M[:rng.randint(1, n)]:
+            row[0] = 0
+    elif kind == 3 and n > 1:
+        i, j = rng.sample(range(n), 2)
+        M[i] = list(M[j])
+    return M
+
+
+@settings(deadline=None, max_examples=120, derandomize=True)
+@given(n=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
+       b=st.sampled_from((1, 2, 9, 10 ** 6)), width=st.integers(1, 3))
+def test_bareiss_matches_references(n, seed, b, width):
+    """linalg.bareiss(M, W) = (det M, adj(M)·W): with W = None the block is
+    None, W = I gives the augmented Gauss-Jordan's (det, adj) and a random
+    integer block of 1 to 3 columns the Fraction solve's adj(M)·W; both
+    references give (0, None) for a singular M."""
+    rng = random.Random(seed)
+    M = _rand_square(rng, n, b)
+    W = [[rng.randint(-b, b) for _ in range(width)] for _ in range(n)]
+    d, adj = det_adj_reference(M)
+    assert linalg.bareiss(M) == (d, None)
+    assert linalg.bareiss(M, linalg.identity_matrix(n)) == (d, adj)
+    assert linalg.bareiss(M, W) == fraction_solve(M, W)
 
 
 def test_inverse_unimodular_roundtrip():
@@ -39,28 +77,21 @@ def test_inverse_unimodular_roundtrip():
                 M[i][t] += c * M[j][t]
         inv = linalg.inverse_unimodular(M)
         assert linalg.mat_mul(M, inv) == linalg.identity_matrix(n)
+    for M in ([[2, 0], [0, 1]], [[1, 1], [-1, 1]], [[1, 2], [2, 4]]):
+        with pytest.raises(ValueError):     # det 2, 2 and 0
+            linalg.inverse_unimodular(M)
 
 
 def test_det_adj_matches_augmented_reference():
-    """The in-place Gauss-Jordan gives the (det, adj) of the elimination on
-    [M | I], on singular matrices, zero leading pivots (row swaps) and
-    repeated rows included."""
+    """linalg.bareiss with the block I gives the (det, adj) of the
+    Gauss-Jordan elimination on [M | I], on singular matrices, zero leading
+    pivots (row swaps) and repeated rows included."""
     rng = random.Random(13)
     singular = 0
     for _ in range(600):
         n = rng.randint(1, 10)
-        b = rng.choice((1, 2, 9, 10 ** 6))
-        M = [[rng.randint(-b, b) for _ in range(n)] for _ in range(n)]
-        kind = rng.randrange(4)
-        if kind == 1:
-            M[0][0] = 0
-        elif kind == 2:
-            for row in M[:rng.randint(1, n)]:
-                row[0] = 0
-        elif kind == 3 and n > 1:
-            i, j = rng.sample(range(n), 2)
-            M[i] = list(M[j])
-        d, adj = linalg.det_adj(M)
+        M = _rand_square(rng, n, rng.choice((1, 2, 9, 10 ** 6)))
+        d, adj = linalg.bareiss(M, linalg.identity_matrix(n))
         assert (d, adj) == det_adj_reference(M)
         singular += adj is None
         if adj is not None:
@@ -209,7 +240,7 @@ def test_row_hnf_lattice_invariance():
     for _ in range(20):
         n = 3
         M = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        det = linalg.det_bareiss(M)
+        det = linalg.bareiss(M)[0]
         if det == 0:
             continue
         # the row span of M contains det*Z^n (adj(M)·M = det·I)
@@ -373,3 +404,29 @@ def test_pm_divmod_is_euclidean_division(p, a, b):
     assert r == [0] or len(r) < len(polys.ptrim([c % p for c in b]))
     qb = polys.pm_mul(q, b, p)
     assert polys.pm_sub(polys.pm_sub(a, qb, p), r, p) == [0]
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       bound=st.sampled_from((3, 30, 10 ** 6)))
+def test_hnf_reduce_ops_replay(n, seed, bound):
+    """The row operations hnf_reduce returns, replayed on a copy of an
+    upper-triangular basis B, give its row HNF hnf_insert(B, []), which is
+    what hnf_reduce leaves in B."""
+    rng = random.Random(seed)
+    B = [[0] * i + [rng.randint(1, 12)]
+         + [rng.randint(-bound, bound) for _ in range(n - i - 1)]
+         for i in range(n)]
+    copy = [list(r) for r in B]
+    H = linalg.hnf_insert(B, [])
+    ops = linalg.hnf_reduce(B)
+    assert B == H and _is_hnf(H)
+    for j, i, m in ops:
+        assert j < i and m
+        copy[j] = [u - m * v for u, v in zip(copy[j], copy[i])]
+    assert copy == H
+
+
+def test_kernel_mod_of_modulus_one():
+    """Every x solves M x = 0 mod 1: the kernel is Z^k."""
+    assert linalg.kernel_mod([[3, 5, 7]], 1, {}) == linalg.identity_matrix(3)

@@ -743,7 +743,7 @@ def _update_parents(rng):
                 d = rng.randint(1, 6)
                 g = math.gcd(d, *(x for row in H for x in row))
                 d, H = d // g, [[x // g for x in row] for row in H]
-                det, adj = linalg.det_adj(H)
+                det, adj = linalg.bareiss(H, linalg.identity_matrix(n))
                 # (A, B)/a = d^2·H^-1·(GA, GB)·H^-T
                 dHinv = [[Fraction(d * x, det) for x in row] for row in adj]
                 A, B = (linalg.gram(dHinv, G) for G in grams)
