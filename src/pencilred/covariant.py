@@ -21,11 +21,14 @@ of A, B gives the larger |d_i|.  A pair's two terms add up to
 sum_j t_j w_j w_j^T over the columns w_j of M_j R, with no inverse.
 
 All of it runs on Python ints at one fixed point 2^s, s = precision + 2n +
-32: the roots are exact dyadics, a column is the integer adjugate pencil at
-its root (once per real root or pair) normalized by an integer square root,
-and M R and G are exact products with the integral pencil (aA, aB), a the
-common denominator of (A, B).  The certificate compares squared magnitudes
-on the scale of (A, B); H of (aA, aB), a H, is divided by a at the end.
+32: the roots are exact dyadics, a column is the integer column pencil
+adj(x·aA - y·aB)·w at its root (once per real root or pair; adj M = κ·v vᵀ
+at a simple root, so adj(M)·w = κ(vᵀw)·v), or the whole adjugate pencil's
+column of largest norm where that does not certify, normalized by an
+integer square root, and M R and G are exact products with the integral
+pencil (aA, aB), a the common denominator of (A, B).  The certificate
+compares squared magnitudes on the scale of (A, B); H of (aA, aB), a H, is
+divided by a at the end.
 """
 
 from dataclasses import dataclass
@@ -40,7 +43,8 @@ from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     discriminant, mahler_measure_with_error)
 from .linalg import bareiss, gram_of_product, mat_vec
-from .pencil import Pencil, adjugate_pencil, integral, invariant_form
+from .pencil import (Pencil, adjugate_pencil, integral, invariant_form,
+                     probe)
 from .roots import dyadic, man_exp
 
 _MAX_ESCALATIONS = 4
@@ -170,40 +174,85 @@ def _fixed(z, s):
                  for m, e in map(man_exp, (z.real, z.imag)))
 
 
-def _adjugate_column(C, n, z, s):
-    """Unit null vector of M = x0·A - y0·B at the root (x0 : y0) = (z : 1),
-    or (1 : 0) for z None; z and the result are Gaussian integers over 2^s.
-
-    M is symmetric of corank 1, so adj M = κ·v vᵀ and every nonzero column
-    of adj M is a multiple of v; the column j with the largest |(adj M)_jj|
-    is taken.  C[j][i] lists the coefficients of x^k y^(n-1-k) in entry
-    (i, j) of the adjugate pencil (of a positive multiple of (A, B), which
-    scales adj M alone), evaluated at x0^k y0^(n-1-k), max(|x0|, |y0|) = 1:
-    the powers of z, or of 1/z in reverse when |z| > 1.
-    """
+def _powers(z, n, s):
+    """x0^k y0^(n-1-k), k = 0..n-1, over 2^s at the root (x0 : y0) =
+    (z : 1), or (1 : 0) for z None, with max(|x0|, |y0|) = 1: the powers of
+    z, or of 1/z in reverse when |z| > 1.  (re, im) lists, im None at a
+    real root, whose powers are real products only."""
     one = 1 << s
     if z is None:
-        t = ([0] * (n - 1) + [one], [0] * n)
-    else:
-        x, y = z
-        m = x * x + y * y
-        inverse = m > one * one
-        if inverse:                     # 1/z = conj(z) / |z|^2
-            x, y = (x << 2 * s) // m, (-y << 2 * s) // m
-        tr, ti = [one], [0]
+        return [0] * (n - 1) + [one], None
+    x, y = z
+    m = x * x + y * y
+    inverse = m > one * one
+    if inverse:                         # 1/z = conj(z) / |z|^2
+        x, y = (x << 2 * s) // m, (-y << 2 * s) // m
+    tr = [one]
+    if not y:
         for _ in range(n - 1):
-            r, i = tr[-1], ti[-1]
-            tr.append((r * x - i * y) >> s)
-            ti.append((r * y + i * x) >> s)
-        t = (tr[::-1], ti[::-1]) if inverse else (tr, ti)
+            tr.append(tr[-1] * x >> s)
+        return (tr[::-1] if inverse else tr), None
+    ti = [0]
+    for _ in range(n - 1):
+        r, i = tr[-1], ti[-1]
+        tr.append((r * x - i * y) >> s)
+        ti.append((r * y + i * x) >> s)
+    return (tr[::-1], ti[::-1]) if inverse else (tr, ti)
+
+
+def _adjugate_column(C, z, s):
+    """Unit null vector of M = x0·A - y0·B at the root (x0 : y0) of
+    `_powers`; z and the result (re, im) are Gaussian integers over 2^s.
+
+    M is symmetric of corank 1, so adj M = κ·v vᵀ and each column of
+    adj(M)·W is κ(vᵀw)·v, w the matching column of W; the column of largest
+    norm is taken.  C[j][i] lists the coefficients of x^k y^(n-1-k) in
+    entry (i, j) of adj(x·A - y·B)·W, of a positive multiple of (A, B),
+    which scales adj M alone.
+    """
+    n = len(C[0])
+    tr, ti = _powers(z, n, s)
 
     def at(c):
-        return sum(map(mul, c, t[0])), sum(map(mul, c, t[1]))
+        re = [sum(map(mul, e, tr)) for e in c]
+        im = [0] * n if ti is None else [sum(map(mul, e, ti)) for e in c]
+        return sum(u * u for u in re) + sum(u * u for u in im), re, im
 
-    j = max(range(n), key=lambda j: _abs2(at(C[j][j])))
-    col = [at(c) for c in C[j]]
-    norm = max(isqrt(sum(map(_abs2, col))), 1)
-    return tuple([(u << s) // norm for u in part] for part in zip(*col))
+    norm2, re, im = max(map(at, C), key=lambda col: col[0])
+    norm = max(isqrt(norm2), 1)
+    return [(u << s) // norm for u in re], [(u << s) // norm for u in im]
+
+
+def _basis(pencil, D, roots, s):
+    """The DiagonalizingBasis at 2^s of the integral pencil (a, aA, aB) of
+    `integral` from the column pencil adj(x·aA - y·aB)·W, D its
+    coefficients from `adjugate_pencil`, at the certified roots."""
+    a, A, B = pencil
+    n = len(A)
+    entries = list(zip(*D))                     # row-major, n x m
+    m = len(entries) // n
+    C = [entries[j::m] for j in range(m)]
+    R, blocks = [], []
+    roots = iter(roots)
+    for root in roots:
+        re, im = _adjugate_column(C, _fixed(root.value, s), s)
+        # a non-real root is followed by its exact conjugate
+        if pair := bool(root.value is not None and root.value.imag):
+            next(roots)
+        blocks.append((len(R), len(R) + 1 if pair else None))
+        R += [re, im] if pair else [re]
+    MR = tuple([mat_vec(M, r) for r in R] for M in (A, B))
+    return DiagonalizingBasis(n, s, a, tuple(blocks), tuple(R), MR,
+                              tuple(gram_of_product(X, R) for X in MR))
+
+
+def _certified(db, precision):
+    """Each residual v_i^T M v_j is at most tol = n 2^(-precision/2)
+    max(scale, 1), scale the largest |d_i|, and each |d_i| exceeds it."""
+    d2 = list(map(max, _moduli(db)))
+    lim, e = _limit(db.n, db.a << 2 * db.s, max(d2), precision)
+    return min(d2) << e > lim and all(
+        x << e <= lim for G in db.G for x in _off_diagonal(G, db.blocks))
 
 
 def simultaneous_diagonalize(p: Pencil,
@@ -211,41 +260,28 @@ def simultaneous_diagonalize(p: Pencil,
     """Common diagonalizing basis of a nondegenerate pencil over C.
 
     Columns are null vectors of x0*A - y0*B over the projective roots
-    (x0 : y0) of the invariant form, read off the exact adjugate pencil
-    adj(xA - yB) = sum_k x^k y^(n-1-k) D_k at the fixed point 2^s,
-    s = precision + 2n + 32, once per real root or conjugate pair.  The two
-    Grams R^T M R certify the output: each residual v_i^T M v_j is at most
-    tol = n 2^(-precision/2) max(scale, 1), scale the largest |d_i|, and
-    each |d_i| exceeds it.  Else the precision doubles.
+    (x0 : y0) of the invariant form, read off the exact column pencil
+    adj(xA - yB)·w = sum_k x^k y^(n-1-k) c_k, w = `probe(n)`, at the fixed
+    point 2^s, s = precision + 2n + 32, once per real root or conjugate
+    pair.  The two Grams R^T M R certify the output (`_certified`).  A width
+    whose certificate fails reruns on the whole adjugate pencil (W = I),
+    whose column of largest norm stays accurate where v^T w is small; if
+    that fails too, the precision doubles.
     """
-    f, D = adjugate_pencil(p)
+    n = p.n
+    w = probe(n)
+    f, _ = adjugate_pencil(p, w)
     if discriminant(f) == 0:
         raise DegeneratePencil("pencil has zero discriminant")
-    n = p.n
-    a, A, B = integral(p)
-    C = [[[Dk[i * n + j] for Dk in D] for i in range(n)] for j in range(n)]
+    pencil = integral(p)
     prec = precision
     for _ in range(_MAX_ESCALATIONS):
         s = prec + 2 * n + 32
-        R, blocks = [], []
-        roots = iter(complex_roots(f, prec).entries)
-        for root in roots:
-            z = _fixed(root.value, s)
-            re, im = _adjugate_column(C, n, z, s)
-            # a non-real root is followed by its exact conjugate
-            if pair := bool(root.value is not None and root.value.imag):
-                next(roots)
-            blocks.append((len(R), len(R) + 1 if pair else None))
-            R += [re, im] if pair else [re]
-        MR = tuple([mat_vec(M, r) for r in R] for M in (A, B))
-        db = DiagonalizingBasis(n, s, a, tuple(blocks), tuple(R), MR,
-                                tuple(gram_of_product(X, R) for X in MR))
-        d2 = list(map(max, _moduli(db)))
-        lim, e = _limit(n, a << 2 * s, max(d2), prec)
-        if min(d2) << e > lim and all(
-                x << e <= lim for G in db.G
-                for x in _off_diagonal(G, db.blocks)):
-            return db
+        roots = complex_roots(f, prec).entries
+        for W in (w, None):
+            db = _basis(pencil, adjugate_pencil(p, W)[1], roots, s)
+            if _certified(db, prec):
+                return db
         prec *= 2
     raise PrecisionExhausted("simultaneous diagonalization did not certify")
 

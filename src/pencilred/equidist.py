@@ -18,28 +18,18 @@ from .covariant import det_identity, reduction_covariant
 from .errors import EmptyStatistics
 from .forms import BinaryForm, discriminant, height, real_root_count
 from .heights import FamilyParams, family_membership
-from .pencil import Pencil, adjugate_pencil
+from .pencil import Pencil, adjugate_pencil, probe, splitmix64
 from .reduce import exact_gram, lll_gram
 
 MEASURE_CAVEAT = ("entries uniform in a box, not the height-ball measure; "
                   "qualitative analogue only")
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _splitmix64(x):
-    x &= _MASK64
-    x = (x + _GOLDEN) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def item_rng(seed, index):
     """Per-item generator; the documented stream-splitting rule."""
-    return random.Random(_splitmix64((seed & _MASK64) ^ ((_GOLDEN * index) & _MASK64)))
+    return random.Random(splitmix64(seed ^ _GOLDEN * index))
 
 
 @dataclass(frozen=True)
@@ -103,8 +93,9 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
         A = _random_symmetric(rng, n, B)
         Bm = _random_symmetric(rng, n, B)
         p = Pencil(n, A, Bm)
-        # one node pass gives f here and D to simultaneous_diagonalize
-        f, _ = adjugate_pencil(p)
+        # one node pass gives f here and the probe column to
+        # simultaneous_diagonalize
+        f, _ = adjugate_pencil(p, probe(n))
         ht = height(f)
         if discriminant(f) == 0:
             items.append(SampleItem(idx, p, int(ht), False))

@@ -3,8 +3,9 @@
 The group acts by g . (A, B) = (g^-T A g^-1, g^-T B g^-1), the Grams
 `linalg.gram` of the basis g^-T; the invariant binary form is
 f_{A,B}(x,y) = (-1)^(n(n-1)/2) det(Ax - By).  Both it and the adjugate
-pencil adj(Ax - By) are interpolated from `linalg.bareiss` at integer nodes,
-on the integral pencil (aA, aB) of `integral`.
+pencil times a fixed block, adj(Ax - By)·W, are interpolated from
+`linalg.bareiss` at integer nodes, on the integral pencil (aA, aB) of
+`integral`.
 """
 
 from dataclasses import dataclass, field
@@ -157,40 +158,60 @@ def invariant_form(p: Pencil) -> BinaryForm:
                                  for k in nodes])
 
 
-@lru_cache(maxsize=64)
-def adjugate_pencil(p: Pencil):
-    """(f, D): the invariant form and the adjugate pencil.
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
-    det(k·aA - aB) and adj(k·aA - aB) come from one `linalg.bareiss` with
-    the block I at each integer node k = 0, 1, -1, 2, ... until n nodes are
-    nonsingular (all but at most n of them are when f != 0); one more
+
+def splitmix64(x):
+    """The 64-bit output of SplitMix64 (Steele, Lea and Flood, 2014) at
+    the state x."""
+    x = (x + _GOLDEN) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def probe(n):
+    """The fixed integer column w (an n x 1 block) that `adjugate_pencil`
+    multiplies by: w_i = splitmix64(i + 1) >> 3, 61 bits.  A nonlinear mix,
+    so no small integer vector is orthogonal to it by construction, as
+    every v with sum (i+1) v_i = 0 is to an arithmetic progression."""
+    return tuple((splitmix64(i + 1) >> 3,) for i in range(n))
+
+
+@lru_cache(maxsize=64)
+def adjugate_pencil(p: Pencil, W=None):
+    """(f, D): the invariant form and the pencil adj(x·aA - y·aB)·W, W an
+    integer block of n rows (tuple of rows); None is the identity, the
+    whole adjugate pencil.
+
+    det(k·aA - aB) and adj(k·aA - aB)·W come from one `linalg.bareiss` of
+    [k·aA - aB | W] at each integer node k = 0, 1, -1, 2, ... until n nodes
+    are nonsingular (all but at most n of them are when f != 0); one more
     determinant (no block) completes the n + 1 that give f.  Newton
-    interpolation of the upper triangles of the n adjugates (each is
-    symmetric), mirrored, gives the integer n x n matrices D_0..D_{n-1} (as
-    row-major tuples, since the result is cached and shared) with
-    adj(x·aA - y·aB) = sum_k x^k y^(n-1-k) D_k.  D is None when f = 0.  The
-    sampler reads f here and `simultaneous_diagonalize` reads D, so each
-    pencil's nodes are eliminated once; callers that need f alone use
-    `invariant_form`, about a quarter of the cost.
+    interpolation of the n adjugate products gives the integer n x m
+    matrices D_0..D_{n-1} (row-major tuples, since the result is cached and
+    shared) with adj(x·aA - y·aB)·W = sum_k x^k y^(n-1-k) D_k.  D is None
+    when f = 0.  The sampler reads f off the column pass W = `probe(n)` and
+    `simultaneous_diagonalize` reads that column, so each pencil's nodes
+    are eliminated once; callers that need f alone use `invariant_form`.
     """
     n = p.n
     a, A, B = integral(p)
+    if W is None:
+        W = linalg.identity_matrix(n)
     nodes, dets, adj_nodes, adjs = [], [], [], []
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    I = linalg.identity_matrix(n)
     while len(nodes) <= n or (len(adjs) < n and any(dets)):
         k = _node(len(nodes))
-        d, adj = linalg.bareiss(_at(A, B, k), None if len(adjs) == n else I)
+        d, adj = linalg.bareiss(_at(A, B, k), None if len(adjs) == n else W)
         nodes.append(k)
         dets.append(d)
         if adj is not None:
             adj_nodes.append(k)
-            adjs.append([adj[i][j] for i, j in upper])
+            adjs.append([x for row in adj for x in row])
     f = _form(n, a, nodes[:n + 1], dets[:n + 1])
-    at = {ij: t for t, ij in enumerate(upper)}
-    slot = [at[min(i, j), max(i, j)] for i in range(n) for j in range(n)]
-    return f, (tuple(tuple(Dk[t] for t in slot)
-                     for Dk in _newton(adj_nodes, adjs)) if adjs else None)
+    return f, (tuple(map(tuple, _newton(adj_nodes, adjs))) if adjs
+               else None)
 
 
 def pencil_discriminant(p: Pencil):

@@ -12,7 +12,7 @@ from helpers import (A0, B0, assemble_gram_reference, covariant_reference,
                      gram_from_mp, gram_of_basis, mp_matrix_of,
                      nullvector_reference, rand_pencil, rand_symmetric,
                      rand_unimodular, scaled_pencil)
-from pencilred import covariant
+from pencilred import covariant, linalg
 from pencilred.reduce import form_norm, lll_reduce, rationalize_gram
 from pencilred.roots import _certified_roots_cached, dyadic
 
@@ -415,13 +415,15 @@ def test_certificate_rejects_rotated_pair_column(every_level, monkeypatch):
     """A pair's column rotated by about 2^-20 in its first two coordinates
     is no null vector: simultaneous_diagonalize doubles its precision and
     certifies at the next width when only the first width is rotated, and
-    raises PrecisionExhausted when every width is."""
+    raises PrecisionExhausted when every width is.  A rotated width is
+    rotated in both of its passes, the probe column and the whole-adjugate
+    fallback."""
     adjugate = covariant._adjugate_column
     rotated = set()
 
-    def rotate(C, n, z, s):
-        re, im = adjugate(C, n, z, s)
-        if z and z[1] and s not in rotated and (every_level or not rotated):
+    def rotate(C, z, s):
+        re, im = adjugate(C, z, s)
+        if z and z[1] and (every_level or not rotated or s in rotated):
             rotated.add(s)
             for part in (re, im):
                 part[0], part[1] = (part[0] - (part[1] >> 20),
@@ -440,6 +442,55 @@ def test_certificate_rejects_rotated_pair_column(every_level, monkeypatch):
         else:
             db = pr.simultaneous_diagonalize(p, 96)
             assert db.s == 192 + 2 * p.n + 32, p
+
+
+# At the root 0 of this pencil (f = 4x^4 + 57x^3y + 135x^2y^2 - 48xy^3) the
+# null vector is v = (2, -3, 0, 1), orthogonal to every arithmetic
+# progression; H at 64 bits (upper triangle of M, e = -104) and the
+# lll_reduce g are those of the whole adjugate pencil's largest column at
+# every root.
+_VANISHING = pr.Pencil(4, ((0, 1, -1, 0), (1, -2, -1, -1), (-1, -1, 1, 3),
+                           (0, -1, 3, 0)),
+                       ((0, -1, 2, -3), (-1, -1, 1, -1), (2, 1, 2, -1),
+                        (-3, -1, -1, 3)))
+_VANISHING_H = (
+    (30684066463385980978461830760245, -8798704278143413195037973162695,
+     -32521487206448742520506433832120, -26917016950247190270195827151850),
+    (71655859778019892934490144125566, -37957162171244550698717086670702,
+     90588120664784812225915619700030),
+    (226118234165493714203546634556362,
+     -129958150515442848750927397488614),
+    (264751167083893805946296759548551,))
+_VANISHING_G = ((1, 0, -1, -1), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 1, -1))
+
+
+def test_vanishing_probe_column_falls_back(monkeypatch):
+    """With the probe an arithmetic progression w_i = (i + 1)·c mod
+    (2^61 - 1), the column pencil adj(x·A - y·B)·w vanishes at the root 0:
+    each width reruns on the whole adjugate pencil (W = None, the
+    identity), certifies, and gives its H bit for bit and the g of the
+    default probe."""
+    def progression(n):
+        return tuple(((i + 1) * 0x9E3779B97F4A7C15 % (2 ** 61 - 1),)
+                     for i in range(n))
+
+    p = _VANISHING
+    g = lll_reduce(p, precision=64).g.entries
+    blocks = []
+    adjugate = covariant.adjugate_pencil
+
+    def recording(q, W=None):
+        blocks.append(W)
+        return adjugate(q, W)
+
+    monkeypatch.setattr(covariant, "probe", progression)
+    monkeypatch.setattr(covariant, "adjugate_pencil", recording)
+    assert adjugate(p, progression(4))[1][0] == (0, 0, 0, 0)
+    H = pr.reduction_covariant(p, 64)
+    assert blocks == [progression(4), progression(4), None]
+    assert H.e == -104
+    assert linalg.symmetric(_VANISHING_H) == H.M
+    assert lll_reduce(p, precision=64).g.entries == g == _VANISHING_G
 
 
 def test_covariant_and_lll_reduce_use_no_mpmath_linear_algebra(monkeypatch):

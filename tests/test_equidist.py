@@ -144,20 +144,24 @@ def _clear_node_caches():
 
 
 def test_one_adjugate_pass_per_item(monkeypatch):
-    """The sampler reads f off the adjugate pass, so each matrix k·A - B is
-    eliminated by linalg.bareiss with the block I at most once per item, a
-    nondegenerate item needs n nonsingular ones for its null vectors, and
+    """The sampler reads f off the column pass, so each matrix k·A - B is
+    eliminated by linalg.bareiss with the probe block w at most once per
+    item, a nondegenerate item needs n nonsingular ones for its null
+    vectors, no item falls back to the whole adjugate (the block I), and
     the only determinants without a block left are the (n+1)-th node and
     the discriminant's Bezout matrix."""
-    calls, dets = [], []
+    calls, dets, blocks = [], [], []
     kernel = pencilred.linalg.bareiss
+    w = pencilred.pencil.probe(4)
 
     def counting(M, W=None):
         d, adj = kernel(M, W)
         if W is None:
             dets.append(M)
-        else:
+        elif W == w:
             calls.append((tuple(map(tuple, M)), adj is not None))
+        else:
+            blocks.append(W)
         return d, adj
 
     _clear_node_caches()
@@ -165,6 +169,7 @@ def test_one_adjugate_pass_per_item(monkeypatch):
     batch = pr.sample_pencils(4, 3, 12, seed=5, precision=96)
     good = len(batch.nondegenerate_items())
     assert good > 0
+    assert blocks == []
     assert len(calls) == len(set(calls))
     assert sum(ok for _, ok in calls) == 4 * good
     assert len(dets) <= 2 * good
@@ -172,7 +177,7 @@ def test_one_adjugate_pass_per_item(monkeypatch):
 
 def test_escalated_diagonalization_reuses_node_pass(monkeypatch):
     """simultaneous_diagonalize at a doubled precision reads the cached
-    adjugate pencil instead of eliminating the nodes again."""
+    column pencil instead of eliminating the nodes again."""
     p = pr.sample_pencils(4, 3, 1, seed=5, precision=96).items[0].pencil
     _clear_node_caches()
     pr.simultaneous_diagonalize(p, 96)

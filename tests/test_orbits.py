@@ -270,8 +270,9 @@ def test_weierstrass_check_reads_the_norm(n, case, shape, shared, lead, seed,
 def test_lf_arithmetic_against_sympy():
     """Every L_f operation against sympy's remainder over Q, on non-monic
     f with f0 in {1, 2, 3, -5}, n = 2..8: classes of polynomials of any
-    length, products, cubes, multiplication matrices, norms as resultants
-    Res(F, a)/f0^deg(a), and the Hankel pencil of a valid datum (even n)."""
+    length, sums, differences, products, cubes, multiplication matrices,
+    norms as resultants Res(F, a)/f0^deg(a), and the Hankel pencil of a
+    valid datum (even n)."""
     x = sympy.Symbol("x")
 
     def poly(ascending):
@@ -310,6 +311,10 @@ def test_lf_arithmetic_against_sympy():
                 b = pr.element_from_poly(f, Q)
                 assert (a * b).coeffs == coords(
                     sympy.rem(poly(P) * poly(Q), F), n)
+                assert (a + b).coeffs == coords(
+                    sympy.rem(poly(P) + poly(Q), F), n)
+                assert (a - b).coeffs == coords(
+                    sympy.rem(poly(P) - poly(Q), F), n)
                 assert (a ** 3).coeffs == coords(sympy.rem(poly(P) ** 3, F), n)
                 M = a.multiplication_matrix()
                 for j in range(n):

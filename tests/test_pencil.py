@@ -6,7 +6,7 @@ import pytest
 
 import pencilred as pr
 from pencilred import linalg
-from pencilred.pencil import adjugate_pencil
+from pencilred.pencil import adjugate_pencil, probe
 from helpers import (A0, B0, common_denominator, invariant_form_oracle,
                      rand_pencil, rand_symmetric, rand_unimodular,
                      scaled_pencil)
@@ -139,16 +139,23 @@ def _with_zero_ends(rng, n):
             return p
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
-def test_adjugate_pencil_exact(n):
-    """(kA' - B') sum_t k^t D_t = det(kA' - B') I for (A', B') = a(A, B), at
-    integers k that are not interpolation nodes, on integral, rational and
-    f0 = fn = 0 pencils; f agrees with the cofactor oracle for n <= 6."""
+def _exact_cases(n):
+    """An integral pencil, its rational scaling, an f0 = fn = 0 pencil and,
+    at n = 4, a rational scaling of (A0, B0)."""
     rng = random.Random(27 + n)
     p = rand_pencil(rng, n, 3)
     pencils = [p, scaled_pencil(p, 6), _with_zero_ends(rng, n)]
     if n == 4:
         pencils.append(scaled_pencil(pr.Pencil(4, A0, B0), 6))
+    return pencils
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+def test_adjugate_pencil_exact(n):
+    """(kA' - B') sum_t k^t D_t = det(kA' - B') I for (A', B') = a(A, B), at
+    integers k that are not interpolation nodes, on integral, rational and
+    f0 = fn = 0 pencils; f agrees with the cofactor oracle for n <= 6."""
+    pencils = _exact_cases(n)
     for q in pencils:
         f, D = adjugate_pencil(q)
         assert f == pr.invariant_form(q)
@@ -166,6 +173,33 @@ def test_adjugate_pencil_exact(n):
     assert pr.invariant_form(pencils[2]).coeffs[::n] == (0, 0)
 
 
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+def test_column_pencil_exact(n):
+    """The column pass W = probe(n) = w: (kA' - B') c(k) = det(kA' - B') w
+    for c(k) = sum_t k^t D_t and (A', B') = a(A, B), at integers k that are
+    not interpolation nodes, on the pencils of test_adjugate_pencil_exact;
+    its f is the invariant form, and its D is the whole adjugate pencil's
+    times w."""
+    w = probe(n)
+    assert len({x for x, in w}) == n and all(0 < x < 2 ** 61 for x, in w)
+    for q in _exact_cases(n):
+        f, D = adjugate_pencil(q, w)
+        assert f == pr.invariant_form(q)
+        _, full = adjugate_pencil(q)
+        assert D == tuple(tuple(linalg.mat_vec([Dt[i * n:(i + 1) * n]
+                                                for i in range(n)],
+                                               [x for x, in w]))
+                          for Dt in full)
+        a = common_denominator(q.A + q.B)
+        for k in (n + 2, n + 3, n + 4, -n - 2, -n - 3, -n - 4):
+            M = [[int(a * (k * x - y)) for x, y in zip(ra, rb)]
+                 for ra, rb in zip(q.A, q.B)]
+            c = [sum(k ** t * Dt[i] for t, Dt in enumerate(D))
+                 for i in range(n)]
+            d = linalg.bareiss(M)[0]
+            assert linalg.mat_vec(M, c) == [d * x for x, in w]
+
+
 def test_invariant_form_identically_zero():
     """A common kernel vector makes f = 0; the pass stops after n + 1
     singular nodes and has no adjugate pencil."""
@@ -174,4 +208,5 @@ def test_invariant_form_identically_zero():
     f, D = adjugate_pencil(p)
     assert f == invariant_form_oracle(p) == pr.BinaryForm(4, (0,) * 5)
     assert D is None
+    assert adjugate_pencil(p, probe(4)) == (f, None)
     assert pr.invariant_form(p) == f

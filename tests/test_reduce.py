@@ -532,8 +532,12 @@ def test_shortest_vector_planted():
 
 
 def test_dimension_cap():
+    """Both enumerations, the shortest vector and the eps-small test,
+    stop at n = 13."""
     with pytest.raises(pr.DimensionTooLarge):
         pr.shortest_vector(gram_identity(13))
+    with pytest.raises(pr.DimensionTooLarge):
+        pr.epsilon_small_test(gram_identity(13), 0.5)
 
 
 def test_epsilon_small_examples():
