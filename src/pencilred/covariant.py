@@ -24,11 +24,11 @@ All of it runs on Python ints at one fixed point 2^s, s = precision + 2n +
 32: the roots are exact dyadics, a column is the integer column pencil
 adj(x·aA - y·aB)·w at its root (once per real root or pair; adj M = κ·v vᵀ
 at a simple root, so adj(M)·w = κ(vᵀw)·v), or the whole adjugate pencil's
-column of largest norm where that does not certify, normalized by an
-integer square root, and M R and G are exact products with the integral
-pencil (aA, aB), a the common denominator of (A, B).  The certificate
-compares squared magnitudes on the scale of (A, B); H of (aA, aB), a H, is
-divided by a at the end.
+column of largest norm where that does not certify and has cancelled more
+than half of the width, normalized by an integer square root, and M R and
+G are exact products with the integral pencil (aA, aB), a the common
+denominator of (A, B).  The certificate compares squared magnitudes on
+the scale of (A, B); H of (aA, aB), a H, is divided by a at the end.
 """
 
 from dataclasses import dataclass
@@ -42,9 +42,8 @@ from mpmath.libmp import from_man_exp
 from .errors import (DegeneratePencil, PrecisionExhausted, SingularVariant)
 from .forms import (DEFAULT_PRECISION, BinaryForm, complex_roots,
                     discriminant, mahler_measure_with_error)
-from .linalg import bareiss, gram_of_product, mat_vec
-from .pencil import (Pencil, adjugate_pencil, integral, invariant_form,
-                     probe)
+from .linalg import bareiss, gram_of_product, identity_matrix, mat_vec
+from .pencil import Pencil, adjugate_pencil, integral, invariant_form
 from .roots import dyadic, man_exp
 
 _MAX_ESCALATIONS = 4
@@ -177,22 +176,16 @@ def _fixed(z, s):
 def _powers(z, n, s):
     """x0^k y0^(n-1-k), k = 0..n-1, over 2^s at the root (x0 : y0) =
     (z : 1), or (1 : 0) for z None, with max(|x0|, |y0|) = 1: the powers of
-    z, or of 1/z in reverse when |z| > 1.  (re, im) lists, im None at a
-    real root, whose powers are real products only."""
+    z, or of 1/z in reverse when |z| > 1.  (re, im) lists."""
     one = 1 << s
     if z is None:
-        return [0] * (n - 1) + [one], None
+        return [0] * (n - 1) + [one], [0] * n
     x, y = z
     m = x * x + y * y
     inverse = m > one * one
     if inverse:                         # 1/z = conj(z) / |z|^2
         x, y = (x << 2 * s) // m, (-y << 2 * s) // m
-    tr = [one]
-    if not y:
-        for _ in range(n - 1):
-            tr.append(tr[-1] * x >> s)
-        return (tr[::-1] if inverse else tr), None
-    ti = [0]
+    tr, ti = [one], [0]
     for _ in range(n - 1):
         r, i = tr[-1], ti[-1]
         tr.append((r * x - i * y) >> s)
@@ -201,8 +194,9 @@ def _powers(z, n, s):
 
 
 def _adjugate_column(C, z, s):
-    """Unit null vector of M = x0·A - y0·B at the root (x0 : y0) of
-    `_powers`; z and the result (re, im) are Gaussian integers over 2^s.
+    """(re, im, norm2): the unit null vector of M = x0·A - y0·B at the root
+    (x0 : y0) of `_powers`, and the squared norm of the column it was read
+    off; z, the vector and the column are Gaussian integers over 2^s.
 
     M is symmetric of corank 1, so adj M = κ·v vᵀ and each column of
     adj(M)·W is κ(vᵀw)·v, w the matching column of W; the column of largest
@@ -215,35 +209,44 @@ def _adjugate_column(C, z, s):
 
     def at(c):
         re = [sum(map(mul, e, tr)) for e in c]
-        im = [0] * n if ti is None else [sum(map(mul, e, ti)) for e in c]
+        im = [sum(map(mul, e, ti)) for e in c]
         return sum(u * u for u in re) + sum(u * u for u in im), re, im
 
     norm2, re, im = max(map(at, C), key=lambda col: col[0])
     norm = max(isqrt(norm2), 1)
-    return [(u << s) // norm for u in re], [(u << s) // norm for u in im]
+    return ([(u << s) // norm for u in re], [(u << s) // norm for u in im],
+            norm2)
 
 
 def _basis(pencil, D, roots, s):
-    """The DiagonalizingBasis at 2^s of the integral pencil (a, aA, aB) of
-    `integral` from the column pencil adj(x·aA - y·aB)·W, D its
-    coefficients from `adjugate_pencil`, at the certified roots."""
+    """(db, cancelled): the DiagonalizingBasis at 2^s of the integral
+    pencil (a, aA, aB) of `integral` from the column pencil
+    adj(x·aA - y·aB)·W, D its coefficients from `adjugate_pencil`, at the
+    certified roots, and whether some column cancelled more than half of
+    the width, |adj(M)·w| < 2^(-s/2) times the largest coefficient: a
+    column that small may be one that vᵀw, not the width, keeps from
+    certifying."""
     a, A, B = pencil
     n = len(A)
     entries = list(zip(*D))                     # row-major, n x m
     m = len(entries) // n
     C = [entries[j::m] for j in range(m)]
-    R, blocks = [], []
+    top = max(abs(x) for e in entries for x in e)
+    tiny = top * top << s
+    R, blocks, cancelled = [], [], False
     roots = iter(roots)
     for root in roots:
-        re, im = _adjugate_column(C, _fixed(root.value, s), s)
+        re, im, norm2 = _adjugate_column(C, _fixed(root.value, s), s)
+        cancelled |= norm2 < tiny
         # a non-real root is followed by its exact conjugate
         if pair := bool(root.value is not None and root.value.imag):
             next(roots)
         blocks.append((len(R), len(R) + 1 if pair else None))
         R += [re, im] if pair else [re]
     MR = tuple([mat_vec(M, r) for r in R] for M in (A, B))
-    return DiagonalizingBasis(n, s, a, tuple(blocks), tuple(R), MR,
-                              tuple(gram_of_product(X, R) for X in MR))
+    db = DiagonalizingBasis(n, s, a, tuple(blocks), tuple(R), MR,
+                            tuple(gram_of_product(X, R) for X in MR))
+    return db, cancelled
 
 
 def _certified(db, precision):
@@ -261,16 +264,16 @@ def simultaneous_diagonalize(p: Pencil,
 
     Columns are null vectors of x0*A - y0*B over the projective roots
     (x0 : y0) of the invariant form, read off the exact column pencil
-    adj(xA - yB)·w = sum_k x^k y^(n-1-k) c_k, w = `probe(n)`, at the fixed
-    point 2^s, s = precision + 2n + 32, once per real root or conjugate
-    pair.  The two Grams R^T M R certify the output (`_certified`).  A width
-    whose certificate fails reruns on the whole adjugate pencil (W = I),
-    whose column of largest norm stays accurate where v^T w is small; if
-    that fails too, the precision doubles.
+    adj(xA - yB)·w = sum_k x^k y^(n-1-k) c_k, w = `pencil.probe(n)`, at the
+    fixed point 2^s, s = precision + 2n + 32, once per real root or
+    conjugate pair.  The two Grams R^T M R certify the output
+    (`_certified`).  A width whose certificate fails, with a column that
+    cancelled more than half of the width (v^T w small), reruns on the
+    whole adjugate pencil (W = I), whose column of largest norm stays
+    accurate there; otherwise, or if that fails too, the precision doubles.
     """
     n = p.n
-    w = probe(n)
-    f, _ = adjugate_pencil(p, w)
+    f, D = adjugate_pencil(p)
     if discriminant(f) == 0:
         raise DegeneratePencil("pencil has zero discriminant")
     pencil = integral(p)
@@ -278,8 +281,12 @@ def simultaneous_diagonalize(p: Pencil,
     for _ in range(_MAX_ESCALATIONS):
         s = prec + 2 * n + 32
         roots = complex_roots(f, prec).entries
-        for W in (w, None):
-            db = _basis(pencil, adjugate_pencil(p, W)[1], roots, s)
+        db, cancelled = _basis(pencil, D, roots, s)
+        if _certified(db, prec):
+            return db
+        if cancelled:
+            I = tuple(map(tuple, identity_matrix(n)))
+            db, _ = _basis(pencil, adjugate_pencil(p, I)[1], roots, s)
             if _certified(db, prec):
                 return db
         prec *= 2

@@ -18,7 +18,7 @@ from .covariant import det_identity, reduction_covariant
 from .errors import EmptyStatistics
 from .forms import BinaryForm, discriminant, height, real_root_count
 from .heights import FamilyParams, family_membership
-from .pencil import Pencil, adjugate_pencil, probe, splitmix64
+from .pencil import Pencil, adjugate_pencil, splitmix64
 from .reduce import exact_gram, lll_gram
 
 MEASURE_CAVEAT = ("entries uniform in a box, not the height-ball measure; "
@@ -95,7 +95,7 @@ def sample_pencils(n, B, count, seed, precision=128) -> SampleBatch:
         p = Pencil(n, A, Bm)
         # one node pass gives f here and the probe column to
         # simultaneous_diagonalize
-        f, _ = adjugate_pencil(p, probe(n))
+        f, _ = adjugate_pencil(p)
         ht = height(f)
         if discriminant(f) == 0:
             items.append(SampleItem(idx, p, int(ht), False))

@@ -182,8 +182,8 @@ def probe(n):
 @lru_cache(maxsize=64)
 def adjugate_pencil(p: Pencil, W=None):
     """(f, D): the invariant form and the pencil adj(x·aA - y·aB)·W, W an
-    integer block of n rows (tuple of rows); None is the identity, the
-    whole adjugate pencil.
+    integer block of n rows (tuple of rows); None is the probe column
+    `probe(n)`, the column pencil.
 
     det(k·aA - aB) and adj(k·aA - aB)·W come from one `linalg.bareiss` of
     [k·aA - aB | W] at each integer node k = 0, 1, -1, 2, ... until n nodes
@@ -192,14 +192,16 @@ def adjugate_pencil(p: Pencil, W=None):
     interpolation of the n adjugate products gives the integer n x m
     matrices D_0..D_{n-1} (row-major tuples, since the result is cached and
     shared) with adj(x·aA - y·aB)·W = sum_k x^k y^(n-1-k) D_k.  D is None
-    when f = 0.  The sampler reads f off the column pass W = `probe(n)` and
-    `simultaneous_diagonalize` reads that column, so each pencil's nodes
-    are eliminated once; callers that need f alone use `invariant_form`.
+    when f = 0.  The sampler reads f off the column pencil and
+    `simultaneous_diagonalize` reads its column, both as
+    `adjugate_pencil(p)`, so each pencil's nodes are eliminated once; only
+    the covariant's fallback passes a block, the identity (the whole
+    adjugate pencil).  Callers that need f alone use `invariant_form`.
     """
     n = p.n
     a, A, B = integral(p)
     if W is None:
-        W = linalg.identity_matrix(n)
+        W = probe(n)
     nodes, dets, adj_nodes, adjs = [], [], [], []
     while len(nodes) <= n or (len(adjs) < n and any(dets)):
         k = _node(len(nodes))

@@ -415,20 +415,20 @@ def test_certificate_rejects_rotated_pair_column(every_level, monkeypatch):
     """A pair's column rotated by about 2^-20 in its first two coordinates
     is no null vector: simultaneous_diagonalize doubles its precision and
     certifies at the next width when only the first width is rotated, and
-    raises PrecisionExhausted when every width is.  A rotated width is
-    rotated in both of its passes, the probe column and the whole-adjugate
-    fallback."""
+    raises PrecisionExhausted when every width is.  A rotated column has
+    not cancelled, so no width falls back to the whole adjugate pencil."""
     adjugate = covariant._adjugate_column
-    rotated = set()
+    rotated, blocks = set(), set()
 
     def rotate(C, z, s):
-        re, im = adjugate(C, z, s)
-        if z and z[1] and (every_level or not rotated or s in rotated):
+        re, im, norm2 = adjugate(C, z, s)
+        blocks.add(len(C))
+        if z and z[1] and s not in rotated and (every_level or not rotated):
             rotated.add(s)
             for part in (re, im):
                 part[0], part[1] = (part[0] - (part[1] >> 20),
                                     part[1] + (part[0] >> 20))
-        return re, im
+        return re, im, norm2
 
     monkeypatch.setattr(covariant, "_adjugate_column", rotate)
     cases = [p for p in _assembly_cases() if "pair" in _root_kinds(p)]
@@ -442,6 +442,7 @@ def test_certificate_rejects_rotated_pair_column(every_level, monkeypatch):
         else:
             db = pr.simultaneous_diagonalize(p, 96)
             assert db.s == 192 + 2 * p.n + 32, p
+    assert blocks == {1}
 
 
 # At the root 0 of this pencil (f = 4x^4 + 57x^3y + 135x^2y^2 - 48xy^3) the
@@ -467,13 +468,11 @@ _VANISHING_G = ((1, 0, -1, -1), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 1, -1))
 def test_vanishing_probe_column_falls_back(monkeypatch):
     """With the probe an arithmetic progression w_i = (i + 1)·c mod
     (2^61 - 1), the column pencil adj(x·A - y·B)·w vanishes at the root 0:
-    each width reruns on the whole adjugate pencil (W = None, the
-    identity), certifies, and gives its H bit for bit and the g of the
-    default probe."""
-    def progression(n):
-        return tuple(((i + 1) * 0x9E3779B97F4A7C15 % (2 ** 61 - 1),)
-                     for i in range(n))
-
+    the width reruns on the whole adjugate pencil (the block I), certifies,
+    and gives its H bit for bit and the g of the default probe."""
+    w = tuple(((i + 1) * 0x9E3779B97F4A7C15 % (2 ** 61 - 1),)
+              for i in range(4))
+    I = tuple(map(tuple, linalg.identity_matrix(4)))
     p = _VANISHING
     g = lll_reduce(p, precision=64).g.entries
     blocks = []
@@ -481,13 +480,12 @@ def test_vanishing_probe_column_falls_back(monkeypatch):
 
     def recording(q, W=None):
         blocks.append(W)
-        return adjugate(q, W)
+        return adjugate(q, w if W is None else W)
 
-    monkeypatch.setattr(covariant, "probe", progression)
     monkeypatch.setattr(covariant, "adjugate_pencil", recording)
-    assert adjugate(p, progression(4))[1][0] == (0, 0, 0, 0)
+    assert adjugate(p, w)[1][0] == (0, 0, 0, 0)
     H = pr.reduction_covariant(p, 64)
-    assert blocks == [progression(4), progression(4), None]
+    assert blocks == [None, I]
     assert H.e == -104
     assert linalg.symmetric(_VANISHING_H) == H.M
     assert lll_reduce(p, precision=64).g.entries == g == _VANISHING_G

@@ -150,6 +150,10 @@ def _exact_cases(n):
     return pencils
 
 
+def _identity(n):
+    return tuple(map(tuple, linalg.identity_matrix(n)))
+
+
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_adjugate_pencil_exact(n):
     """(kA' - B') sum_t k^t D_t = det(kA' - B') I for (A', B') = a(A, B), at
@@ -157,7 +161,7 @@ def test_adjugate_pencil_exact(n):
     f0 = fn = 0 pencils; f agrees with the cofactor oracle for n <= 6."""
     pencils = _exact_cases(n)
     for q in pencils:
-        f, D = adjugate_pencil(q)
+        f, D = adjugate_pencil(q, _identity(n))
         assert f == pr.invariant_form(q)
         if n <= 6:
             assert f == invariant_form_oracle(q)
@@ -175,17 +179,17 @@ def test_adjugate_pencil_exact(n):
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_column_pencil_exact(n):
-    """The column pass W = probe(n) = w: (kA' - B') c(k) = det(kA' - B') w
-    for c(k) = sum_t k^t D_t and (A', B') = a(A, B), at integers k that are
-    not interpolation nodes, on the pencils of test_adjugate_pencil_exact;
-    its f is the invariant form, and its D is the whole adjugate pencil's
-    times w."""
+    """The default pass is the column W = probe(n) = w:
+    (kA' - B') c(k) = det(kA' - B') w for c(k) = sum_t k^t D_t and
+    (A', B') = a(A, B), at integers k that are not interpolation nodes, on
+    the pencils of test_adjugate_pencil_exact; its f is the invariant form,
+    and its D is the whole adjugate pencil's times w."""
     w = probe(n)
     assert len({x for x, in w}) == n and all(0 < x < 2 ** 61 for x, in w)
     for q in _exact_cases(n):
-        f, D = adjugate_pencil(q, w)
+        f, D = adjugate_pencil(q)
         assert f == pr.invariant_form(q)
-        _, full = adjugate_pencil(q)
+        _, full = adjugate_pencil(q, _identity(n))
         assert D == tuple(tuple(linalg.mat_vec([Dt[i * n:(i + 1) * n]
                                                 for i in range(n)],
                                                [x for x, in w]))
@@ -208,5 +212,5 @@ def test_invariant_form_identically_zero():
     f, D = adjugate_pencil(p)
     assert f == invariant_form_oracle(p) == pr.BinaryForm(4, (0,) * 5)
     assert D is None
-    assert adjugate_pencil(p, probe(4)) == (f, None)
+    assert adjugate_pencil(p, _identity(4)) == (f, None)
     assert pr.invariant_form(p) == f
